@@ -36,9 +36,11 @@ from .density import (
     sinh_bound_check,
 )
 from .eisenstein import (
+    CERTIFY_RETRIES,
     ShiftCertificate,
     ShiftedDecision,
     Verdict,
+    decide_certified,
     eisenstein_primes,
     is_eisenstein,
     is_eisenstein_with,
@@ -112,6 +114,8 @@ __all__ = [
     "is_eisenstein_with",
     "eisenstein_primes",
     "shifted_eisenstein",
+    "CERTIFY_RETRIES",
+    "decide_certified",
     "verify_certificate",
     "naive_shift_scan",
     "periodicity_check",

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .eisenstein import Verdict, is_eisenstein, shifted_eisenstein
+from .eisenstein import Verdict, decide_certified, is_eisenstein, shifted_eisenstein
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, taylor_shift
 from .primes import DEFAULT_BUDGET, DEFAULT_SEED, FactorBudget, euler_phi, mobius
@@ -53,7 +53,6 @@ CSV_COLUMNS = (
 
 DEFAULT_CHUNK_SIZE = 256
 DEFAULT_ENUMERATION_CAP = 100_000_000
-_MAX_BUDGET_ESCALATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -123,18 +122,6 @@ def _ratio_interval(
     return ratio, lo, hi
 
 
-def _decide_certified(f: IntPoly, budget: FactorBudget):
-    """Shifted-Eisenstein decision, escalating the budget until certified."""
-    decision = shifted_eisenstein(f, budget)
-    scale = 1
-    for _ in range(_MAX_BUDGET_ESCALATIONS):
-        if decision.verdict is not Verdict.NO_HEURISTIC:
-            return decision
-        scale *= 4
-        decision = shifted_eisenstein(f, budget.scaled(scale))
-    raise BudgetError("could not certify decision for %s" % f)
-
-
 def exact_census(
     n: int,
     height: int,
@@ -167,7 +154,9 @@ def exact_census(
                 if is_eisenstein(taylor_shift(f, 1)):
                     f_count += 1
             else:
-                decision = _decide_certified(f, budget)
+                # This module's binding, so wrappers installed on it see
+                # every escalated attempt.
+                decision = decide_certified(f, budget, decide=shifted_eisenstein)
                 if decision.verdict is Verdict.YES:
                     shifted += 1
     ratio = shifted / eis if eis else None

@@ -26,6 +26,7 @@ from .census import exact_census, monte_carlo, reports_to_csv
 from .density import DEFAULT_DPS, density_report, sinh_bound_check
 from .eisenstein import (
     Verdict,
+    decide_certified,
     eisenstein_primes,
     is_eisenstein_with,
     naive_shift_scan,
@@ -39,8 +40,6 @@ from .primes import DEFAULT_SEED, FactorBudget, first_primes
 from . import __version__
 
 __all__ = ["build_parser", "main", "entry"]
-
-_CERTIFIED_RETRIES = 8
 
 
 def _default_seed() -> int:
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     shift.add_argument(
         "--oracle",
         action="store_true",
-        help="use the exhaustive shift scan instead of the discriminant engine",
+        help="use the exhaustive shift scan instead of the local-criterion engine",
     )
     shift.add_argument(
         "--scan-cap",
@@ -237,20 +236,8 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     if args.oracle:
         decision = naive_shift_scan(f, scan_cap=args.scan_cap)
     else:
-        budget = _budget(args)
-        decision = shifted_eisenstein(f, budget)
-        if args.certified:
-            scale = 1
-            for _ in range(_CERTIFIED_RETRIES):
-                if decision.verdict is not Verdict.NO_HEURISTIC:
-                    break
-                scale *= 4
-                decision = shifted_eisenstein(f, budget.scaled(scale))
-            else:
-                raise BudgetError(
-                    "still uncertified after %d budget escalations"
-                    % _CERTIFIED_RETRIES
-                )
+        decide = decide_certified if args.certified else shifted_eisenstein
+        decision = decide(f, _budget(args))
     record = {
         "poly": str(f),
         "coeffs": list(f.coeffs),

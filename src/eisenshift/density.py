@@ -185,15 +185,29 @@ def sinh_bound_check(primes: list[int], dps: int = DEFAULT_DPS):
     With enough primes the first value settles in (0.45, 0.46) and the
     second stays below 1, which is what makes the two-prime correction
     argument close.
+
+    The sum uses `density_report`'s fixed point: with N primes, each 1/p^2 is
+    floored to F = prec + 8 + bitlength(N) fractional bits (prec the binary
+    precision of `dps` digits) and the integers are summed exactly, so the
+    floors lose less than N * 2^-F < 2^-(prec+8), a relative 2^-(prec+6) as
+    the sum is at least 1/4.  Converting the sum to an mpf, computing the
+    tail bound 1/B (B the largest prime) and adding it round three times more,
+    each by at most a relative 2^-prec, and 2^-prec < 10^-dps / 7.  So the
+    first value is within a relative 10^-dps of the exact partial sum plus
+    1/B; since 1/B is far above the true tail, it stays an upper bound for
+    the sum over all primes.  2*sinh is evaluated by mpmath at `dps` digits.
     """
     if not primes:
         raise DomainError("need a nonempty prime list")
+    if dps < 1:
+        raise DomainError("need dps >= 1 significant digits")
     with workdps(dps):
-        total = mpf(0)
-        for p in primes:
-            total += mpf(1) / (mpf(p) * p)
-        total += mpf(1) / primes[-1]  # tail: sum_{m > B} 1/m^2 <= 1/B
-        return +total, +(2 * sinh(total))
+        frac_bits = mp.prec + 8 + len(primes).bit_length()
+        one = 1 << frac_bits
+        total = sum(one // (p * p) for p in primes)
+        # tail: sum_{m > B} 1/m^2 <= 1/B
+        total = ldexp(mpf(total), -frac_bits) + mpf(1) / primes[-1]
+        return total, +(2 * sinh(total))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ divides every non-leading coefficient, p^2 does not divide the constant term,
 and p does not divide the leading coefficient.  f is shifted-Eisenstein when
 f(x+s) is Eisenstein for some integer s; either way f is irreducible over Q.
 
-The decision procedure rests on two facts.  First, if f(x+s) is Eisenstein
-with respect to p then p^(n-1) divides the discriminant D(f), which is
-shift-invariant, so candidate primes come from D(f).  Second, such a prime
-admits a working shift among the roots of f modulo p, and shifts repeat with
-period p, so only residues 0 <= s < p need checking.
+The decision rests on the local criterion: f(x+s) is Eisenstein with respect
+to p exactly when f = a_n*(x-s)^n (mod p), p does not divide a_n, and p^2
+does not divide f(s).  For p not dividing n*a_n the x^(n-1) coefficient fixes
+s modulo p, and the primes for which the congruence holds are the prime
+factors of one integer computed from f; the primes dividing n are tried with
+every residue.  Such an f has f'(s) = 0 (mod p), so f(s + k*p) = f(s)
+(mod p^2): shifts repeat with period p, and only 0 <= s < p needs checking.
 """
 
 from __future__ import annotations
@@ -18,16 +20,16 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .algebra import discriminant, max_shift_bound, principal_subresultant
+from .algebra import discriminant, max_shift_bound
 from .errors import BudgetError, DomainError
-from .intpoly import IntPoly, derivative, taylor_shift
-from .primes import (
-    DEFAULT_BUDGET,
-    FactorBudget,
-    factorize,
-    is_prime,
-    roots_mod_p,
-)
+from .intpoly import IntPoly, evaluate, taylor_shift
+from .primes import DEFAULT_BUDGET, FactorBudget, factorize, is_prime
+
+# Unused here; bench/spans.py looks these names up in this module to trace
+# calls of the former discriminant engine.
+from .algebra import principal_subresultant  # noqa: F401
+from .intpoly import derivative  # noqa: F401
+from .primes import roots_mod_p  # noqa: F401
 
 __all__ = [
     "Verdict",
@@ -37,14 +39,15 @@ __all__ = [
     "is_eisenstein",
     "is_eisenstein_with",
     "shifted_eisenstein",
+    "CERTIFY_RETRIES",
+    "decide_certified",
     "verify_certificate",
     "naive_shift_scan",
     "periodicity_check",
 ]
 
-# Scan/splitting crossover passed to roots_mod_p by the decision engine; the
-# root set is method-independent, this only picks the cheaper evaluation.
-_ENGINE_SCAN_THRESHOLD = 512
+# Budget escalations that `decide_certified` makes before giving up.
+CERTIFY_RETRIES = 8
 
 # Inline trial division handles coefficient gcds up to this divisor bound;
 # anything rougher goes through the budgeted factorizer.
@@ -69,9 +72,14 @@ class ShiftCertificate:
 class ShiftedDecision:
     """Outcome of a shifted-Eisenstein decision.
 
-    `reason` explains a NO ("discriminant-zero", "no-qualifying-prime",
-    "no-root-shift-works"); `cofactor` carries the unsplit composite part of
-    the factorization behind a heuristic NO.
+    `reason` explains a NO: "discriminant-zero" when f has a repeated root
+    found as such (for n = 2 when D = 0; for n >= 3 when f = a_n*(x-r)^n, or
+    when an unsplit factorization falls back on the discriminant),
+    "no-qualifying-prime" when no candidate prime is left, and
+    "no-root-shift-works" when candidates were tried and none worked.  For
+    n >= 3 other repeated-root inputs get one of the last two.  `cofactor`
+    carries the unsplit composite part of the factorization behind a
+    heuristic NO.
     """
 
     verdict: Verdict
@@ -170,18 +178,72 @@ def is_eisenstein_with(f: IntPoly, p: int) -> bool:
     return True
 
 
-def _certificate_search(
-    f: IntPoly, candidates: list[int], seed: int
-) -> ShiftCertificate | None:
-    """First working (prime, shift) over ascending primes and shifts."""
+def _strip_primes_of(g: int, u: int) -> int:
+    """g > 0 with every prime factor of u removed, by repeated gcd (u is never factored)."""
+    common = math.gcd(g, u)
+    while common > 1:
+        g //= common
+        common = math.gcd(g, common)
+    return g
+
+
+def _local_gcd(f: IntPoly) -> int:
+    """G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
+
+    h(y) = u^n * f((y - a_(n-1))/u) has integer coefficients, leading
+    coefficient a_n and no y^(n-1) term: coefficient k of f is scaled by
+    u^(n-k), then the result is shifted by -a_(n-1).  For a prime p not
+    dividing u, f = a_n*(x-s)^n (mod p) holds for some s exactly when
+    p | gcd(h_0, ..., h_(n-2)).  That gcd is 0 exactly when
+    f = a_n*(x-r)^n over Q; then 0 is returned.
+    """
+    n = f.degree
+    u = n * f.leading
+    power = 1
+    scaled = []
+    for c in reversed(f.coeffs):
+        scaled.append(c * power)
+        power *= u
+    h = taylor_shift(IntPoly(tuple(reversed(scaled))), -f.coeffs[-2]).coeffs
+    g = 0
+    for c in h[: n - 1]:
+        g = math.gcd(g, c)
+        if g == 1:
+            return 1
+    return _strip_primes_of(g, u) if g else 0
+
+
+def _prime_divisors(m: int) -> list[int]:
+    """Distinct prime factors of a small m >= 1 by trial division, ascending."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _candidate_shifts(f: IntPoly, p: int):
+    """Residues s in [0, p) for which f(x+s) can be Eisenstein with respect to p."""
+    n = f.degree
     an = f.leading
-    for p in candidates:
-        if an % p == 0:
-            continue  # the leading coefficient is shift-invariant
-        for s in roots_mod_p(f, p, scan_threshold=_ENGINE_SCAN_THRESHOLD, seed=seed):
-            if is_eisenstein_with(taylor_shift(f, s), p):
-                return ShiftCertificate(s, p)
-    return None
+    if an % p == 0:
+        return ()  # the leading coefficient is shift-invariant
+    if n % p:
+        # f = a_n*(x-s)^n (mod p) fixes s through the x^(n-1) coefficient.
+        return ((-f.coeffs[-2] * pow(n * an, -1, p)) % p,)
+    # The constant term of f(x+s) is f(s), which p must divide exactly once.
+    shifts = []
+    for s in range(p):
+        r = evaluate(f, s) % (p * p)
+        if r and r % p == 0:
+            shifts.append(s)
+    return shifts
 
 
 def shifted_eisenstein(
@@ -189,16 +251,21 @@ def shifted_eisenstein(
 ) -> ShiftedDecision:
     """Decide whether f(x+s) is Eisenstein for some integer s.
 
-    Candidate primes must satisfy p^(n-1) | D(f).  For n >= 3 they must also
-    divide the next principal subresultant of (f, f'): an Eisenstein shift
-    forces f = lc * (x-s)^n mod p, so gcd(f, f') mod p has degree n-1 >= 2
-    and both trailing subresultant coefficients vanish mod p.  Factoring
-    gcd(D, sres_1) instead of D keeps the certified path cheap even when D
-    itself is far beyond the factoring budget.  YES answers always carry a
-    verified certificate with 0 <= shift < prime (smallest prime, then
-    smallest shift); a NO is certified when the candidate list is provably
-    complete, otherwise the verdict is heuristic and carries the unsplit
-    cofactor.
+    f(x+s) is Eisenstein with respect to p exactly when f = a_n*(x-s)^n
+    (mod p), p does not divide a_n, and p^2 does not divide f(s).  A plain
+    witness (shift 0) is looked for first.  Otherwise, for n >= 3, the
+    candidate primes not dividing u = n*a_n are the prime factors of
+    G = gcd(h_0, ..., h_(n-2)) (see `_local_gcd`), each with the single shift
+    s = -a_(n-1)/u (mod p); the primes dividing n but not a_n (each at most n)
+    are candidates too, with every shift s < p.  G = 0 means f = a_n*(x-r)^n,
+    a certified NO.  For n = 2, G is a_2*|D| with D = a_1^2 - 4*a_0*a_2, and
+    |D| itself is factored.
+
+    YES answers always carry a verified certificate with 0 <= shift < prime
+    (smallest prime, then smallest shift); shifts repeat with period p, as
+    f'(s) = 0 (mod p).  A NO is certified when the factorization is
+    complete, or, for n >= 3, when the discriminant of f is 0; otherwise the
+    verdict is heuristic and carries the unsplit cofactor.
     """
     n = f.degree
     if n < 2:
@@ -206,35 +273,64 @@ def shifted_eisenstein(
     witness = _smallest_witness(f)
     if witness is not None:
         return ShiftedDecision(Verdict.YES, ShiftCertificate(0, witness))
-    d = discriminant(f)
-    if d == 0:
-        return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
-    ad = abs(d)
+    an = f.leading
     if n == 2:
-        # Every prime factor of D qualifies when n - 1 = 1.
-        fact = factorize(ad, budget)
-        certified = fact.certified
-        cofactor = fact.cofactor
-        candidates = [p for p, _ in fact.factors]
+        # Every prime that can work divides D, 2 included.
+        a0, a1, _ = f.coeffs
+        target = abs(a1 * a1 - 4 * a0 * an)
+        primes = []
     else:
-        s1 = principal_subresultant(f, derivative(f), 1)
-        shared = math.gcd(ad, abs(s1))  # s1 == 0 degrades to |d| itself
-        if shared == 1:
-            return ShiftedDecision(Verdict.NO_CERTIFIED, reason="no-qualifying-prime")
-        fact = factorize(shared, budget)
+        target = _local_gcd(f)
+        primes = [p for p in _prime_divisors(n) if an % p]
+    if target == 0:
+        return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
+    certified = True
+    cofactor = 1
+    if target > 1:
+        fact = factorize(target, budget)
         certified = fact.certified
         cofactor = fact.cofactor
-        candidates = []
-        for p, _ in fact.factors:
-            if ad % p**(n - 1) == 0:
-                candidates.append(p)
-    cert = _certificate_search(f, candidates, budget.seed)
-    if cert is not None:
-        return ShiftedDecision(Verdict.YES, cert)
-    reason = "no-qualifying-prime" if not candidates else "no-root-shift-works"
+        primes = sorted(primes + [p for p, _ in fact.factors])
+    for p in primes:
+        for s in _candidate_shifts(f, p):
+            if is_eisenstein_with(taylor_shift(f, s), p):
+                return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
+    reason = "no-root-shift-works" if primes else "no-qualifying-prime"
     if certified:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
+    if n > 2 and discriminant(f) == 0:
+        # A repeated root makes f reducible, so no shift can work.
+        return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
     return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=cofactor)
+
+
+def decide_certified(
+    f: IntPoly,
+    budget: FactorBudget = DEFAULT_BUDGET,
+    retries: int = CERTIFY_RETRIES,
+    decide=None,
+) -> ShiftedDecision:
+    """Shifted-Eisenstein decision, escalating the budget until it is certified.
+
+    A heuristic NO is decided again with the budget scaled by 4, 16, 64, ...,
+    at most `retries` times; BudgetError if the last decision is still
+    heuristic.  `decide` is the decision that is repeated, by default
+    `shifted_eisenstein`; a caller may pass its own binding of that name so
+    that wrappers installed in its namespace (bench/spans.py) see every
+    attempt.
+    """
+    decide = decide or shifted_eisenstein
+    decision = decide(f, budget)
+    step = 0
+    while decision.verdict is Verdict.NO_HEURISTIC:
+        if step == retries:
+            raise BudgetError(
+                "could not certify the decision for %s after %d budget escalations"
+                % (f, retries)
+            )
+        step += 1
+        decision = decide(f, budget.scaled(4**step))
+    return decision
 
 
 def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
@@ -256,7 +352,7 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
 def naive_shift_scan(f: IntPoly, scan_cap: int = 1_000_000) -> ShiftedDecision:
     """Decide by trying every shift 0 <= s <= max_shift_bound(f) directly.
 
-    Independent of the discriminant machinery, hence useful as an oracle.
+    Independent of the local criterion, hence useful as an oracle.
     Refuses (BudgetError) when the scan bound exceeds scan_cap.  The first
     working shift is returned; by shift periodicity it satisfies s < p for
     its smallest witness prime, so the certificate is already canonical.

@@ -140,6 +140,23 @@ def test_sinh_bound_window():
     assert abs(doubled - 2 * mp.sinh(partial)) < 1e-12
 
 
+def test_sinh_bound_check_fixed_point_matches_mpmath_loop():
+    # The former mpmath loop, run with 20 guard digits, is the reference.
+    for dps in (15, 50, 80):
+        with workdps(dps + 20):
+            exact = sum(mpf(1) / (mpf(p) * p) for p in PRIMES) + mpf(1) / PRIMES[-1]
+        partial, doubled = sinh_bound_check(PRIMES, dps=dps)
+        with workdps(dps + 20):
+            assert abs(partial - exact) < exact * mpf(10) ** -dps, dps
+            assert abs(doubled - 2 * mp.sinh(exact)) < doubled * mpf(10) ** (1 - dps), dps
+
+
+def test_sinh_bound_check_rejects_bad_dps():
+    for dps in (0, -3):
+        with pytest.raises(DomainError):
+            sinh_bound_check(PRIMES, dps=dps)
+
+
 def test_predicted_count_scale():
     # Main term rho_2 * 2^3 * H^3 at H=2 should be near the exact count 12.
     pred = predicted_eisenstein_count(2, 2, PRIMES)

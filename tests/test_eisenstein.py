@@ -11,6 +11,7 @@ from eisenshift import (
     IntPoly,
     ShiftCertificate,
     Verdict,
+    decide_certified,
     eisenstein_primes,
     evaluate,
     is_eisenstein,
@@ -243,3 +244,58 @@ def test_budget_error_propagates_from_gcd_factoring():
     f = IntPoly((p * q, p * q, 1))
     with pytest.raises(BudgetError):
         eisenstein_primes(f, TINY)
+
+def test_coincident_roots_give_discriminant_zero():
+    # 3(x-2)^4: every coefficient of the transformed polynomial below the
+    # leading one vanishes, so G = 0.
+    f = taylor_shift(IntPoly((0, 0, 0, 0, 3)), -2)
+    assert f == IntPoly((48, -96, 72, -24, 3))
+    d = shifted_eisenstein(f)
+    assert d.verdict is Verdict.NO_CERTIFIED
+    assert d.reason == "discriminant-zero"
+
+
+def test_prime_dividing_degree_finds_its_shift():
+    # f(x+1) = x^4 + 2x + 2 is Eisenstein at 2, and 2 divides n = 4 but not
+    # a_n, so the shift comes from trying every residue mod 2.
+    f = taylor_shift(IntPoly((2, 2, 0, 0, 1)), -1)
+    assert not is_eisenstein(f)
+    d = shifted_eisenstein(f)
+    assert d.certificate == ShiftCertificate(1, 2)
+    # x^6 + 3x + 3 at 3, with n = 6 and shift 2.
+    f = taylor_shift(IntPoly((3, 3, 0, 0, 0, 0, 1)), -2)
+    d = shifted_eisenstein(f)
+    assert d.certificate == ShiftCertificate(2, 3)
+    assert verify_certificate(f, d.certificate)
+
+
+def test_uncertified_repeated_root_falls_back_to_discriminant():
+    # (x-36)^2 (x-1): G = 35^2 stays unsplit under TINY, and the zero
+    # discriminant still certifies the NO.
+    f = IntPoly((-1296, 1368, -73, 1))
+    d = shifted_eisenstein(f, TINY)
+    assert d.verdict is Verdict.NO_CERTIFIED
+    assert d.reason == "discriminant-zero"
+    # x^3 + 70x + 1225 has G = 35 and a nonzero discriminant: heuristic NO
+    # under TINY, certified once 35 is factored.
+    f = IntPoly((1225, 70, 0, 1))
+    weak = shifted_eisenstein(f, TINY)
+    assert weak.verdict is Verdict.NO_HEURISTIC
+    assert weak.cofactor == 35
+    assert shifted_eisenstein(f).verdict is Verdict.NO_CERTIFIED
+
+
+def test_decide_certified_escalates_and_gives_up():
+    f = IntPoly((1, 5, 1))
+    with pytest.raises(BudgetError):
+        decide_certified(f, TINY, retries=0)
+    # One escalation raises the trial bound to 8, which splits 21.
+    assert decide_certified(f, TINY, retries=1).certificate == ShiftCertificate(2, 3)
+    seen = []
+
+    def counting(g, budget):
+        seen.append(budget.trial_bound)
+        return shifted_eisenstein(g, budget)
+
+    assert decide_certified(f, TINY, decide=counting).verdict is Verdict.YES
+    assert seen == [2, 8]
