@@ -69,7 +69,6 @@ from .primes import (
     first_primes,
     is_prime,
     mobius,
-    nearly_full_prime_divisors,
     omega,
     roots_mod_p,
     sieve_primes,
@@ -102,7 +101,6 @@ __all__ = [
     "first_primes",
     "is_prime",
     "factorize",
-    "nearly_full_prime_divisors",
     "roots_mod_p",
     "euler_phi",
     "omega",

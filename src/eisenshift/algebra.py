@@ -1,21 +1,22 @@
 """Exact resultants, discriminants, and size bounds for integer polynomials.
 
-Two independent resultant paths are provided: a subresultant pseudo-remainder
-sequence (the default, fast for the small degrees used here) and fraction-free
-Gaussian elimination of the Sylvester matrix.  Both are bit-exact over the
-integers; the test suite cross-checks them against each other.
+The resultant and every principal subresultant coefficient are determinants
+of (sub)matrices of the Sylvester matrix, computed by fraction-free Bareiss
+elimination, so all of them are exact over the integers.  The test suite
+checks them against products over the roots of polynomials built from
+integer roots.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
 from .intpoly import IntPoly, derivative, length
+from .primes import iroot
 
 __all__ = [
     "sylvester_matrix",
     "bareiss_determinant",
     "resultant",
-    "resultant_bareiss",
     "principal_subresultant",
     "discriminant",
     "mahler_bound",
@@ -23,22 +24,27 @@ __all__ = [
 ]
 
 
-def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
-    """Sylvester matrix of f and g, size (deg f + deg g), descending coefficients."""
+def _sylvester_rows(f: IntPoly, g: IntPoly, j: int) -> list[list[int]]:
+    """Sylvester matrix of f and g without the last j rows of each coefficient
+    block and the last 2j columns (descending coefficients)."""
     if f.is_zero or g.is_zero:
-        raise DomainError("sylvester_matrix needs nonzero polynomials")
+        raise DomainError("the Sylvester matrix needs nonzero polynomials")
     m, n = f.degree, g.degree
-    if m == 0 and n == 0:
-        raise DomainError("sylvester_matrix needs at least one nonconstant input")
+    width = m + n - 2 * j
+    if j < 0 or j > min(m, n) or width < 1:
+        raise DomainError(
+            "no Sylvester submatrix of index %d for degrees %d and %d" % (j, m, n)
+        )
     fd = list(reversed(f.coeffs))
     gd = list(reversed(g.coeffs))
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fd + [0] * (size - i - len(fd)))
-    for i in range(m):
-        rows.append([0] * i + gd + [0] * (size - i - len(gd)))
+    rows = [([0] * i + fd + [0] * width)[:width] for i in range(n - j)]
+    rows += [([0] * i + gd + [0] * width)[:width] for i in range(m - j)]
     return rows
+
+
+def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
+    """Sylvester matrix of f and g, size (deg f + deg g), descending coefficients."""
+    return _sylvester_rows(f, g, 0)
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -77,147 +83,18 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
     return sign * m[size - 1][size - 1]
 
 
-def _deg(a: list[int]) -> int:
-    d = len(a) - 1
-    while d >= 0 and a[d] == 0:
-        d -= 1
-    return d
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced modulo b."""
-    m = _deg(a)
-    n = _deg(b)
-    lb = b[n]
-    r = list(a)
-    scalings = m - n + 1
-    d = _deg(r)
-    while d >= n:
-        lead = r[d]
-        r = [lb * c for c in r]
-        for i in range(n + 1):
-            r[d - n + i] -= lead * b[i]
-        scalings -= 1
-        d = _deg(r)
-    if d < 0:
-        return [0]
-    if scalings > 0:
-        scale = lb**scalings
-        r = [scale * c for c in r]
-    return r[: d + 1]
-
-
-def _exact_div_all(coeffs: list[int], divisor: int) -> list[int] | None:
-    out = []
-    for c in coeffs:
-        q, rem = divmod(c, divisor)
-        if rem != 0:
-            return None
-        out.append(q)
-    return out
-
-
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of f and g via a subresultant pseudo-remainder sequence.
-
-    The reduction at each step tracks the exact integer factor relating
-    Res(a, b) to Res(b, r), so the damping divisors only control coefficient
-    growth and can never change the result.
-    """
-    if f.is_zero or g.is_zero:
-        raise DomainError("resultant needs nonzero polynomials")
-    m, n = f.degree, g.degree
-    if m == 0 and n == 0:
-        raise DomainError("resultant needs at least one nonconstant input")
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    if m < n:
-        sign = -1 if (m & 1) and (n & 1) else 1
-        return sign * resultant(g, f)
-
-    a = list(f.coeffs)
-    b = list(g.coeffs)
-    num = 1
-    den = 1
-    sign = 1
-    damp_g = 1
-    damp_h = 1
-    damping = True
-    while True:
-        m = _deg(a)
-        n = _deg(b)
-        # Invariant: Res(f, g) = sign * (num/den) * Res(a, b).
-        if n == 0:
-            val = sign * num * (b[0] ** m)
-            q, rem = divmod(val, den)
-            assert rem == 0, "resultant bookkeeping must stay exact"
-            return q
-        r = _prem(a, b)
-        rd = _deg(r)
-        if rd < 0:
-            return 0
-        lb = b[n]
-        if (m & 1) and (n & 1):
-            sign = -sign
-        # Res(a, b) = (-1)^(mn) lb^(m - rd) Res(b, a mod b), and the
-        # pseudo-remainder equals lb^(m-n+1) * (a mod b).
-        num *= lb ** (m - rd)
-        den *= lb ** (n * (m - n + 1))
-        delta = m - n
-        if damping:
-            divisor = damp_g * damp_h**delta
-            reduced = _exact_div_all(r, divisor) if divisor != 1 else r
-            if reduced is None:
-                damping = False  # keep going undamped; exactness is tracked
-            else:
-                r = reduced
-                num *= divisor**n
-        a, b = b, r
-        if damping:
-            damp_g = lb
-            if delta > 0:
-                hd = lb**delta
-                if delta > 1:
-                    q2, rem2 = divmod(hd, damp_h ** (delta - 1))
-                    if rem2 != 0:
-                        damping = False
-                    else:
-                        hd = q2
-                damp_h = hd
-
-
-def resultant_bareiss(f: IntPoly, g: IntPoly) -> int:
-    """Resultant as the Bareiss determinant of the Sylvester matrix."""
-    return bareiss_determinant(sylvester_matrix(f, g))
+    """Resultant of f and g: the Bareiss determinant of their Sylvester matrix."""
+    return principal_subresultant(f, g, 0)
 
 
 def principal_subresultant(f: IntPoly, g: IntPoly, j: int) -> int:
     """j-th principal subresultant coefficient of (f, g).
 
     Determinant of the Sylvester matrix with the last j rows of each
-    coefficient block and the last 2j columns removed; j = 0 recovers the
-    resultant up to nothing (they are equal).
+    coefficient block and the last 2j columns removed; j = 0 is the resultant.
     """
-    if f.is_zero or g.is_zero:
-        raise DomainError("principal_subresultant needs nonzero polynomials")
-    m, n = f.degree, g.degree
-    if j < 0 or j > min(m, n) or m + n - 2 * j < 1:
-        raise DomainError("subresultant index out of range")
-    if j == 0:
-        return resultant_bareiss(f, g)
-    fd = list(reversed(f.coeffs))
-    gd = list(reversed(g.coeffs))
-    width = m + n - 2 * j
-    rows = []
-    for i in range(n - j):
-        row = [0] * i + fd + [0] * max(0, width - i - len(fd))
-        rows.append(row[:width])
-    for i in range(m - j):
-        row = [0] * i + gd + [0] * max(0, width - i - len(gd))
-        rows.append(row[:width])
-    return bareiss_determinant(rows)
+    return bareiss_determinant(_sylvester_rows(f, g, j))
 
 
 def discriminant(f: IntPoly) -> int:
@@ -241,27 +118,10 @@ def mahler_bound(f: IntPoly) -> int:
     return n**n * length(f) ** (2 * n - 2)
 
 
-def _ceil_nth_root_of_power(n: int) -> int:
-    """Smallest integer c with c^(n-1) >= n^n, i.e. ceil(n^(n/(n-1)))."""
-    target = n**n
-    k = n - 1
-    # Floor root by Newton iteration on integers, then adjust upward.
-    x = 1 << ((target.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + target // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x**k > target:
-        x -= 1
-    if x**k < target:
-        x += 1
-    return x
-
-
 def max_shift_bound(f: IntPoly) -> int:
     """Scan bound ceil(n^(n/(n-1))) * L(f)^2 covering every possible shift."""
     n = f.degree
     if n < 2:
         raise DomainError("max_shift_bound needs degree >= 2")
-    return _ceil_nth_root_of_power(n) * length(f) ** 2
+    root, exact = iroot(n**n, n - 1)
+    return (root if exact else root + 1) * length(f) ** 2

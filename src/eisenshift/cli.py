@@ -49,7 +49,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_SEED
+        raise DomainError("EISENSHIFT_SEED must be an integer, got %r" % raw) from None
 
 
 def _add_budget_args(sub: argparse.ArgumentParser) -> None:
@@ -191,7 +191,13 @@ def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
 def _write_csv(path: str, report) -> None:
     text = reports_to_csv([report])
     if os.path.exists(path) and os.path.getsize(path) > 0:
-        text = text.split("\n", 1)[1]  # keep one header per file
+        header, text = text.split("\n", 1)  # keep one header per file
+        with open(path, encoding="utf-8", newline="") as handle:
+            first = handle.readline().rstrip("\r\n")
+        if first != header:
+            raise DomainError(
+                "%s does not start with the CSV header %s" % (path, header)
+            )
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(text)
 

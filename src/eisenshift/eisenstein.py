@@ -334,7 +334,11 @@ def decide_certified(
 
 
 def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
-    """Recheck a certificate from scratch; False on any malformed input."""
+    """Recheck a certificate from scratch; False on a malformed certificate.
+
+    A certificate or polynomial object without the expected attributes counts
+    as malformed; any other error propagates.
+    """
     try:
         s = certificate.shift
         p = certificate.prime
@@ -345,7 +349,7 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
         if not is_prime(p):
             return False
         return is_eisenstein_with(taylor_shift(f, s), p)
-    except Exception:
+    except AttributeError:
         return False
 
 

@@ -23,7 +23,7 @@ class IntPoly:
         if not raw:
             raise DomainError("a polynomial needs at least one coefficient")
         for c in raw:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise DomainError("coefficients must be integers, got %r" % (c,))
         end = len(raw)
         while end > 1 and raw[end - 1] == 0:

@@ -23,7 +23,6 @@ __all__ = [
     "FactorBudget",
     "Factorization",
     "factorize",
-    "nearly_full_prime_divisors",
     "roots_mod_p",
     "euler_phi",
     "omega",
@@ -32,9 +31,8 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 
-# Deterministic Miller-Rabin is proven correct below this bound for the
-# 13-prime base set; larger inputs fall back to the same bases plus more,
-# which is adequate for the cofactor sizes reached by the budgets here.
+# Miller-Rabin to the 13-prime base set is proven correct below this bound;
+# larger inputs get a strong probable-prime test to those bases and 12 more.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -73,7 +71,13 @@ _SMALL_PRIMES = sieve_primes(1000)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (fixed base sets)."""
+    """Miller-Rabin primality test on fixed bases.
+
+    Proven correct below 3,317,044,064,679,887,385,961,981 (trial division,
+    then the 13 prime bases 2..41).  At and above that bound it is a strong
+    probable-prime test to the 25 fixed prime bases 2..97, not a proof:
+    composites that pass every fixed base set can be constructed.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -128,7 +132,6 @@ class FactorBudget:
     trial_bound: int = 100_000
     rho_iterations: int = 1_000_000
     perfect_power: bool = True
-    seed: int = DEFAULT_SEED
 
     def scaled(self, factor: int) -> "FactorBudget":
         """Same budget with trial bound and rho iterations multiplied."""
@@ -136,7 +139,6 @@ class FactorBudget:
             trial_bound=self.trial_bound * factor,
             rho_iterations=self.rho_iterations * factor,
             perfect_power=self.perfect_power,
-            seed=self.seed,
         )
 
 
@@ -149,7 +151,10 @@ class Factorization:
 
     `factors` lists (prime, exponent) ascending; `cofactor` multiplies any
     composite part the budget could not split (1 when complete); `certified`
-    is True exactly when cofactor == 1, i.e. the factorization is proven.
+    is True exactly when cofactor == 1.  Every listed prime passed `is_prime`,
+    so the factorization is proven when all of them lie below
+    3,317,044,064,679,887,385,961,981; a listed prime above that bound is a
+    strong probable prime to 25 fixed bases.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -302,53 +307,6 @@ def _trial_primes(bound: int):
     for cand in range(_sieve_cover + 1 + (_sieve_cover % 2), bound + 1, 2):
         if is_prime(cand):
             yield cand
-
-
-def _padic_valuation(value: int, p: int) -> int:
-    e = 0
-    while value % p == 0:
-        value //= p
-        e += 1
-    return e
-
-
-def nearly_full_prime_divisors(
-    d: int, n: int, budget: FactorBudget = DEFAULT_BUDGET
-) -> tuple[list[int], bool]:
-    """Primes p with p^(n-1) | d, plus a flag certifying the list is complete.
-
-    Any qualifying prime satisfies p <= |d|^(1/(n-1)), so for n >= 3 the list
-    is certifiably complete once trial division alone covers that range, once
-    the factorization is complete, or once the unsplit cofactor is too small
-    to hide another (n-1)-th power of a prime above the trial bound.
-    """
-    if d == 0:
-        raise DomainError("zero has every prime power as a divisor")
-    if n < 2:
-        raise DomainError("nearly_full_prime_divisors needs n >= 2")
-    ad = abs(d)
-    fact = factorize(ad, budget)
-    qualifying = []
-    for p, _ in fact.factors:
-        if _padic_valuation(ad, p) >= n - 1:
-            qualifying.append(p)
-    certified = fact.certified
-    if not certified and n >= 3:
-        cutoff, exact = iroot(ad, n - 1)
-        if not exact:
-            cutoff += 1
-        if budget.trial_bound >= cutoff:
-            certified = True
-        elif (
-            budget.perfect_power
-            and fact.cofactor <= budget.trial_bound**n
-            and all(fact.cofactor % p for p, _ in fact.factors)
-        ):
-            # The cofactor is coprime to every discovered prime, has no
-            # factor <= trial_bound, and is neither prime nor a perfect
-            # power.  A hidden p^(n-1) would force it above trial_bound^n.
-            certified = True
-    return sorted(qualifying), certified
 
 
 # ---------------------------------------------------------------------------

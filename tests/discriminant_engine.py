@@ -55,7 +55,7 @@ def discriminant_engine(f, budget=DEFAULT_BUDGET):
     for p in candidates:
         if f.leading % p == 0:
             continue
-        for s in roots_mod_p(f, p, scan_threshold=SCAN_THRESHOLD, seed=budget.seed):
+        for s in roots_mod_p(f, p, scan_threshold=SCAN_THRESHOLD):
             if is_eisenstein_with(taylor_shift(f, s), p):
                 return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
     reason = "no-qualifying-prime" if not candidates else "no-root-shift-works"

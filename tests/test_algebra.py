@@ -1,4 +1,4 @@
-"""Resultants, discriminants, and size bounds, cross-checked two ways."""
+"""Resultants, discriminants, and size bounds, checked against root products."""
 
 import random
 
@@ -15,7 +15,7 @@ from eisenshift import (
     sylvester_matrix,
     taylor_shift,
 )
-from eisenshift.algebra import bareiss_determinant, resultant_bareiss
+from eisenshift.algebra import bareiss_determinant
 from eisenshift.intpoly import derivative, length
 
 
@@ -85,12 +85,51 @@ def test_bareiss_determinant_random_vs_expansion():
         assert bareiss_determinant(m) == minor_det(m)
 
 
-def test_resultant_prs_vs_bareiss_battery():
+def _from_roots(lead, roots):
+    """lead * prod (x - r) over the given integer roots."""
+    f = IntPoly((lead,))
+    for r in roots:
+        f = _mul(f, IntPoly((-r, 1)))
+    return f
+
+
+def _random_roots(rng, max_deg):
+    """Small integer roots; a narrow range makes repeated roots common."""
+    spread = rng.choice([2, 6, 40])
+    return [rng.randint(-spread, spread) for _ in range(rng.randrange(1, max_deg + 1))]
+
+
+def _nonzero(rng, bound):
+    return rng.choice([x for x in range(-bound, bound + 1) if x])
+
+
+def test_resultant_matches_root_product():
+    # Res(f, g) = a^n * b^m * prod (r_i - s_j) for f = a*prod(x - r_i) of
+    # degree m and g = b*prod(x - s_j) of degree n.
     rng = random.Random(31)
-    for _ in range(5000):
-        f = _random_poly(rng, max_deg=6, bound=25)
-        g = _random_poly(rng, max_deg=6, bound=25)
-        assert resultant(f, g) == resultant_bareiss(f, g)
+    for _ in range(2000):
+        a, b = _nonzero(rng, 5), _nonzero(rng, 5)
+        rs, ss = _random_roots(rng, 6), _random_roots(rng, 6)
+        expected = a ** len(ss) * b ** len(rs)
+        for r in rs:
+            for s in ss:
+                expected *= r - s
+        assert resultant(_from_roots(a, rs), _from_roots(b, ss)) == expected
+
+
+def test_discriminant_matches_root_product():
+    # disc(f) = a^(2m-2) * prod_{i<j} (r_i - r_j)^2 for f = a*prod(x - r_i).
+    rng = random.Random(42)
+    for _ in range(2000):
+        a = _nonzero(rng, 5)
+        rs = _random_roots(rng, 7)
+        if len(rs) < 2:
+            rs.append(rng.choice(rs + [rng.randint(-9, 9)]))
+        expected = a ** (2 * len(rs) - 2)
+        for i, r in enumerate(rs):
+            for s in rs[i + 1 :]:
+                expected *= (r - s) ** 2
+        assert discriminant(_from_roots(a, rs)) == expected
 
 
 def test_resultant_swap_sign():

@@ -125,6 +125,16 @@ def test_census_fixed_point(capsys, tmp_path):
     assert lines[1] == lines[2]
 
 
+def test_csv_append_rejects_foreign_header(capsys, tmp_path):
+    csv_path = tmp_path / "other.csv"
+    foreign = "name,value\nx,1\n"
+    csv_path.write_text(foreign)
+    args = ["census", "--degree", "2", "--height", "2", "--csv", str(csv_path)]
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert csv_path.read_text() == foreign
+
+
 def test_census_cap_error(capsys):
     args = ["census", "--degree", "3", "--height", "50", "--enumeration-cap", "100"]
     assert main(args) == 2
@@ -153,9 +163,10 @@ def test_montecarlo_seed_env_default(capsys, monkeypatch):
     assert main(args) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 99
     monkeypatch.setenv("EISENSHIFT_SEED", "not-a-number")
-    assert main(args) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert isinstance(record["seed"], int)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: EISENSHIFT_SEED" in captured.err
 
 
 def test_montecarlo_text_mentions_ratio(capsys):

@@ -183,6 +183,20 @@ def test_verify_certificate_rejects_malformed():
     assert not verify_certificate(parse_poly("3,1,1"), good)
 
 
+def test_verify_certificate_catches_only_malformed_objects(monkeypatch):
+    f = parse_poly("5,4,1")
+    good = shifted_eisenstein(f).certificate
+    assert not verify_certificate(f, object())
+    assert not verify_certificate(object(), good)
+
+    def broken(n):
+        raise RuntimeError("primality test failed")
+
+    monkeypatch.setattr("eisenshift.eisenstein.is_prime", broken)
+    with pytest.raises(RuntimeError):
+        verify_certificate(f, good)
+
+
 def test_naive_scan_certificates_verify():
     rng = random.Random(63)
     for _ in range(200):

@@ -50,6 +50,10 @@ def test_rejects_bad_coefficients():
         IntPoly((1, 2.5))
     with pytest.raises(DomainError):
         IntPoly((1, "2"))
+    with pytest.raises(DomainError):
+        IntPoly((True, 1))
+    with pytest.raises(DomainError):
+        IntPoly((1, False))
 
 
 def test_parse_and_format_round_trip():

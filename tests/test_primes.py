@@ -14,7 +14,6 @@ from eisenshift import (
     first_primes,
     is_prime,
     mobius,
-    nearly_full_prime_divisors,
     omega,
     roots_mod_p,
     sieve_primes,
@@ -144,59 +143,11 @@ def test_factorize_rho_splits_semiprime():
 
 
 def test_factor_budget_scaled():
-    b = FactorBudget(trial_bound=10, rho_iterations=20, seed=5)
+    b = FactorBudget(trial_bound=10, rho_iterations=20)
     s = b.scaled(3)
     assert s.trial_bound == 30
     assert s.rho_iterations == 60
-    assert s.seed == 5
     assert s.perfect_power == b.perfect_power
-
-
-def test_nearly_full_prime_divisors_oracle():
-    rng = random.Random(52)
-    primes = [2, 3, 5, 7, 11, 13, 17, 101, 997]
-    for _ in range(300):
-        n = rng.randrange(2, 6)
-        d = 1
-        lead = rng.choice([1, -1])
-        for p in rng.sample(primes, rng.randrange(1, 5)):
-            d *= p ** rng.randrange(1, 2 * n)
-        d *= lead
-        expected = sorted(
-            p for p in primes if d % p ** (n - 1) == 0
-        )
-        got, certified = nearly_full_prime_divisors(d, n)
-        assert certified
-        assert got == expected
-
-
-def test_nearly_full_prime_divisors_structural_certification():
-    # Cofactor q1*q2 is coprime to everything found, too small to hide a
-    # square of a prime above the trial bound, so the list certifies even
-    # though the factorization did not complete.
-    q1, q2 = 1009, 1013
-    d = 4 * q1 * q2
-    budget = FactorBudget(trial_bound=1000, rho_iterations=0, perfect_power=True)
-    got, certified = nearly_full_prime_divisors(d, 3, budget)
-    assert got == [2]
-    assert certified
-
-
-def test_nearly_full_prime_divisors_uncertified_when_cofactor_large():
-    p = 10_000_019
-    q = 1_000_000_007
-    d = p * p * q
-    budget = FactorBudget(trial_bound=1000, rho_iterations=0, perfect_power=True)
-    got, certified = nearly_full_prime_divisors(d, 3, budget)
-    assert not certified
-    assert got == []  # p*p hides in the cofactor
-
-
-def test_nearly_full_prime_divisors_rejects_zero():
-    with pytest.raises(DomainError):
-        nearly_full_prime_divisors(0, 3)
-    with pytest.raises(DomainError):
-        nearly_full_prime_divisors(12, 1)
 
 
 def _brute_roots(f: IntPoly, p: int) -> list[int]:
