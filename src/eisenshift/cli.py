@@ -188,16 +188,23 @@ def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _write_csv(path: str, report) -> None:
-    text = reports_to_csv([report])
+def _check_csv(path: str) -> None:
+    """Refuse a non-empty CSV file whose first line is not our header."""
     if os.path.exists(path) and os.path.getsize(path) > 0:
-        header, text = text.split("\n", 1)  # keep one header per file
+        header = reports_to_csv([]).rstrip("\n")
         with open(path, encoding="utf-8", newline="") as handle:
             first = handle.readline().rstrip("\r\n")
         if first != header:
             raise DomainError(
                 "%s does not start with the CSV header %s" % (path, header)
             )
+
+
+def _write_csv(path: str, report) -> None:
+    """Append one report row; `_check_csv` has vetted an existing file."""
+    text = reports_to_csv([report])
+    if os.path.exists(path) and os.path.getsize(path) > 0:
+        text = text.split("\n", 1)[1]  # keep one header per file
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(text)
 
@@ -306,6 +313,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    if args.csv:
+        _check_csv(args.csv)
     report = exact_census(
         args.degree,
         args.height,
@@ -330,6 +339,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.csv:
+        _check_csv(args.csv)
     report = monte_carlo(
         args.degree,
         args.height,

@@ -17,13 +17,21 @@ every residue.  Such an f has f'(s) = 0 (mod p), so f(s + k*p) = f(s)
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 from .algebra import discriminant, max_shift_bound
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, evaluate, taylor_shift
-from .primes import DEFAULT_BUDGET, FactorBudget, factorize, is_prime
+from .primes import (
+    DEFAULT_BUDGET,
+    FactorBudget,
+    Factorization,
+    _trial_division,
+    factorize,
+    is_prime,
+)
 
 # Unused here; bench/spans.py looks these names up in this module to trace
 # calls of the former discriminant engine.
@@ -246,6 +254,36 @@ def _candidate_shifts(f: IntPoly, p: int):
     return shifts
 
 
+def _candidate_primes(
+    target: int, small: list[int], budget: FactorBudget, split: list[Factorization]
+):
+    """The primes of `small` (ascending, consumed) merged by size with those of target > 1.
+
+    Trial division hands out target's primes smallest first.  Only when it
+    ends and leaves a rest does that rest go through perfect powers and rho
+    (`factorize` with a trial bound of 0); that Factorization is appended to
+    `split`, and its primes all exceed those of trial division.
+    """
+    rest = target
+    for p, e in _trial_division(target, budget.trial_bound):
+        rest //= p**e
+        while small and small[0] < p:
+            yield small.pop(0)
+        yield p
+    if rest > 1:
+        fact = factorize(rest, _rho_only(budget.rho_iterations, budget.perfect_power))
+        split.append(fact)
+        small = sorted(small + [p for p, _ in fact.factors])
+    yield from small
+
+
+@functools.lru_cache(maxsize=64)
+def _rho_only(rho_iterations: int, perfect_power: bool) -> FactorBudget:
+    # Cached: building a frozen FactorBudget costs about as much as a failed
+    # tiny-budget rho attempt, which escalating census decisions make often.
+    return FactorBudget(0, rho_iterations, perfect_power)
+
+
 def shifted_eisenstein(
     f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET
 ) -> ShiftedDecision:
@@ -260,6 +298,12 @@ def shifted_eisenstein(
     are candidates too, with every shift s < p.  G = 0 means f = a_n*(x-r)^n,
     a certified NO.  For n = 2, G is a_2*|D| with D = a_1^2 - 4*a_0*a_2, and
     |D| itself is factored.
+
+    Candidates are tried in ascending order as they are found: trial
+    division hands out the prime factors smallest first, the primes of n are
+    merged in by size, and the decision returns at the first prime that
+    works.  Only when trial division ends without a certificate does the
+    rest go through perfect powers and rho.
 
     YES answers always carry a verified certificate with 0 <= shift < prime
     (smallest prime, then smallest shift); shifts repeat with period p, as
@@ -278,30 +322,28 @@ def shifted_eisenstein(
         # Every prime that can work divides D, 2 included.
         a0, a1, _ = f.coeffs
         target = abs(a1 * a1 - 4 * a0 * an)
-        primes = []
+        small = []
     else:
         target = _local_gcd(f)
-        primes = [p for p in _prime_divisors(n) if an % p]
+        small = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
-    certified = True
-    cofactor = 1
+    split: list[Factorization] = []
+    reason = "no-qualifying-prime"
+    candidates = small
     if target > 1:
-        fact = factorize(target, budget)
-        certified = fact.certified
-        cofactor = fact.cofactor
-        primes = sorted(primes + [p for p, _ in fact.factors])
-    for p in primes:
+        candidates = _candidate_primes(target, small, budget, split)
+    for p in candidates:
+        reason = "no-root-shift-works"
         for s in _candidate_shifts(f, p):
             if is_eisenstein_with(taylor_shift(f, s), p):
                 return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
-    reason = "no-root-shift-works" if primes else "no-qualifying-prime"
-    if certified:
+    if not split or split[0].certified:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
     if n > 2 and discriminant(f) == 0:
         # A repeated root makes f reducible, so no shift can work.
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
-    return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=cofactor)
+    return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
 
 
 def decide_certified(
@@ -342,8 +384,8 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
     try:
         s = certificate.shift
         p = certificate.prime
-        if not isinstance(s, int) or not isinstance(p, int):
-            return False
+        if type(s) is not int or type(p) is not int:
+            return False  # bools included, as IntPoly rejects them
         if not 0 <= s < p:
             return False
         if not is_prime(p):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
@@ -31,11 +32,26 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 
-# Miller-Rabin to the 13-prime base set is proven correct below this bound;
-# larger inputs get a strong probable-prime test to those bases and 12 more.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# Miller-Rabin to the first k prime bases is proven correct below the
+# smallest strong pseudoprime to all of them; each n gets the shortest base
+# set proven for its size.  At and above the last bound the test is a strong
+# probable-prime test to 25 fixed bases.
+_MR_PROVEN_BASES = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+_MR_PROBABLE_BASES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+    43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+)
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -73,10 +89,15 @@ _SMALL_PRIMES = sieve_primes(1000)
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test on fixed bases.
 
-    Proven correct below 3,317,044,064,679,887,385,961,981 (trial division,
-    then the 13 prime bases 2..41).  At and above that bound it is a strong
-    probable-prime test to the 25 fixed prime bases 2..97, not a proof:
-    composites that pass every fixed base set can be constructed.
+    Proven correct below 3,317,044,064,679,887,385,961,981: trial division by
+    the primes below 1000, then Miller-Rabin to the shortest prefix of the
+    prime bases 2, 3, 5, ..., 41 that no composite of n's size passes (base 2
+    below 2047, bases 2..3 below 1,373,653, ..., bases 2..37 below
+    318,665,857,834,031,151,167,461, all 13 bases below the bound; each
+    bound is the smallest strong pseudoprime to the bases before it).  At
+    and above that bound it is a strong probable-prime test to the 25 fixed
+    prime bases 2..97, not a proof: composites that pass every fixed base set
+    can be constructed.
     """
     if n < 2:
         return False
@@ -92,9 +113,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    bases = _MR_BASES
-    if n >= _MR_DETERMINISTIC_BOUND:
-        bases = _MR_BASES + _MR_EXTRA_BASES
+    bases = _MR_PROBABLE_BASES
+    for bound, proven in _MR_PROVEN_BASES:
+        if n < bound:
+            bases = proven
+            break
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -239,74 +262,128 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
 def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor |n| under the given budget.
 
-    Trial division up to budget.trial_bound, perfect-power extraction, then
-    Brent-Pollard rho with a shared iteration budget; every split piece is
-    retested for primality.  Pieces the budget cannot split end up multiplied
-    into the cofactor and the result is marked uncertified.
+    Trial division up to budget.trial_bound finds the prime factors in
+    ascending order; the rest it leaves unsplit goes through perfect-power
+    extraction and Brent-Pollard rho with a shared iteration budget, and
+    every split piece is retested for primality.  Pieces the budget cannot
+    split end up multiplied into the cofactor and the result is marked
+    uncertified.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
-    m = abs(n)
     found: dict[int, int] = {}
-    if m == 1:
-        return Factorization((), 1, True)
-    for p in _trial_primes(budget.trial_bound):
-        if p * p > m:
-            break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
-        if m == 1:
-            break
+    rest = abs(n)
+    if budget.trial_bound >= 2:  # a rho-only split skips starting an empty walk
+        for p, e in _trial_division(rest, budget.trial_bound):
+            found[p] = e
+            rest //= p**e
+    cofactor = _split_rest(rest, budget, found)
+    return Factorization(tuple(sorted(found.items())), cofactor, cofactor == 1)
+
+
+def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
+    """Split m >= 1 by primality tests, perfect powers and rho into `found`.
+
+    Returns the product of the pieces the budget could not split (1 when
+    m is split completely).
+    """
     cofactor = 1
-    if m > 1:
-        pending = [(m, 1)]
-        rho_left = [budget.rho_iterations]
-        while pending:
-            value, mult = pending.pop()
-            if value == 1:
+    pending = [(m, 1)]
+    rho_left = [budget.rho_iterations]
+    while pending:
+        value, mult = pending.pop()
+        if value == 1:
+            continue
+        if is_prime(value):
+            found[value] = found.get(value, 0) + mult
+            continue
+        if budget.perfect_power:
+            power = _perfect_power(value)
+            if power is not None:
+                base, k = power
+                pending.append((base, mult * k))
                 continue
-            if is_prime(value):
-                found[value] = found.get(value, 0) + mult
-                continue
-            if budget.perfect_power:
-                power = _perfect_power(value)
-                if power is not None:
-                    base, k = power
-                    pending.append((base, mult * k))
-                    continue
-            divisor = _brent_rho(value, rho_left)
-            if divisor is None:
-                cofactor *= value**mult
-                continue
-            pending.append((divisor, mult))
-            pending.append((value // divisor, mult))
-    factors = tuple(sorted(found.items()))
-    return Factorization(factors, cofactor, cofactor == 1)
+        divisor = _brent_rho(value, rho_left)
+        if divisor is None:
+            cofactor *= value**mult
+            continue
+        pending.append((divisor, mult))
+        pending.append((value // divisor, mult))
+    return cofactor
 
 
 _SIEVE_CACHE_CAP = 8_000_000
+_BLOCK = 64
+
+
+def _block_products(primes: list[int]) -> list[int]:
+    return [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
+
+
+# The primes up to _sieve_cover, and the product of each block of _BLOCK of them.
 _sieve_cache: list[int] = _SMALL_PRIMES
 _sieve_cover = 1000
+_sieve_products = _block_products(_SMALL_PRIMES)
 
 
-def _trial_primes(bound: int):
-    """Primes up to `bound`, growing a cached sieve for reuse across calls."""
-    global _sieve_cache, _sieve_cover
-    if bound > _sieve_cover and bound <= _SIEVE_CACHE_CAP:
+def _trial_division(m: int, bound: int):
+    """Trial-divide m >= 1 by the primes up to `bound`, smallest first.
+
+    Yields (p, e) with p^e exactly dividing m, in ascending order.  Once p^2
+    exceeds what is left, that rest is prime and is yielded too.  Dividing
+    the yielded p^e out of m leaves the unsplit rest: 1, or a number whose
+    prime factors all exceed `bound`.  A caller that stops early never pays
+    for the larger primes.
+
+    The primes come from a sieve cached across calls, grown up to 8*10^6;
+    beyond that every odd number is tried.  Past the first block of 64
+    cached primes, a block whose cached product is coprime to the rest is
+    skipped with one gcd.
+    """
+    global _sieve_cache, _sieve_cover, _sieve_products
+    if _sieve_cover < bound <= _SIEVE_CACHE_CAP:
         _sieve_cache = sieve_primes(bound)
         _sieve_cover = bound
-    if bound <= _sieve_cover:
-        for p in _sieve_cache:
-            if p > bound:
-                return
-            yield p
-        return
-    yield from _sieve_cache
-    # Beyond the cache cap: odd candidates filtered by is_prime.
-    for cand in range(_sieve_cover + 1 + (_sieve_cover % 2), bound + 1, 2):
-        if is_prime(cand):
-            yield cand
+        _sieve_products = _block_products(_sieve_cache)
+    primes = _sieve_cache
+    products = _sieve_products
+    stop = len(primes) if bound >= _sieve_cover else bisect_right(primes, bound)
+    i = 0
+    while i < stop:
+        p = primes[i]
+        if p * p > m:
+            break
+        if m % p == 0:
+            m, e = _divide_out(m, p)
+            yield p, e
+        i += 1
+        if i % _BLOCK == 0:
+            # Skip each following block whose product is coprime to m, as
+            # long as its first prime squared does not exceed m.
+            while i < stop and primes[i] ** 2 <= m and math.gcd(products[i // _BLOCK], m) == 1:
+                i += _BLOCK
+    else:
+        # Past the cache cap every odd number is a trial divisor: a composite
+        # one never divides what is left, as its prime factors are gone.
+        for p in range(_sieve_cover + 1 + _sieve_cover % 2, bound + 1, 2):
+            if p * p > m:
+                break
+            if m % p == 0:
+                m, e = _divide_out(m, p)
+                yield p, e
+        else:
+            return
+    if m > 1:
+        yield m, 1
+
+
+def _divide_out(m: int, p: int) -> tuple[int, int]:
+    """m with every factor p removed, and the number removed."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return m, e
 
 
 # ---------------------------------------------------------------------------

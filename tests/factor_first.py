@@ -1,0 +1,122 @@
+"""The factor-first pieces of the package, kept as oracles.
+
+Before trial division fed the decision engine lazily, `factorize` tried
+every prime up to the trial bound in turn, until p^2 exceeded what was
+left, and sent the rest through perfect powers and rho; the engine factored
+its whole target that way and only then tested the sorted candidate primes.
+`trial_factorize` and `factor_first_engine` are those two procedures.  They
+share the prime sieve, `is_prime`, the rho helpers and the engine's local
+criterion with the package, so they check the blocked walk, the cached block
+products, the early exits and the order in which candidates are tried.
+"""
+
+from eisenshift import (
+    DEFAULT_BUDGET,
+    DomainError,
+    Factorization,
+    ShiftCertificate,
+    ShiftedDecision,
+    Verdict,
+    discriminant,
+    is_eisenstein_with,
+    is_prime,
+    sieve_primes,
+    taylor_shift,
+)
+from eisenshift.eisenstein import (
+    _candidate_shifts,
+    _local_gcd,
+    _prime_divisors,
+    _smallest_witness,
+)
+from eisenshift.primes import _brent_rho, _perfect_power
+
+_SIEVED_TO = 2_000_000
+_SIEVED = sieve_primes(_SIEVED_TO)
+
+
+def _primes_up_to(bound):
+    for p in _SIEVED:
+        if p > bound:
+            return
+        yield p
+    for cand in range(_SIEVED_TO + 1, bound + 1, 2):
+        if is_prime(cand):
+            yield cand
+
+
+def trial_factorize(n, budget=DEFAULT_BUDGET):
+    """Factor |n| under `budget` the way the package did before block trial division."""
+    if n == 0:
+        raise DomainError("cannot factor 0")
+    m = abs(n)
+    found = {}
+    if m == 1:
+        return Factorization((), 1, True)
+    for p in _primes_up_to(budget.trial_bound):
+        if p * p > m:
+            break
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+        if m == 1:
+            break
+    cofactor = 1
+    if m > 1:
+        pending = [(m, 1)]
+        rho_left = [budget.rho_iterations]
+        while pending:
+            value, mult = pending.pop()
+            if value == 1:
+                continue
+            if is_prime(value):
+                found[value] = found.get(value, 0) + mult
+                continue
+            if budget.perfect_power:
+                power = _perfect_power(value)
+                if power is not None:
+                    base, k = power
+                    pending.append((base, mult * k))
+                    continue
+            divisor = _brent_rho(value, rho_left)
+            if divisor is None:
+                cofactor *= value**mult
+                continue
+            pending.append((divisor, mult))
+            pending.append((value // divisor, mult))
+    return Factorization(tuple(sorted(found.items())), cofactor, cofactor == 1)
+
+
+def factor_first_engine(f, budget=DEFAULT_BUDGET):
+    """Shifted-Eisenstein decision that factors its target before testing any prime."""
+    n = f.degree
+    witness = _smallest_witness(f)
+    if witness is not None:
+        return ShiftedDecision(Verdict.YES, ShiftCertificate(0, witness))
+    an = f.leading
+    if n == 2:
+        a0, a1, _ = f.coeffs
+        target = abs(a1 * a1 - 4 * a0 * an)
+        primes = []
+    else:
+        target = _local_gcd(f)
+        primes = [p for p in _prime_divisors(n) if an % p]
+    if target == 0:
+        return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
+    certified = True
+    cofactor = 1
+    if target > 1:
+        fact = trial_factorize(target, budget)
+        certified = fact.certified
+        cofactor = fact.cofactor
+        primes = sorted(primes + [p for p, _ in fact.factors])
+    for p in primes:
+        for s in _candidate_shifts(f, p):
+            if is_eisenstein_with(taylor_shift(f, s), p):
+                return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
+    reason = "no-root-shift-works" if primes else "no-qualifying-prime"
+    if certified:
+        return ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
+    if n > 2 and discriminant(f) == 0:
+        return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
+    return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=cofactor)

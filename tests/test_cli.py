@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from eisenshift import cli
 from eisenshift.cli import main
 
 
@@ -125,14 +126,24 @@ def test_census_fixed_point(capsys, tmp_path):
     assert lines[1] == lines[2]
 
 
-def test_csv_append_rejects_foreign_header(capsys, tmp_path):
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the experiment ran before the CSV header was checked")
+
+
+def test_csv_append_rejects_foreign_header(capsys, tmp_path, monkeypatch):
+    # The header is checked before the experiment, which must never start.
+    monkeypatch.setattr(cli, "exact_census", _must_not_run)
+    monkeypatch.setattr(cli, "monte_carlo", _must_not_run)
     csv_path = tmp_path / "other.csv"
     foreign = "name,value\nx,1\n"
     csv_path.write_text(foreign)
-    args = ["census", "--degree", "2", "--height", "2", "--csv", str(csv_path)]
-    assert main(args) == 2
-    assert "error:" in capsys.readouterr().err
-    assert csv_path.read_text() == foreign
+    for args in (
+        ["census", "--degree", "2", "--height", "2"],
+        ["montecarlo", "--degree", "2", "--height", "10", "--samples", "5", "--seed", "1"],
+    ):
+        assert main(args + ["--csv", str(csv_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert csv_path.read_text() == foreign
 
 
 def test_census_cap_error(capsys):

@@ -183,6 +183,14 @@ def test_verify_certificate_rejects_malformed():
     assert not verify_certificate(parse_poly("3,1,1"), good)
 
 
+def test_verify_certificate_rejects_bools():
+    # f(x+1) = x^2 + 2 is Eisenstein at 2, but True is not the shift 1.
+    f = IntPoly((3, -2, 1))
+    assert verify_certificate(f, ShiftCertificate(1, 2))
+    assert not verify_certificate(f, ShiftCertificate(True, 2))
+    assert not verify_certificate(f, ShiftCertificate(False, True))
+
+
 def test_verify_certificate_catches_only_malformed_objects(monkeypatch):
     f = parse_poly("5,4,1")
     good = shifted_eisenstein(f).certificate

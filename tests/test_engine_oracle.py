@@ -1,15 +1,19 @@
-"""The local-criterion engine against the former discriminant engine."""
+"""The local-criterion engine against the former discriminant engine and
+against the factor-first decision it replaced."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eisenshift.eisenstein as eisenstein_module
 from eisenshift import (
+    DEFAULT_BUDGET,
     FactorBudget,
     IntPoly,
+    ShiftCertificate,
+    ShiftedDecision,
     Verdict,
     shifted_eisenstein,
     taylor_shift,
@@ -17,6 +21,7 @@ from eisenshift import (
 )
 
 from discriminant_engine import discriminant_engine
+from factor_first import factor_first_engine
 
 DEGREES = (2, 3, 4, 5, 6, 8)
 HEIGHTS = (10, 10**6)
@@ -89,3 +94,48 @@ def test_engine_skips_discriminant_machinery(monkeypatch):
         lead = rng.choice([-1, 1]) * rng.randint(1, height)
         decision = shifted_eisenstein(IntPoly(tuple(coeffs + [lead])))
         assert decision.verdict is not Verdict.NO_HEURISTIC
+
+
+TINY_BUDGETS = (
+    FactorBudget(trial_bound=2, rho_iterations=1),
+    FactorBudget(trial_bound=2, rho_iterations=0, perfect_power=False),
+    FactorBudget(trial_bound=150, rho_iterations=5),
+    FactorBudget(trial_bound=150, rho_iterations=0, perfect_power=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(polynomials(degrees=DEGREES + (10,)))
+# D = 3^2 * 7^2: trial division alone splits it, so the NO stays certified
+# under a budget with no rho iterations.
+@example(IntPoly((-10, -9, 9)))
+def test_whole_decisions_match_factor_first_oracle(f):
+    # Testing primes as trial division finds them must change nothing:
+    # verdict, certificate, reason and cofactor, under any budget.
+    for budget in (DEFAULT_BUDGET,) + TINY_BUDGETS:
+        assert shifted_eisenstein(f, budget) == factor_first_engine(f, budget), (f, budget)
+
+
+@pytest.mark.parametrize(
+    "g, tiny_certificate",
+    [
+        # G = 3: trial division to 2 leaves the rest 3, which is prime.
+        ((15, 15) + (0,) * 8 + (1,), ShiftCertificate(1, 3)),
+        # G = 21: the rest 21 needs rho; one rho step cannot split it, and
+        # the prime 5 of n is next.
+        ((105, 105) + (0,) * 8 + (1,), ShiftCertificate(1, 5)),
+    ],
+)
+def test_rest_primes_are_tried_before_larger_primes_of_n(g, tiny_certificate):
+    # f(x+1) = g is Eisenstein at 3 and at 5 (and at 7 for the second g).
+    # n = 10 and a_10 = 1, so 2 and 5 are candidates from n, while 3 comes
+    # from G and must be tried before 5.
+    f = taylor_shift(IntPoly(g), -1)
+    smallest = ShiftedDecision(Verdict.YES, ShiftCertificate(1, 3))
+    assert discriminant_engine(f) == smallest
+    for budget in (DEFAULT_BUDGET, FactorBudget(trial_bound=2, rho_iterations=100)):
+        assert shifted_eisenstein(f, budget) == smallest
+        assert factor_first_engine(f, budget) == smallest
+    tiny = FactorBudget(trial_bound=2, rho_iterations=1)
+    assert shifted_eisenstein(f, tiny) == ShiftedDecision(Verdict.YES, tiny_certificate)
+    assert factor_first_engine(f, tiny) == shifted_eisenstein(f, tiny)

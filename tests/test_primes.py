@@ -1,9 +1,13 @@
 """Sieving, primality, budgeted factorization, and roots modulo p."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eisenshift.primes as primes_module
 from eisenshift import (
     BudgetError,
     DomainError,
@@ -19,6 +23,8 @@ from eisenshift import (
     sieve_primes,
 )
 from eisenshift.primes import iroot
+
+from factor_first import trial_factorize
 
 _PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -62,6 +68,62 @@ def test_is_prime_larger_cases():
     assert is_prime(10**18 + 9)
     assert not is_prime(10**18 + 7)
     assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+# (psi, k): psi is the smallest strong pseudoprime to the first k prime
+# bases, so those bases prove primality below psi; `is_prime` switches base
+# sets at these bounds.
+_STRONG_PSEUDOPRIMES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_rejects_the_base_set_bounds():
+    for psi, k in _STRONG_PSEUDOPRIMES:
+        assert all(_strong_probable_prime(psi, a) for a in _PRIMES_BELOW_100[:k]), psi
+        assert is_prime(psi) is False, psi
+
+
+def _primes_between(lo, hi):
+    """Primes in [lo, hi) by a segmented sieve."""
+    mark = bytearray([1]) * (hi - lo)
+    for p in sieve_primes(math.isqrt(hi)):
+        start = max(p * p, -(-lo // p) * p)
+        mark[start - lo :: p] = bytes(len(range(start - lo, hi - lo, p)))
+    return {lo + i for i, keep in enumerate(mark) if keep and lo + i > 1}
+
+
+def test_is_prime_against_sieve_around_base_set_switches():
+    # Windows straddling the bounds where the Miller-Rabin base set changes.
+    for psi, _ in _STRONG_PSEUDOPRIMES[1:6]:
+        lo, hi = psi - 1500, psi + 1500
+        table = _primes_between(lo, hi)
+        for n in range(lo, hi):
+            assert is_prime(n) == (n in table), n
 
 
 def test_iroot():
@@ -140,6 +202,64 @@ def test_factorize_rho_splits_semiprime():
     fact = factorize(p * q, budget)
     assert fact.certified
     assert fact.factors == ((p, 1), (q, 1))
+
+
+# Budgets whose trial bounds end at every kind of place in the blocked walk:
+# the default; the prime 2 alone; 25 primes, inside the first block of 64;
+# 168 primes, two blocks and 40 more; and past the sieve cache cap.
+ORACLE_BUDGETS = (
+    FactorBudget(),
+    FactorBudget(trial_bound=2, rho_iterations=1),
+    FactorBudget(trial_bound=100, rho_iterations=0, perfect_power=False),
+    FactorBudget(trial_bound=1000, rho_iterations=200),
+    FactorBudget(trial_bound=primes_module._SIEVE_CACHE_CAP + 1000),
+)
+_SMALL = sieve_primes(400)  # 78 primes, past the first block
+_MEDIUM = (1009, 7919, 10007, 65537, 100003, 131071)
+_LARGE = (1_000_003, 15_485_863, 2**31 - 1, 999_999_999_989)
+
+
+@st.composite
+def integers_to_factor(draw):
+    """Products of small and medium prime powers, at most one large prime and
+    one arbitrary factor up to 2*10^5, so every walk ends below 10^6."""
+    n = draw(st.sampled_from((1, -1))) * draw(st.integers(1, 200_000))
+    for p in draw(st.lists(st.sampled_from(_SMALL), max_size=6)):
+        n *= p
+    for p in draw(st.lists(st.sampled_from(_MEDIUM), max_size=2)):
+        n *= p ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n *= draw(st.sampled_from(_LARGE))
+    return n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(integers_to_factor())
+def test_factorize_matches_trial_division_oracle(n):
+    for budget in ORACLE_BUDGETS:
+        assert factorize(n, budget) == trial_factorize(n, budget), (n, budget)
+
+
+def test_factorize_past_a_small_cache_cap_matches_oracle():
+    # With the cache cap lowered to 3000, a bound of 20000 walks the cached
+    # primes and then every odd number up to the bound; bounds of 2000 and
+    # 2999 grow the cache and its block products first.
+    candidates = sieve_primes(30_000)
+    rng = random.Random(71)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes_module, "_SIEVE_CACHE_CAP", 3000)
+        mp.setattr(primes_module, "_sieve_cache", primes_module._SMALL_PRIMES)
+        mp.setattr(primes_module, "_sieve_cover", 1000)
+        small_products = primes_module._block_products(primes_module._SMALL_PRIMES)
+        mp.setattr(primes_module, "_sieve_products", small_products)
+        for bound in (2000, 20_000, 2999, 20_000):
+            budget = FactorBudget(trial_bound=bound, rho_iterations=50)
+            for _ in range(200):
+                n = 1
+                for _ in range(rng.randrange(1, 5)):
+                    n *= rng.choice(candidates) ** rng.randrange(1, 3)
+                assert factorize(n, budget) == trial_factorize(n, budget), (n, bound)
+        assert primes_module._sieve_cover == 2999
 
 
 def test_factor_budget_scaled():
