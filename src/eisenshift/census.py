@@ -3,7 +3,10 @@
 The sample space for degree n and height H is the box of integer coefficient
 vectors (a_0, ..., a_n) with |a_i| <= H and a_n != 0.  Reports count three
 nested classes: Eisenstein polynomials, shifted-Eisenstein polynomials, and
-Eisenstein polynomials that stay Eisenstein after the shift x -> x+1.
+Eisenstein polynomials that stay Eisenstein after the shift x -> x+1.  Each
+polynomial gets one shifted decision: its plain-witness step runs first and
+under a fixed budget, so a YES with shift 0 means exactly that f is
+Eisenstein, whatever budget the run uses.
 
 Monte Carlo runs are deterministic for a given seed and independent of the
 worker count: samples are generated in fixed-size chunks, each chunk from its
@@ -147,18 +150,14 @@ def exact_census(
     for body in product(lows, repeat=n):
         for lead in leads:
             f = IntPoly(body + (lead,))
-            f_is_eis = is_eisenstein(f)
-            if f_is_eis:
-                eis += 1
+            # This module's binding, so wrappers installed on it see every
+            # escalated attempt.
+            decision = decide_certified(f, budget, decide=shifted_eisenstein)
+            if decision.verdict is Verdict.YES:
                 shifted += 1
-                if is_eisenstein(taylor_shift(f, 1)):
-                    f_count += 1
-            else:
-                # This module's binding, so wrappers installed on it see
-                # every escalated attempt.
-                decision = decide_certified(f, budget, decide=shifted_eisenstein)
-                if decision.verdict is Verdict.YES:
-                    shifted += 1
+                if decision.certificate.shift == 0:
+                    eis += 1
+                    f_count += is_eisenstein(taylor_shift(f, 1))
     ratio = shifted / eis if eis else None
     return ExperimentReport(
         kind="census",
@@ -235,15 +234,12 @@ def _mc_chunk(args) -> tuple[int, int, int, int]:
             lead = rng.randint(-height, height)
         coeffs.append(lead)
         f = IntPoly(tuple(coeffs))
-        if is_eisenstein(f):
-            eis += 1
-            shifted += 1
-            if is_eisenstein(taylor_shift(f, 1)):
-                f_count += 1
-            continue
         decision = shifted_eisenstein(f, budget)
         if decision.verdict is Verdict.YES:
             shifted += 1
+            if decision.certificate.shift == 0:
+                eis += 1
+                f_count += is_eisenstein(taylor_shift(f, 1))
         elif decision.verdict is Verdict.NO_HEURISTIC:
             unresolved += 1
     return eis, shifted, f_count, unresolved
@@ -283,7 +279,7 @@ def monte_carlo(
     if workers == 1:
         results = [_mc_chunk(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_mc_chunk, tasks, chunksize=8))
     eis = sum(r[0] for r in results)
     shifted = sum(r[1] for r in results)

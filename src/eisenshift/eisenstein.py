@@ -57,11 +57,6 @@ __all__ = [
 # Budget escalations that `decide_certified` makes before giving up.
 CERTIFY_RETRIES = 8
 
-# Inline trial division handles coefficient gcds up to this divisor bound;
-# anything rougher goes through the budgeted factorizer.
-_WITNESS_TRIAL_LIMIT = 1_000_000
-
-
 class Verdict(enum.Enum):
     YES = "yes"
     NO_CERTIFIED = "no-certified"
@@ -96,71 +91,50 @@ class ShiftedDecision:
     cofactor: int | None = None
 
 
-def _prime_factors_ascending(g: int, budget: FactorBudget):
-    """Distinct prime factors of g >= 2 in ascending order."""
-    fact = factorize(g, budget)
-    if not fact.certified:
-        raise BudgetError("could not fully factor coefficient gcd %d" % g)
-    return [p for p, _ in fact.factors]
+def _witness_primes(f: IntPoly, budget: FactorBudget):
+    """The primes f is Eisenstein with respect to, ascending, found lazily.
+
+    They are the primes p of g = gcd(a_0, ..., a_(n-1)) with p^2 not dividing
+    a_0 and p not dividing a_n, in the order `_candidate_primes` finds them.
+    BudgetError once the walk reaches a rho split of g that is not
+    certified, before any prime of that split is tested.
+    """
+    coeffs = f.coeffs
+    if len(coeffs) < 2:
+        raise DomainError("Eisenstein tests need degree >= 1")
+    a0 = coeffs[0]
+    if a0 == 0:
+        return ()  # p^2 | 0 always, so condition (ii) can never hold
+    g = math.gcd(*coeffs[:-1])
+    if g == 1:
+        return ()
+    return _walk_witnesses(g, a0, coeffs[-1], budget)
 
 
-def _coefficient_gcd(f: IntPoly) -> int:
-    g = 0
-    for c in f.coeffs[:-1]:
-        g = math.gcd(g, c)
-        if g == 1:
+def _walk_witnesses(g: int, a0: int, an: int, budget: FactorBudget):
+    split: list[Factorization] = []
+    for p in _candidate_primes(g, [], budget, split):
+        if split and not split[0].certified:
             break
-    return g
+        if a0 % (p * p) and an % p:
+            yield p
+    if split and not split[0].certified:
+        raise BudgetError("could not fully factor coefficient gcd %d" % g)
 
 
 def eisenstein_primes(f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET) -> list[int]:
     """All primes with respect to which f is Eisenstein, ascending."""
-    if f.degree < 1:
-        raise DomainError("eisenstein_primes needs degree >= 1")
-    a0 = f.coeffs[0]
-    an = f.leading
-    if a0 == 0:
-        return []  # p^2 | 0 always, so condition (ii) can never hold
-    g = _coefficient_gcd(f)
-    if g == 1:
-        return []
-    out = []
-    for p in _prime_factors_ascending(g, budget):
-        if a0 % (p * p) != 0 and an % p != 0:
-            out.append(p)
-    return out
+    return list(_witness_primes(f, budget))
 
 
 def _smallest_witness(f: IntPoly) -> int | None:
-    """Smallest Eisenstein witness prime of f, or None; early-exit search."""
-    if f.degree < 1:
-        raise DomainError("is_eisenstein needs degree >= 1")
-    a0 = f.coeffs[0]
-    if a0 == 0:
-        return None
-    g = _coefficient_gcd(f)
-    if g == 1:
-        return None
-    an = f.leading
-    m = g
-    d = 2
-    while d * d <= m and d <= _WITNESS_TRIAL_LIMIT:
-        if m % d == 0:
-            if a0 % (d * d) != 0 and an % d != 0:
-                return d
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m == 1:
-        return None
-    if d * d > m:  # remainder is prime
-        if a0 % (m * m) != 0 and an % m != 0:
-            return m
-        return None
-    # Coefficient gcd too rough for inline trial division.
-    for p in _prime_factors_ascending(m, DEFAULT_BUDGET):
-        if a0 % (p * p) != 0 and an % p != 0:
-            return p
+    """Smallest Eisenstein witness prime of f, or None.
+
+    The walk stops at the first witness and always runs under
+    DEFAULT_BUDGET, so the answer does not depend on a caller's budget.
+    """
+    for p in _witness_primes(f, DEFAULT_BUDGET):
+        return p
     return None
 
 
@@ -305,11 +279,15 @@ def shifted_eisenstein(
     works.  Only when trial division ends without a certificate does the
     rest go through perfect powers and rho.
 
-    YES answers always carry a verified certificate with 0 <= shift < prime
-    (smallest prime, then smallest shift); shifts repeat with period p, as
-    f'(s) = 0 (mod p).  A NO is certified when the factorization is
-    complete, or, for n >= 3, when the discriminant of f is 0; otherwise the
-    verdict is heuristic and carries the unsplit cofactor.
+    YES answers always carry a verified certificate with 0 <= shift < prime,
+    in canonical order: a shift-0 witness first, then smallest prime, then
+    smallest shift (f(x+1) may be Eisenstein at a prime below f's own
+    witness); shifts repeat with period p, as f'(s) = 0 (mod p).  The
+    shift-0 step walks the coefficient gcd under DEFAULT_BUDGET whatever
+    `budget` is, so a YES with shift 0 means exactly that f is Eisenstein.
+    A NO is certified when the factorization is complete, or, for n >= 3,
+    when the discriminant of f is 0; otherwise the verdict is heuristic and
+    carries the unsplit cofactor.
     """
     n = f.degree
     if n < 2:

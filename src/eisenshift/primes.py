@@ -156,6 +156,13 @@ class FactorBudget:
     rho_iterations: int = 1_000_000
     perfect_power: bool = True
 
+    def __post_init__(self):
+        if self.trial_bound < 0 or self.rho_iterations < 0:
+            raise DomainError(
+                "budget needs trial_bound >= 0 and rho_iterations >= 0, got %r and %r"
+                % (self.trial_bound, self.rho_iterations)
+            )
+
     def scaled(self, factor: int) -> "FactorBudget":
         """Same budget with trial bound and rho iterations multiplied."""
         return FactorBudget(

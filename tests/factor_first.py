@@ -4,14 +4,19 @@ Before trial division fed the decision engine lazily, `factorize` tried
 every prime up to the trial bound in turn, until p^2 exceeded what was
 left, and sent the rest through perfect powers and rho; the engine factored
 its whole target that way and only then tested the sorted candidate primes.
-`trial_factorize` and `factor_first_engine` are those two procedures.  They
-share the prime sieve, `is_prime`, the rho helpers and the engine's local
-criterion with the package, so they check the blocked walk, the cached block
-products, the early exits and the order in which candidates are tried.
+`trial_factorize` and `factor_first_engine` are those two procedures, and
+`factor_first_witnesses` is the plain-witness step done the same way: factor
+the coefficient gcd completely, then test its primes in ascending order.
+They share the prime sieve, `is_prime`, the rho helpers and the engine's
+local criterion with the package, so they check the blocked walk, the cached
+block products, the early exits and the order in which candidates are tried.
 """
+
+import math
 
 from eisenshift import (
     DEFAULT_BUDGET,
+    BudgetError,
     DomainError,
     Factorization,
     ShiftCertificate,
@@ -27,7 +32,6 @@ from eisenshift.eisenstein import (
     _candidate_shifts,
     _local_gcd,
     _prime_divisors,
-    _smallest_witness,
 )
 from eisenshift.primes import _brent_rho, _perfect_power
 
@@ -87,12 +91,23 @@ def trial_factorize(n, budget=DEFAULT_BUDGET):
     return Factorization(tuple(sorted(found.items())), cofactor, cofactor == 1)
 
 
+def factor_first_witnesses(f, budget=DEFAULT_BUDGET):
+    """The primes f is Eisenstein at, ascending, from a complete factorization of the gcd."""
+    if f.coeffs[0] == 0:
+        return []
+    fact = trial_factorize(math.gcd(*f.coeffs[:-1]), budget)
+    if not fact.certified:
+        raise BudgetError("could not fully factor the coefficient gcd of %s" % (f,))
+    return [p for p, _ in fact.factors if is_eisenstein_with(f, p)]
+
+
 def factor_first_engine(f, budget=DEFAULT_BUDGET):
     """Shifted-Eisenstein decision that factors its target before testing any prime."""
     n = f.degree
-    witness = _smallest_witness(f)
-    if witness is not None:
-        return ShiftedDecision(Verdict.YES, ShiftCertificate(0, witness))
+    # The plain-witness step runs under the default budget, whatever `budget` is.
+    witnesses = factor_first_witnesses(f)
+    if witnesses:
+        return ShiftedDecision(Verdict.YES, ShiftCertificate(0, witnesses[0]))
     an = f.leading
     if n == 2:
         a0, a1, _ = f.coeffs
