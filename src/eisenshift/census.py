@@ -9,8 +9,8 @@ under a fixed budget, so a YES with shift 0 means exactly that f is
 Eisenstein, whatever budget the run uses.
 
 Monte Carlo runs are deterministic for a given seed and independent of the
-worker count: samples are generated in fixed-size chunks, each chunk from its
-own substream seeded by (seed, chunk index), and merged in chunk order.
+worker count: samples are generated in chunks of CHUNK_SIZE, each chunk from
+its own substream seeded by (seed, chunk index), and merged in chunk order.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ CSV_COLUMNS = (
     "unresolved",
 )
 
-DEFAULT_CHUNK_SIZE = 256
+CHUNK_SIZE = 256
 DEFAULT_ENUMERATION_CAP = 100_000_000
 
 
@@ -83,20 +83,8 @@ class ExperimentReport:
     unresolved: int
 
     def as_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "H": self.height,
-            "samples": self.samples,
-            "eisenstein": self.eisenstein,
-            "shifted": self.shifted,
-            "f_count": self.f_count,
-            "ratio": self.ratio,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-            "unresolved": self.unresolved,
-        }
+        """The report keyed by CSV_COLUMNS, in that order (`height` is "H")."""
+        return {c: getattr(self, "height" if c == "H" else c) for c in CSV_COLUMNS}
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -125,6 +113,25 @@ def _ratio_interval(
     return ratio, lo, hi
 
 
+def _count(polys, decide) -> tuple[int, int, int, int]:
+    """Counts (eisenstein, shifted, f, unresolved) from one decision per polynomial.
+
+    A YES counts as shifted; a shift-0 YES also counts as Eisenstein, and
+    only then is f(x+1) tested for the f column.
+    """
+    eis = shifted = f_count = unresolved = 0
+    for f in polys:
+        decision = decide(f)
+        if decision.verdict is Verdict.YES:
+            shifted += 1
+            if decision.certificate.shift == 0:
+                eis += 1
+                f_count += is_eisenstein(taylor_shift(f, 1))
+        elif decision.verdict is Verdict.NO_HEURISTIC:
+            unresolved += 1
+    return eis, shifted, f_count, unresolved
+
+
 def exact_census(
     n: int,
     height: int,
@@ -142,22 +149,14 @@ def exact_census(
         raise BudgetError(
             "box size %d exceeds enumeration cap %d" % (total, enumeration_cap)
         )
-    eis = 0
-    shifted = 0
-    f_count = 0
     lows = range(-height, height + 1)
     leads = [a for a in lows if a != 0]
-    for body in product(lows, repeat=n):
-        for lead in leads:
-            f = IntPoly(body + (lead,))
-            # This module's binding, so wrappers installed on it see every
-            # escalated attempt.
-            decision = decide_certified(f, budget, decide=shifted_eisenstein)
-            if decision.verdict is Verdict.YES:
-                shifted += 1
-                if decision.certificate.shift == 0:
-                    eis += 1
-                    f_count += is_eisenstein(taylor_shift(f, 1))
+    box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
+    # This module's binding of shifted_eisenstein, so wrappers installed on it
+    # see every escalated attempt.
+    eis, shifted, f_count, unresolved = _count(
+        box, lambda f: decide_certified(f, budget, decide=shifted_eisenstein)
+    )
     ratio = shifted / eis if eis else None
     return ExperimentReport(
         kind="census",
@@ -171,7 +170,7 @@ def exact_census(
         ci_low=None,
         ci_high=None,
         seed=None,
-        unresolved=0,
+        unresolved=unresolved,
     )
 
 
@@ -219,30 +218,23 @@ def _mix64(seed: int, chunk_index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mc_chunk(args) -> tuple[int, int, int, int]:
-    """Counts (eisenstein, shifted, f, unresolved) for one sample chunk."""
-    n, height, seed, chunk_index, count, budget = args
-    rng = random.Random(_mix64(seed, chunk_index))
-    eis = 0
-    shifted = 0
-    f_count = 0
-    unresolved = 0
+def _samples(n: int, height: int, rng: random.Random, count: int):
+    """`count` polynomials from the box, coefficients drawn low to high."""
     for _ in range(count):
         coeffs = [rng.randint(-height, height) for _ in range(n)]
         lead = rng.randint(-height, height)
         while lead == 0:
             lead = rng.randint(-height, height)
         coeffs.append(lead)
-        f = IntPoly(tuple(coeffs))
-        decision = shifted_eisenstein(f, budget)
-        if decision.verdict is Verdict.YES:
-            shifted += 1
-            if decision.certificate.shift == 0:
-                eis += 1
-                f_count += is_eisenstein(taylor_shift(f, 1))
-        elif decision.verdict is Verdict.NO_HEURISTIC:
-            unresolved += 1
-    return eis, shifted, f_count, unresolved
+        yield IntPoly(tuple(coeffs))
+
+
+def _mc_chunk(args) -> tuple[int, int, int, int]:
+    """Counts (eisenstein, shifted, f, unresolved) for one sample chunk."""
+    n, height, seed, chunk_index, count, budget = args
+    rng = random.Random(_mix64(seed, chunk_index))
+    polys = _samples(n, height, rng, count)
+    return _count(polys, lambda f: shifted_eisenstein(f, budget))
 
 
 def monte_carlo(
@@ -251,7 +243,6 @@ def monte_carlo(
     samples: int,
     seed: int = DEFAULT_SEED,
     budget: FactorBudget = DEFAULT_BUDGET,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> ExperimentReport:
     """Monte Carlo classification of uniform samples from the box.
@@ -266,25 +257,18 @@ def monte_carlo(
         raise DomainError("monte_carlo needs height >= 1")
     if samples < 1:
         raise DomainError("monte_carlo needs samples >= 1")
-    if chunk_size < 1 or workers < 1:
-        raise DomainError("chunk_size and workers must be >= 1")
-    tasks = []
-    index = 0
-    remaining = samples
-    while remaining > 0:
-        count = min(chunk_size, remaining)
-        tasks.append((n, height, seed, index, count, budget))
-        index += 1
-        remaining -= count
+    if workers < 1:
+        raise DomainError("monte_carlo needs workers >= 1")
+    tasks = [
+        (n, height, seed, start // CHUNK_SIZE, min(CHUNK_SIZE, samples - start), budget)
+        for start in range(0, samples, CHUNK_SIZE)
+    ]
     if workers == 1:
         results = [_mc_chunk(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_mc_chunk, tasks, chunksize=8))
-    eis = sum(r[0] for r in results)
-    shifted = sum(r[1] for r in results)
-    f_count = sum(r[2] for r in results)
-    unresolved = sum(r[3] for r in results)
+    eis, shifted, f_count, unresolved = map(sum, zip(*results))
     ratio, ci_low, ci_high = _ratio_interval(shifted, eis, samples)
     return ExperimentReport(
         kind="montecarlo",

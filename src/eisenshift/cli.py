@@ -22,9 +22,10 @@ import json
 import os
 import sys
 
-from .census import exact_census, monte_carlo, reports_to_csv
+from .census import DEFAULT_ENUMERATION_CAP, exact_census, monte_carlo, reports_to_csv
 from .density import DEFAULT_DPS, density_report, sinh_bound_check
 from .eisenstein import (
+    DEFAULT_SCAN_CAP,
     Verdict,
     decide_certified,
     eisenstein_primes,
@@ -35,7 +36,7 @@ from .eisenstein import (
 )
 from .errors import BudgetError, DomainError
 from .intpoly import parse_poly
-from .primes import DEFAULT_SEED, FactorBudget, first_primes
+from .primes import DEFAULT_BUDGET, DEFAULT_SEED, FactorBudget, first_primes
 
 from . import __version__
 
@@ -56,14 +57,14 @@ def _add_budget_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--trial-bound",
         type=int,
-        default=100_000,
-        help="trial division bound for factorizations (default 100000)",
+        default=DEFAULT_BUDGET.trial_bound,
+        help="trial division bound for factorizations (default %(default)s)",
     )
     sub.add_argument(
         "--rho-iterations",
         type=int,
-        default=1_000_000,
-        help="iteration budget for the rho factoring stage (default 1000000)",
+        default=DEFAULT_BUDGET.rho_iterations,
+        help="iteration budget for the rho factoring stage (default %(default)s)",
     )
 
 
@@ -108,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     shift.add_argument(
         "--scan-cap",
         type=int,
-        default=1_000_000,
-        help="max shifts the --oracle scan may try (default 1000000)",
+        default=DEFAULT_SCAN_CAP,
+        help="max shifts the --oracle scan may try (default %(default)s)",
     )
     shift.add_argument(
         "--certified",
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument(
         "--enumeration-cap",
         type=int,
-        default=100_000_000,
+        default=DEFAULT_ENUMERATION_CAP,
         help="refuse boxes larger than this many polynomials",
     )
     census.add_argument("--csv", default=None, help="also append a CSV row to this file")
@@ -163,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mc.add_argument(
         "--workers", type=int, default=1, help="parallel worker processes"
-    )
-    mc.add_argument(
-        "--chunk-size", type=int, default=256, help="samples per RNG substream chunk"
     )
     mc.add_argument("--csv", default=None, help="also append a CSV row to this file")
     _add_budget_args(mc)
@@ -189,7 +187,13 @@ def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
 
 
 def _check_csv(path: str) -> None:
-    """Refuse a non-empty CSV file whose first line is not our header."""
+    """Refuse a CSV path that cannot be a file in an existing directory, or a
+    non-empty file whose first line is not our header."""
+    if os.path.isdir(path):
+        raise DomainError("%s is a directory, not a CSV file" % path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise DomainError("directory %s of the CSV file does not exist" % parent)
     if os.path.exists(path) and os.path.getsize(path) > 0:
         header = reports_to_csv([]).rstrip("\n")
         with open(path, encoding="utf-8", newline="") as handle:
@@ -205,8 +209,11 @@ def _write_csv(path: str, report) -> None:
     text = reports_to_csv([report])
     if os.path.exists(path) and os.path.getsize(path) > 0:
         text = text.split("\n", 1)[1]  # keep one header per file
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DomainError("cannot append to %s: %s" % (path, exc)) from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -331,9 +338,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
     ]
     if report.ratio is not None:
         lines.append("ratio shifted/eisenstein = %.6f" % report.ratio)
+    _emit(args, record, lines)  # before the append, so a failed append loses no result
     if args.csv:
         _write_csv(args.csv, report)
-    _emit(args, record, lines)
     return 0
 
 
@@ -347,7 +354,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         args.samples,
         seed=seed,
         budget=_budget(args),
-        chunk_size=args.chunk_size,
         workers=args.workers,
     )
     record = report.as_record()
@@ -364,9 +370,9 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             "ratio shifted/eisenstein = %.4f  (95%% CI [%.4f, %.4f])"
             % (report.ratio, report.ci_low, report.ci_high)
         )
+    _emit(args, record, lines)  # before the append, so a failed append loses no result
     if args.csv:
         _write_csv(args.csv, report)
-    _emit(args, record, lines)
     return 0
 
 
@@ -395,3 +401,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

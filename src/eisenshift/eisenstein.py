@@ -57,6 +57,10 @@ __all__ = [
 # Budget escalations that `decide_certified` makes before giving up.
 CERTIFY_RETRIES = 8
 
+# Most shifts `naive_shift_scan` tries unless told otherwise.
+DEFAULT_SCAN_CAP = 1_000_000
+
+
 class Verdict(enum.Enum):
     YES = "yes"
     NO_CERTIFIED = "no-certified"
@@ -373,7 +377,7 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
         return False
 
 
-def naive_shift_scan(f: IntPoly, scan_cap: int = 1_000_000) -> ShiftedDecision:
+def naive_shift_scan(f: IntPoly, scan_cap: int = DEFAULT_SCAN_CAP) -> ShiftedDecision:
     """Decide by trying every shift 0 <= s <= max_shift_bound(f) directly.
 
     Independent of the local criterion, hence useful as an oracle.

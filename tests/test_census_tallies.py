@@ -2,8 +2,11 @@
 
 Both experiments make one shifted decision per polynomial and read the
 Eisenstein and f columns from it; the tally here asks `is_eisenstein` and the
-shifted decision separately for every polynomial the experiment built.
+shifted decision separately for every polynomial the experiment built.  The
+Monte Carlo sample stream itself is pinned against the documented scheme.
 """
+
+import random
 
 import pytest
 
@@ -80,6 +83,43 @@ def test_monte_carlo_matches_per_polynomial_tally(monkeypatch, budget, n, height
     assert len(built) == decisions == 300
     expected = _tally(built, lambda f: shifted_eisenstein(f, budget))
     assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
+
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix64(seed, chunk):
+    """Substream seed of a chunk: splitmix64's output mix of seed*phi + chunk + 1."""
+    z = (seed * 0x9E3779B97F4A7C15 + chunk + 1) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _documented_samples(n, height, samples, seed):
+    """README's stream: one Random per 256-sample chunk, a_n redrawn until nonzero."""
+    polys = []
+    for start in range(0, samples, 256):
+        rng = random.Random(_splitmix64(seed, start // 256))
+        for _ in range(min(256, samples - start)):
+            coeffs = [rng.randint(-height, height) for _ in range(n)]
+            lead = 0
+            while lead == 0:
+                lead = rng.randint(-height, height)
+            polys.append(IntPoly(tuple(coeffs) + (lead,)))
+    return polys
+
+
+@pytest.mark.parametrize("seed", [7, -1])
+@pytest.mark.parametrize("samples", [300, 513])
+@pytest.mark.parametrize("n", [2, 4])
+def test_monte_carlo_draws_the_documented_sample_stream(monkeypatch, n, samples, seed):
+    # 300 and 513 end in a partial chunk; H = 2 makes zero leads common.
+    for height in (2, 10**6):
+        _, built, _ = _run_recorded(
+            monkeypatch, lambda: monte_carlo(n, height, samples, seed=seed)
+        )
+        assert built == _documented_samples(n, height, samples, seed)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

@@ -1,6 +1,10 @@
 """Command line interface: exit codes, formats, and structured output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,42 @@ def test_csv_append_rejects_foreign_header(capsys, tmp_path, monkeypatch):
         assert main(args + ["--csv", str(csv_path)]) == 2
         assert "error:" in capsys.readouterr().err
         assert csv_path.read_text() == foreign
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_csv_unusable_path_is_refused_first(capsys, tmp_path, monkeypatch, where):
+    monkeypatch.setattr(cli, "exact_census", _must_not_run)
+    monkeypatch.setattr(cli, "monte_carlo", _must_not_run)
+    csv_path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    for args in (
+        ["census", "--degree", "2", "--height", "2"],
+        ["montecarlo", "--degree", "2", "--height", "10", "--samples", "5", "--seed", "1"],
+    ):
+        assert main(args + ["--csv", str(csv_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_append_failure_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # A path that passes the early check can still fail at the append.
+    monkeypatch.setattr(cli, "_check_csv", lambda path: None)
+    csv_path = tmp_path / "missing" / "x.csv"
+    assert main(["census", "--degree", "2", "--height", "2", "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert "census: degree 2, height 2" in captured.out
+    assert "error: cannot append to" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_module_runs_as_a_script():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "eisenshift.cli", "shift", "2,1,1"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "YES: f(x + 3) is Eisenstein with respect to p = 7 (verified)\n"
 
 
 def test_census_cap_error(capsys):
