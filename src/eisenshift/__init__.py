@@ -27,10 +27,6 @@ from .census import (
 )
 from .density import (
     DensityReport,
-    compute_gamma,
-    compute_p_n,
-    compute_rho,
-    compute_tau,
     density_report,
     predicted_eisenstein_count,
     sinh_bound_check,
@@ -45,7 +41,6 @@ from .eisenstein import (
     is_eisenstein,
     is_eisenstein_with,
     naive_shift_scan,
-    periodicity_check,
     shifted_eisenstein,
     verify_certificate,
 )
@@ -69,7 +64,6 @@ from .primes import (
     first_primes,
     is_prime,
     mobius,
-    omega,
     roots_mod_p,
     sieve_primes,
 )
@@ -103,7 +97,6 @@ __all__ = [
     "factorize",
     "roots_mod_p",
     "euler_phi",
-    "omega",
     "mobius",
     "Verdict",
     "ShiftCertificate",
@@ -116,12 +109,7 @@ __all__ = [
     "decide_certified",
     "verify_certificate",
     "naive_shift_scan",
-    "periodicity_check",
     "DensityReport",
-    "compute_p_n",
-    "compute_rho",
-    "compute_tau",
-    "compute_gamma",
     "predicted_eisenstein_count",
     "sinh_bound_check",
     "density_report",

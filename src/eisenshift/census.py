@@ -87,10 +87,11 @@ class ExperimentReport:
         return {c: getattr(self, "height" if c == "H" else c) for c in CSV_COLUMNS}
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0 or not 0 <= successes <= trials:
         raise DomainError("wilson_interval needs 0 <= successes <= trials, trials > 0")
+    z = 1.96  # the normal quantile of a 95% interval
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials
@@ -111,6 +112,17 @@ def _ratio_interval(
     lo = s_lo / e_hi if e_hi > 0 else None
     hi = s_hi / e_lo if e_lo > 0 else None
     return ratio, lo, hi
+
+
+def _check_box(caller: str, n: int, height: int, **more: int) -> None:
+    """DomainError unless n >= 2, height >= 1 and they and `more` are ints (not bools)."""
+    for name, value in (("degree", n), ("height", height), *more.items()):
+        if type(value) is not int:
+            raise DomainError("%s needs an int %s, got %r" % (caller, name, value))
+    if n < 2:
+        raise DomainError("%s needs degree >= 2" % caller)
+    if height < 1:
+        raise DomainError("%s needs height >= 1" % caller)
 
 
 def _count(polys, decide) -> tuple[int, int, int, int]:
@@ -139,10 +151,7 @@ def exact_census(
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ExperimentReport:
     """Exact counts over the whole box; every decision is certified."""
-    if n < 2:
-        raise DomainError("exact_census needs degree >= 2")
-    if height < 1:
-        raise DomainError("exact_census needs height >= 1")
+    _check_box("exact_census", n, height)
     side = 2 * height + 1
     total = side**n * (side - 1)
     if total > enumeration_cap:
@@ -181,10 +190,7 @@ def census_h_subset(n: int, d: int, height: int) -> int:
     and gcd(a_n, d) = 1.  The three conditions are coordinatewise, so the
     count is a product of one-dimensional counts.  d must be squarefree.
     """
-    if n < 2:
-        raise DomainError("census_h_subset needs degree >= 2")
-    if height < 1:
-        raise DomainError("census_h_subset needs height >= 1")
+    _check_box("census_h_subset", n, height, d=d)
     if d < 1 or mobius(d) == 0:
         raise DomainError("census_h_subset needs squarefree d >= 1")
     mult = height // d
@@ -202,8 +208,9 @@ def census_h_subset(n: int, d: int, height: int) -> int:
 
 def h_subset_main_term(n: int, d: int, height: int) -> float:
     """Main term 2^(n+1) H^(n+1) phi(d)^2 / d^(n+2) for census_h_subset."""
-    if n < 2 or height < 1 or d < 1 or mobius(d) == 0:
-        raise DomainError("h_subset_main_term needs n >= 2, H >= 1, squarefree d")
+    _check_box("h_subset_main_term", n, height, d=d)
+    if d < 1 or mobius(d) == 0:
+        raise DomainError("h_subset_main_term needs squarefree d >= 1")
     phi = euler_phi(d)
     return 2 ** (n + 1) * height ** (n + 1) * phi * phi / d ** (n + 2)
 
@@ -251,10 +258,7 @@ def monte_carlo(
     one redrawn until nonzero.  The report is identical for any `workers`
     value because chunk results only depend on (seed, chunk index).
     """
-    if n < 2:
-        raise DomainError("monte_carlo needs degree >= 2")
-    if height < 1:
-        raise DomainError("monte_carlo needs height >= 1")
+    _check_box("monte_carlo", n, height, samples=samples, seed=seed, workers=workers)
     if samples < 1:
         raise DomainError("monte_carlo needs samples >= 1")
     if workers < 1:

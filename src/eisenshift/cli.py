@@ -25,12 +25,10 @@ import sys
 from .census import DEFAULT_ENUMERATION_CAP, exact_census, monte_carlo, reports_to_csv
 from .density import DEFAULT_DPS, density_report, sinh_bound_check
 from .eisenstein import (
-    DEFAULT_SCAN_CAP,
     Verdict,
     decide_certified,
     eisenstein_primes,
     is_eisenstein_with,
-    naive_shift_scan,
     shifted_eisenstein,
     verify_certificate,
 )
@@ -101,17 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shift", help="decide whether some shift f(x+s) is Eisenstein"
     )
     shift.add_argument("poly", help="coefficients, constant term first: '5,4,1'")
-    shift.add_argument(
-        "--oracle",
-        action="store_true",
-        help="use the exhaustive shift scan instead of the local-criterion engine",
-    )
-    shift.add_argument(
-        "--scan-cap",
-        type=int,
-        default=DEFAULT_SCAN_CAP,
-        help="max shifts the --oracle scan may try (default %(default)s)",
-    )
     shift.add_argument(
         "--certified",
         action="store_true",
@@ -253,11 +240,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_shift(args: argparse.Namespace) -> int:
     f = parse_poly(args.poly)
-    if args.oracle:
-        decision = naive_shift_scan(f, scan_cap=args.scan_cap)
-    else:
-        decide = decide_certified if args.certified else shifted_eisenstein
-        decision = decide(f, _budget(args))
+    decide = decide_certified if args.certified else shifted_eisenstein
+    decision = decide(f, _budget(args))
     record = {
         "poly": str(f),
         "coeffs": list(f.coeffs),

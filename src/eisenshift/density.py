@@ -35,10 +35,6 @@ from .errors import DomainError
 
 __all__ = [
     "DensityReport",
-    "compute_p_n",
-    "compute_rho",
-    "compute_tau",
-    "compute_gamma",
     "predicted_eisenstein_count",
     "sinh_bound_check",
     "density_report",
@@ -47,11 +43,16 @@ __all__ = [
 DEFAULT_DPS = 50
 
 
-def _check_args(n: int, primes) -> None:
-    if n < 2:
-        raise DomainError("density constants need degree n >= 2")
-    if not primes:
-        raise DomainError("need a nonempty prime list")
+def _check_args(primes: list[int], dps: int, n: int = 2) -> None:
+    """DomainError unless n >= 2 and dps >= 1 are ints and primes is a
+    nonempty ascending list whose first element is at least 2."""
+    if type(n) is not int or n < 2:
+        raise DomainError("density constants need an int degree n >= 2, got %r" % (n,))
+    if type(dps) is not int or dps < 1:
+        raise DomainError("need an int dps >= 1 significant digits, got %r" % (dps,))
+    # sorted() runs at C speed; a pairwise Python check costs four times more.
+    if not primes or primes[0] < 2 or list(primes) != sorted(primes):
+        raise DomainError("need a nonempty ascending prime list starting at >= 2")
 
 
 def _fixed_point_sums(n: int, primes: list[int], frac_bits: int):
@@ -106,9 +107,7 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
     dropped term being below p^(-n); summing over all integers rather than
     primes leaves it far above the true tail, which absorbs its own rounding.
     """
-    _check_args(n, primes)
-    if dps < 1:
-        raise DomainError("need dps >= 1 significant digits")
+    _check_args(primes, dps, n)
     count = len(primes)
     with workdps(dps):
         target = mp.prec + 8
@@ -144,38 +143,12 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
         )
 
 
-def compute_p_n(n: int, primes: list[int], dps: int = DEFAULT_DPS):
-    """(P_n over `primes`, bound on its distance to the sum over all primes).
-
-    The bound is `p_n_tail` of `density_report`: the truncation tail
-    B^(1-n)/(n-1), B the largest prime supplied, plus the rounding allowance.
-    """
-    report = density_report(n, primes, dps)
-    return report.p_n, report.p_n_tail
-
-
-def compute_rho(n: int, primes: list[int], dps: int = DEFAULT_DPS):
-    """rho_n = 1 - prod_p (1 - (p-1)^2/p^(n+2)) over the supplied primes."""
-    return density_report(n, primes, dps).rho
-
-
-def compute_tau(n: int, primes: list[int], dps: int = DEFAULT_DPS):
-    """tau_n = P_n^2 - sum_p (p-1)^4/p^(2n+4), the two-prime correction."""
-    return density_report(n, primes, dps).tau
-
-
-def compute_gamma(n: int, primes: list[int], dps: int = DEFAULT_DPS):
-    """gamma_n = (1 - tau_n/rho_n) / 2^(n^2+n)."""
-    return density_report(n, primes, dps).gamma
-
-
 def predicted_eisenstein_count(n: int, height: int, primes: list[int], dps: int = DEFAULT_DPS):
     """Main-term prediction rho_n * 2^(n+1) * height^(n+1) for #E_n(height)."""
-    _check_args(n, primes)
     if height < 1:
         raise DomainError("height must be >= 1")
+    rho = density_report(n, primes, dps).rho
     with workdps(dps):
-        rho = compute_rho(n, primes, dps)
         return +(rho * mpf(2) ** (n + 1) * mpf(height) ** (n + 1))
 
 
@@ -197,10 +170,7 @@ def sinh_bound_check(primes: list[int], dps: int = DEFAULT_DPS):
     1/B; since 1/B is far above the true tail, it stays an upper bound for
     the sum over all primes.  2*sinh is evaluated by mpmath at `dps` digits.
     """
-    if not primes:
-        raise DomainError("need a nonempty prime list")
-    if dps < 1:
-        raise DomainError("need dps >= 1 significant digits")
+    _check_args(primes, dps)
     with workdps(dps):
         frac_bits = mp.prec + 8 + len(primes).bit_length()
         one = 1 << frac_bits

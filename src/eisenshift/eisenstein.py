@@ -51,14 +51,10 @@ __all__ = [
     "decide_certified",
     "verify_certificate",
     "naive_shift_scan",
-    "periodicity_check",
 ]
 
 # Budget escalations that `decide_certified` makes before giving up.
 CERTIFY_RETRIES = 8
-
-# Most shifts `naive_shift_scan` tries unless told otherwise.
-DEFAULT_SCAN_CAP = 1_000_000
 
 
 class Verdict(enum.Enum):
@@ -199,19 +195,10 @@ def _local_gcd(f: IntPoly) -> int:
     return _strip_primes_of(g, u) if g else 0
 
 
-def _prime_divisors(m: int) -> list[int]:
-    """Distinct prime factors of a small m >= 1 by trial division, ascending."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
+@functools.lru_cache(maxsize=64)
+def _prime_divisors(m: int) -> tuple[int, ...]:
+    """Distinct prime factors of a small m >= 1, ascending."""
+    return tuple(p for p, _ in _trial_division(m, m))
 
 
 def _candidate_shifts(f: IntPoly, p: int):
@@ -329,28 +316,25 @@ def shifted_eisenstein(
 
 
 def decide_certified(
-    f: IntPoly,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    retries: int = CERTIFY_RETRIES,
-    decide=None,
+    f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET, decide=None
 ) -> ShiftedDecision:
     """Shifted-Eisenstein decision, escalating the budget until it is certified.
 
     A heuristic NO is decided again with the budget scaled by 4, 16, 64, ...,
-    at most `retries` times; BudgetError if the last decision is still
-    heuristic.  `decide` is the decision that is repeated, by default
-    `shifted_eisenstein`; a caller may pass its own binding of that name so
-    that wrappers installed in its namespace (bench/spans.py) see every
-    attempt.
+    at most CERTIFY_RETRIES times (the module constant, read at each call);
+    BudgetError if the last decision is still heuristic.  `decide` is the
+    decision that is repeated, by default `shifted_eisenstein`; a caller may
+    pass its own binding of that name so that wrappers installed in its
+    namespace (bench/spans.py) see every attempt.
     """
     decide = decide or shifted_eisenstein
     decision = decide(f, budget)
     step = 0
     while decision.verdict is Verdict.NO_HEURISTIC:
-        if step == retries:
+        if step == CERTIFY_RETRIES:
             raise BudgetError(
                 "could not certify the decision for %s after %d budget escalations"
-                % (f, retries)
+                % (f, CERTIFY_RETRIES)
             )
         step += 1
         decision = decide(f, budget.scaled(4**step))
@@ -377,7 +361,7 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
         return False
 
 
-def naive_shift_scan(f: IntPoly, scan_cap: int = DEFAULT_SCAN_CAP) -> ShiftedDecision:
+def naive_shift_scan(f: IntPoly, scan_cap: int = 1_000_000) -> ShiftedDecision:
     """Decide by trying every shift 0 <= s <= max_shift_bound(f) directly.
 
     Independent of the local criterion, hence useful as an oracle.
@@ -398,8 +382,3 @@ def naive_shift_scan(f: IntPoly, scan_cap: int = DEFAULT_SCAN_CAP) -> ShiftedDec
             return ShiftedDecision(Verdict.YES, ShiftCertificate(s % witness, witness))
         g = taylor_shift(g, 1)
     return ShiftedDecision(Verdict.NO_CERTIFIED, reason="no-root-shift-works")
-
-
-def periodicity_check(f: IntPoly, s: int, p: int, k: int) -> bool:
-    """True when f(x + s + k*p) is Eisenstein with respect to p."""
-    return is_eisenstein_with(taylor_shift(f, s + k * p), p)

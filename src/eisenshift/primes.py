@@ -26,7 +26,6 @@ __all__ = [
     "factorize",
     "roots_mod_p",
     "euler_phi",
-    "omega",
     "mobius",
 ]
 
@@ -157,6 +156,15 @@ class FactorBudget:
     perfect_power: bool = True
 
     def __post_init__(self):
+        if (
+            type(self.trial_bound) is not int
+            or type(self.rho_iterations) is not int
+            or type(self.perfect_power) is not bool
+        ):
+            raise DomainError(
+                "budget needs int trial_bound and rho_iterations and a bool"
+                " perfect_power, got %r" % (self,)
+            )
         if self.trial_bound < 0 or self.rho_iterations < 0:
             raise DomainError(
                 "budget needs trial_bound >= 0 and rho_iterations >= 0, got %r and %r"
@@ -551,13 +559,6 @@ def euler_phi(d: int) -> int:
     for p, _ in _certified_factors(d, "euler_phi").factors:
         out -= out // p
     return out
-
-
-def omega(d: int) -> int:
-    """Number of distinct prime factors of d >= 1."""
-    if d < 1:
-        raise DomainError("omega needs d >= 1")
-    return len(_certified_factors(d, "omega").factors)
 
 
 def mobius(d: int) -> int:

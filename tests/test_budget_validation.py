@@ -1,8 +1,8 @@
-"""Factoring budgets reject negative work bounds, in the library and at the CLI."""
+"""Factoring budgets reject negative or non-int work bounds, in the library and at the CLI."""
 
 import pytest
 
-from eisenshift import DomainError, FactorBudget
+from eisenshift import DomainError, FactorBudget, IntPoly, factorize, shifted_eisenstein
 from eisenshift.cli import main
 
 
@@ -10,6 +10,26 @@ from eisenshift.cli import main
 def test_negative_budget_is_rejected(trial_bound, rho_iterations):
     with pytest.raises(DomainError):
         FactorBudget(trial_bound, rho_iterations)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"trial_bound": 10.5},
+        {"trial_bound": True},
+        {"rho_iterations": 2.0},
+        {"rho_iterations": None},
+        {"perfect_power": 1},
+        {"perfect_power": None},
+    ],
+)
+def test_non_int_budget_is_rejected(fields):
+    # A float trial bound used to raise TypeError inside factorize and run
+    # shifted_eisenstein silently; True passed as a trial bound of 1.
+    with pytest.raises(DomainError):
+        factorize(10**12 + 39, FactorBudget(**fields))
+    with pytest.raises(DomainError):
+        shifted_eisenstein(IntPoly((1, 5, 1)), FactorBudget(**fields))
 
 
 def test_zero_budget_is_valid():

@@ -265,6 +265,31 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(2, 10, 10, workers=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_census(2, 1.5),
+        lambda: exact_census(2.0, 1),
+        lambda: exact_census(True, 1),
+        lambda: census_h_subset(2, 2, 2.0),
+        lambda: census_h_subset(2, 2.0, 2),
+        lambda: h_subset_main_term(2, 2, 50.0),
+        lambda: h_subset_main_term(2, 4, 50),
+        lambda: monte_carlo(2, 10.5, 5),
+        lambda: monte_carlo(2, 10, 5.0),
+        lambda: monte_carlo(2, 10, 5, seed=1.5),
+        lambda: monte_carlo(2, 10, 5, seed=True),
+        lambda: monte_carlo(2, 10, 5, workers=2.0),
+        lambda: monte_carlo(2, True, 5),
+    ],
+)
+def test_box_arguments_must_be_ints(call):
+    # exact_census(2, 1.5) and monte_carlo(..., seed=1.5) used to raise
+    # TypeError, monte_carlo(2, 10.5, 5) ValueError.
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_csv_round_trip():
     report = monte_carlo(2, 50, 200, seed=4)
     census = exact_census(2, 1)

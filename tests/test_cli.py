@@ -79,18 +79,11 @@ def test_shift_heuristic_no_and_certified_escalation(capsys):
     assert "YES" in out
 
 
-def test_shift_oracle_agrees(capsys):
-    assert main(["shift", "2,1,1", "--oracle", "--format", "json"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["verdict"] == "yes"
-    assert record["verified"] is True
-    assert main(["shift", "2,1,0,1", "--oracle"]) == 1
-    capsys.readouterr()
-
-
-def test_shift_oracle_scan_cap(capsys):
-    assert main(["shift", "10000,10000,1", "--oracle", "--scan-cap", "100"]) == 2
-    assert "error" in capsys.readouterr().err
+def test_shift_has_no_oracle_switch(capsys):
+    # The brute-force scan is the library's naive_shift_scan, not a CLI mode.
+    assert main(["shift", "2,1,1", "--oracle"]) == 2
+    assert main(["shift", "2,1,1", "--scan-cap", "100"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_density_text_and_json(capsys):

@@ -1,14 +1,14 @@
 """Density constants: truncated prime sums/products with tail bounds."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpf, primezeta, workdps
 
 from eisenshift import (
     DomainError,
-    compute_gamma,
-    compute_p_n,
-    compute_rho,
-    compute_tau,
     density_report,
     first_primes,
     predicted_eisenstein_count,
@@ -54,7 +54,8 @@ def test_p_n_matches_prime_zeta_combination():
     # P(n) - 2 P(n+1) + P(n+2) with P the prime zeta function, which mpmath
     # evaluates by an unrelated Mobius/log-zeta method.
     for n in (2, 3, 4, 5, 10):
-        value, tail = compute_p_n(n, PRIMES, dps=40)
+        report = density_report(n, PRIMES, dps=40)
+        value, tail = report.p_n, report.p_n_tail
         with workdps(40):
             exact = primezeta(n) - 2 * primezeta(n + 1) + primezeta(n + 2)
             assert abs(value - exact) < tail, (n, value, exact, tail)
@@ -62,45 +63,37 @@ def test_p_n_matches_prime_zeta_combination():
 
 
 def test_p2_upper_bound():
-    value, tail = compute_p_n(2, PRIMES)
-    assert value + tail <= 0.18
+    report = density_report(2, PRIMES)
+    assert report.p_n + report.p_n_tail <= 0.18
 
 
 def test_rho_between_p_n_terms():
     # 1 - prod(1 - x_p) lies between max x_p and sum x_p
     for n in (2, 3, 4):
-        p_n, _ = compute_p_n(n, PRIMES)
-        rho = compute_rho(n, PRIMES)
-        assert rho <= p_n
-        assert rho >= (2 - 1) ** 2 / mpf(2) ** (n + 2)
+        report = density_report(n, PRIMES)
+        assert report.rho <= report.p_n
+        assert report.rho >= (2 - 1) ** 2 / mpf(2) ** (n + 2)
 
 
 def test_tau_is_small_positive_correction():
     for n in (2, 3, 4):
-        p_n, _ = compute_p_n(n, PRIMES)
-        tau = compute_tau(n, PRIMES)
-        assert 0 < tau < p_n * p_n
+        report = density_report(n, PRIMES)
+        assert 0 < report.tau < report.p_n * report.p_n
 
 
 def test_gamma_decreases_fast_in_degree():
-    gammas = [compute_gamma(n, PRIMES) for n in (2, 3, 4, 5)]
+    gammas = [density_report(n, PRIMES).gamma for n in (2, 3, 4, 5)]
     for a, b in zip(gammas, gammas[1:]):
         assert b < a / 10
     for g in gammas:
         assert 0 < g < 1
 
 
-def test_density_report_consistent_with_parts():
+def test_density_report_fields_and_record():
     report = density_report(3, PRIMES)
-    p_n, tail = compute_p_n(3, PRIMES)
     assert report.n == 3
     assert report.prime_count == len(PRIMES)
     assert report.largest_prime == PRIMES[-1]
-    assert report.p_n == p_n
-    assert report.p_n_tail == tail
-    assert report.rho == compute_rho(3, PRIMES)
-    assert report.tau == compute_tau(3, PRIMES)
-    assert report.gamma == compute_gamma(3, PRIMES)
     record = report.as_record()
     assert set(record) == {
         "n", "prime_count", "largest_prime", "p_n", "p_n_tail", "rho", "tau", "gamma",
@@ -118,19 +111,17 @@ def test_density_report_matches_mpmath_oracle():
             assert worst[dps, n] < mpf(10) ** -dps, (dps, n, worst[dps, n])
     for n in (2, 3, 4, 5, 10):
         assert worst[80, n] < worst[50, n] * mpf(10) ** -20, (n, worst[50, n], worst[80, n])
-    # Out of order, the first guess of fractional bits falls short and is
-    # raised.  Here tau_10 ~ 1e-43 against P_10^2 ~ 6e-8: the oracle loses
-    # some 35 digits to cancellation, so it gets 60 guard digits.
-    assert _worst_relative_error(10, [7919, 2, 104729], 50, guard=60) < mpf(10) ** -50
+    # Two terms far apart: tau_10 ~ 1e-43 against P_10^2 ~ 6e-8, so the
+    # oracle loses some 35 digits to cancellation and gets 60 guard digits.
+    assert _worst_relative_error(10, [2, 7919, 104729], 50, guard=60) < mpf(10) ** -50
 
 
 def test_truncation_stability():
     # Growing the prime list changes the constants by less than the tail.
-    short = first_primes(500)
-    value_short, tail_short = compute_p_n(3, short)
-    value_long, _ = compute_p_n(3, PRIMES)
-    assert abs(value_long - value_short) < tail_short
-    assert compute_rho(3, PRIMES) >= compute_rho(3, short)
+    short = density_report(3, first_primes(500))
+    long = density_report(3, PRIMES)
+    assert abs(long.p_n - short.p_n) < short.p_n_tail
+    assert long.rho >= short.rho
 
 
 def test_sinh_bound_window():
@@ -165,11 +156,54 @@ def test_predicted_count_scale():
 
 def test_precision_isolation_and_validation():
     before = mp.dps
-    compute_gamma(10, PRIMES, dps=80)
+    density_report(10, PRIMES, dps=80)
     assert mp.dps == before
     with pytest.raises(DomainError):
-        compute_p_n(1, PRIMES)
+        density_report(1, PRIMES)
     with pytest.raises(DomainError):
-        compute_rho(3, [])
+        density_report(3, [])
     with pytest.raises(DomainError):
         density_report(3, PRIMES, dps=0)
+
+
+@pytest.mark.parametrize("primes", ([0], [1], [3, 2], [7919, 2, 104729], []))
+def test_every_density_entry_point_rejects_a_bad_prime_list(primes):
+    # [0] and [1] divided by zero, sinh_bound_check([1]) gave a nonsense
+    # sum, and [3, 2] took 2 as the largest prime for the tail.
+    with pytest.raises(DomainError):
+        density_report(3, primes)
+    with pytest.raises(DomainError):
+        sinh_bound_check(primes)
+    with pytest.raises(DomainError):
+        predicted_eisenstein_count(3, 10, primes)
+
+
+@pytest.mark.parametrize("n, dps", [(3.0, 50), (True, 50), (1, 50), (3, 1.5), (3, 0)])
+def test_density_entry_points_reject_a_bad_degree_or_precision(n, dps):
+    with pytest.raises(DomainError):
+        density_report(n, PRIMES[:10], dps)
+    with pytest.raises(DomainError):
+        predicted_eisenstein_count(n, 10, PRIMES[:10], dps)
+    if dps != 50:
+        with pytest.raises(DomainError):
+            sinh_bound_check(PRIMES[:10], dps)
+
+
+def test_negative_prime_lists_fail_fast():
+    # density_report(3, [-2]) and (3, [-3]) used to run without end, their
+    # memory growing, and sinh_bound_check([-3]) returned a negative sum.  A
+    # separate process, so such a hang is killed after the timeout instead
+    # of stalling the suite.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "from eisenshift import *\n"
+        "for primes in ([-2], [-3]):\n"
+        "    for call in (lambda: density_report(3, primes), lambda: sinh_bound_check(primes),\n"
+        "                 lambda: predicted_eisenstein_count(3, 10, primes)):\n"
+        "        try:\n            call()\n        except DomainError:\n            print('refused')\n"
+    ) % src
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert done.stdout == "refused\n" * 6, done.stderr

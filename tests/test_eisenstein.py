@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import eisenshift.eisenstein
 from eisenshift import (
     BudgetError,
     DomainError,
@@ -18,7 +19,6 @@ from eisenshift import (
     is_eisenstein_with,
     naive_shift_scan,
     parse_poly,
-    periodicity_check,
     shifted_eisenstein,
     taylor_shift,
     verify_certificate,
@@ -231,7 +231,7 @@ def test_periodicity_of_certificates():
         assert d.verdict is Verdict.YES
         s, q = d.certificate.shift, d.certificate.prime
         for k in range(-10, 11):
-            assert periodicity_check(f, s, q, k)
+            assert is_eisenstein_with(taylor_shift(f, s + k * q), q)
 
 
 def test_shift_root_necessity():
@@ -307,12 +307,21 @@ def test_uncertified_repeated_root_falls_back_to_discriminant():
     assert shifted_eisenstein(f).verdict is Verdict.NO_CERTIFIED
 
 
-def test_decide_certified_escalates_and_gives_up():
+def test_prime_divisors_of_small_degrees():
+    for m in range(1, 2000):
+        brute = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+        assert eisenshift.eisenstein._prime_divisors(m) == tuple(brute), m
+
+
+def test_decide_certified_escalates_and_gives_up(monkeypatch):
     f = IntPoly((1, 5, 1))
+    # CERTIFY_RETRIES is read at each call.
+    monkeypatch.setattr(eisenshift.eisenstein, "CERTIFY_RETRIES", 0)
     with pytest.raises(BudgetError):
-        decide_certified(f, TINY, retries=0)
+        decide_certified(f, TINY)
     # One escalation raises the trial bound to 8, which splits 21.
-    assert decide_certified(f, TINY, retries=1).certificate == ShiftCertificate(2, 3)
+    monkeypatch.setattr(eisenshift.eisenstein, "CERTIFY_RETRIES", 1)
+    assert decide_certified(f, TINY).certificate == ShiftCertificate(2, 3)
     seen = []
 
     def counting(g, budget):
