@@ -89,6 +89,8 @@ class ExperimentReport:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    if type(successes) is not int or type(trials) is not int:
+        raise DomainError("wilson_interval needs ints, got %r and %r" % (successes, trials))
     if trials <= 0 or not 0 <= successes <= trials:
         raise DomainError("wilson_interval needs 0 <= successes <= trials, trials > 0")
     z = 1.96  # the normal quantile of a 95% interval

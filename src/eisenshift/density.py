@@ -21,8 +21,9 @@ an ordinary double.  The hazard is cancellation.  In floating point,
 `density_report` accumulates in binary fixed point on exact integers: each
 local term x_p is floored to F fractional bits, the sums (the pair sum
 behind tau_n included) are then exact, and the product floors once per
-step.  F is chosen from the requested `dps` and checked against the values
-it produced; each value becomes an mpf once, at `dps` significant digits.
+step.  F follows from the requested `dps`, the prime count and the second
+prime, and is proven sufficient; each value becomes an mpf once, at `dps`
+significant digits.
 """
 
 from __future__ import annotations
@@ -45,14 +46,19 @@ DEFAULT_DPS = 50
 
 def _check_args(primes: list[int], dps: int, n: int = 2) -> None:
     """DomainError unless n >= 2 and dps >= 1 are ints and primes is a
-    nonempty ascending list whose first element is at least 2."""
+    nonempty ascending list of ints whose first element is at least 2."""
     if type(n) is not int or n < 2:
         raise DomainError("density constants need an int degree n >= 2, got %r" % (n,))
     if type(dps) is not int or dps < 1:
         raise DomainError("need an int dps >= 1 significant digits, got %r" % (dps,))
-    # sorted() runs at C speed; a pairwise Python check costs four times more.
-    if not primes or primes[0] < 2 or list(primes) != sorted(primes):
-        raise DomainError("need a nonempty ascending prime list starting at >= 2")
+    # sum() and sorted() run at C speed; a float, Fraction or Decimal makes
+    # the sum one, and a bool cannot pass the first-element and order tests.
+    try:
+        valid = type(sum(primes)) is int and primes[0] >= 2 and list(primes) == sorted(primes)
+    except (TypeError, LookupError):
+        valid = False
+    if not valid:
+        raise DomainError("need a nonempty ascending list of int primes starting at >= 2")
 
 
 def _fixed_point_sums(n: int, primes: list[int], frac_bits: int):
@@ -75,31 +81,40 @@ def _fixed_point_sums(n: int, primes: list[int], frac_bits: int):
     return total, total * total - squares, one - prod
 
 
-def _missing_bits(error: int, value: int, bits: int) -> int:
-    """Extra fractional bits that bring error below value * 2^-bits (0: none)."""
-    need = error << bits
-    if value >= need:
-        return 0
-    return need.bit_length() - max(value, 1).bit_length() + 1
-
-
 def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> DensityReport:
     """All density constants for degree n over the supplied primes.
 
     With N primes and F fractional bits, the floors bound the fixed-point
     errors: below N * 2^-F in sum x_p and in 1 - prod(1 - x_p) (each step of
     the product adds less than one unit of error), and below
-    (N-1)(2 P_n + N 2^-F) 2^-F in tau_n.  F starts from the working
-    precision, the prime count and the size of the second local term, and is
-    raised until each of these is below 2^-(prec+8) of its value, with prec
-    the binary precision that `dps` digits give.  That leaves gamma_n, which
-    divides tau_n by rho_n and floors once more, within 6 * 2^-(prec+8), since
-    tau_n/rho_n < 0.6 (P_n < sum 1/p^2 < 0.46, tau_n <= P_n^2 and
-    rho_n >= P_n - tau_n/2).
-    The one conversion of each value to an mpf adds at most 2^-prec, and
-    2^-prec < 10^-dps / 7.  So p_n, rho, tau and gamma each lie within a
-    relative 10^-dps of the exact value of its sum or product over the
-    supplied primes.
+    (N-1)(2 P_n + N 2^-F) 2^-F in tau_n.  Let prec be the binary precision
+    that `dps` digits give, t = prec + 8, T = 2^t, b the bit length of N,
+    q the second prime (the first when N = 1), L the bit length of
+    floor(q^(n+2) / (q-1)^2), and F = t + b + 1 + L.  In units of 2^-F
+    write X_p for the floored terms, S = sum X_p, R = S - X_first,
+    Q = 2^F - prod for the product and D = sum_{p != p'} X_p X_p' for the
+    pair sum.  Then, with A = 2^(F-L) = 2T * 2^b > 2T * N:
+
+    - x_q > 2^-L, so X_q >= A.
+    - x_p = (p-1)^2 / p^(n+2) falls as p grows (its log-derivative is
+      (n+2 - n p) / (p (p-1)) <= 0 for p >= 2), so X_first >= X_q >= A.
+    - S >= X_first >= A > N T: the floors lose below 2^-t of P_n.
+    - The first product step is exact and no later step raises the product,
+      so Q >= X_first >= A >= N (T + 1): the floors lose below 2^-t of rho_n.
+    - For N = 1, D and its error are 0.  For N >= 2, R >= X_q >= A and
+      D >= 2 X_first R, so
+      2D >= 2A (X_first + R) = 2A S >= (N-1) T (2S + N), as (N-1) T < A/2
+      and (N-1) T N < A^2: the floors lose below 2^-(t-1) of tau_n.  2^-t
+      itself can fail, narrowly: at n = 2 and dps = 1 it does for the
+      primes 2^32 - 17, 2^32 - 5 and the first 2^20 - 3 primes above 2^50.
+
+    No primality is used, so this holds for any ascending list of integers
+    >= 2.  Then gamma_n, which divides tau_n by rho_n and floors once more,
+    lies within 6 * 2^-t, since tau_n/rho_n < 0.6 (P_n < sum 1/p^2 < 0.46,
+    tau_n <= P_n^2 and rho_n >= P_n - tau_n/2).  The one conversion of each
+    value to an mpf adds at most 2^-prec, and 2^-prec < 10^-dps / 7.  So
+    p_n, rho, tau and gamma each lie within a relative 10^-dps of the exact
+    value of its sum or product over the supplied primes.
 
     p_n_tail bounds |p_n - P_n| for the sum over all primes: the truncation
     tail B^(1-n)/(n-1), with B the largest prime supplied, plus the rounding
@@ -111,22 +126,16 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
     count = len(primes)
     with workdps(dps):
         target = mp.prec + 8
-        # tau_n ~ 2 x_a x_b for the two leading terms, so its floor error asks
-        # for about log2(1/x_b) more bits than that of P_n.
         second = primes[1] if count > 1 else primes[0]
         frac_bits = target + count.bit_length() + 1 + (
             second ** (n + 2) // (second - 1) ** 2
         ).bit_length()
-        while True:
-            total, pairs, rho = _fixed_point_sums(n, primes, frac_bits)
-            missing = max(
-                _missing_bits(count, total, target),
-                _missing_bits(count, rho - count, target),
-                _missing_bits((count - 1) * (2 * total + count), pairs, target),
-            )
-            if not missing:
-                break
-            frac_bits += missing
+        total, pairs, rho = _fixed_point_sums(n, primes, frac_bits)
+        assert (
+            total >= count << target
+            and rho - count >= count << target
+            and 2 * pairs >= (count - 1) * (2 * total + count) << target
+        ), "the fixed-point error bounds above failed"
         # 2^F * (1 - tau/rho), floored once more
         complement = ((rho << frac_bits) - pairs) // rho
         p_n = ldexp(mpf(total), -frac_bits)
@@ -145,8 +154,8 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
 
 def predicted_eisenstein_count(n: int, height: int, primes: list[int], dps: int = DEFAULT_DPS):
     """Main-term prediction rho_n * 2^(n+1) * height^(n+1) for #E_n(height)."""
-    if height < 1:
-        raise DomainError("height must be >= 1")
+    if type(height) is not int or height < 1:
+        raise DomainError("height must be an int >= 1, got %r" % (height,))
     rho = density_report(n, primes, dps).rho
     with workdps(dps):
         return +(rho * mpf(2) ** (n + 1) * mpf(height) ** (n + 1))

@@ -145,7 +145,7 @@ def is_eisenstein(f: IntPoly) -> bool:
 
 def is_eisenstein_with(f: IntPoly, p: int) -> bool:
     """Check the three Eisenstein conditions for one specific prime p."""
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):  # DomainError from is_prime for a non-int p
         raise DomainError("is_eisenstein_with needs a prime, got %r" % (p,))
     if f.degree < 1:
         return False
@@ -236,17 +236,17 @@ def _candidate_primes(
             yield small.pop(0)
         yield p
     if rest > 1:
-        fact = factorize(rest, _rho_only(budget.rho_iterations, budget.perfect_power))
+        fact = factorize(rest, _rho_only(budget.rho_iterations))
         split.append(fact)
         small = sorted(small + [p for p, _ in fact.factors])
     yield from small
 
 
 @functools.lru_cache(maxsize=64)
-def _rho_only(rho_iterations: int, perfect_power: bool) -> FactorBudget:
+def _rho_only(rho_iterations: int) -> FactorBudget:
     # Cached: building a frozen FactorBudget costs about as much as a failed
     # tiny-budget rho attempt, which escalating census decisions make often.
-    return FactorBudget(0, rho_iterations, perfect_power)
+    return FactorBudget(0, rho_iterations)
 
 
 def shifted_eisenstein(
@@ -361,11 +361,15 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
         return False
 
 
-def naive_shift_scan(f: IntPoly, scan_cap: int = 1_000_000) -> ShiftedDecision:
+# Largest scan bound `naive_shift_scan` accepts.
+_SCAN_CAP = 1_000_000
+
+
+def naive_shift_scan(f: IntPoly) -> ShiftedDecision:
     """Decide by trying every shift 0 <= s <= max_shift_bound(f) directly.
 
     Independent of the local criterion, hence useful as an oracle.
-    Refuses (BudgetError) when the scan bound exceeds scan_cap.  The first
+    Refuses (BudgetError) when the scan bound exceeds 10^6 shifts.  The first
     working shift is returned; by shift periodicity it satisfies s < p for
     its smallest witness prime, so the certificate is already canonical.
     """
@@ -373,8 +377,8 @@ def naive_shift_scan(f: IntPoly, scan_cap: int = 1_000_000) -> ShiftedDecision:
     if n < 2:
         raise DomainError("naive_shift_scan needs degree >= 2")
     bound = max_shift_bound(f)
-    if bound > scan_cap:
-        raise BudgetError("scan bound %d exceeds cap %d" % (bound, scan_cap))
+    if bound > _SCAN_CAP:
+        raise BudgetError("scan bound %d exceeds cap %d" % (bound, _SCAN_CAP))
     g = f
     for s in range(bound + 1):
         witness = _smallest_witness(g)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "BudgetError"]
+
 
 class DomainError(ValueError):
     """An argument is outside the domain of the requested operation."""

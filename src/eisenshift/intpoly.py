@@ -11,6 +11,17 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+__all__ = [
+    "IntPoly",
+    "parse_poly",
+    "format_poly",
+    "evaluate",
+    "derivative",
+    "taylor_shift",
+    "height",
+    "length",
+]
+
 
 @dataclass(frozen=True)
 class IntPoly:

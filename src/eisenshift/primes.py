@@ -17,6 +17,8 @@ from .errors import BudgetError, DomainError
 from .intpoly import IntPoly
 
 __all__ = [
+    "DEFAULT_BUDGET",
+    "DEFAULT_SEED",
     "sieve_primes",
     "first_primes",
     "is_prime",
@@ -55,6 +57,8 @@ _MR_PROBABLE_BASES = (
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending (empty for limit < 2)."""
+    if type(limit) is not int:
+        raise DomainError("sieve_primes needs an int limit, got %r" % (limit,))
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -67,8 +71,8 @@ def sieve_primes(limit: int) -> list[int]:
 
 def first_primes(count: int) -> list[int]:
     """The first `count` primes, ascending."""
-    if count < 0:
-        raise DomainError("count must be nonnegative")
+    if type(count) is not int or count < 0:
+        raise DomainError("first_primes needs an int count >= 0, got %r" % (count,))
     if count == 0:
         return []
     bound = 15
@@ -96,8 +100,10 @@ def is_prime(n: int) -> bool:
     bound is the smallest strong pseudoprime to the bases before it).  At
     and above that bound it is a strong probable-prime test to the 25 fixed
     prime bases 2..97, not a proof: composites that pass every fixed base set
-    can be constructed.
+    can be constructed.  DomainError unless n is an int (a bool is not).
     """
+    if type(n) is not int:
+        raise DomainError("is_prime needs an int, got %r" % (n,))
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -132,8 +138,8 @@ def is_prime(n: int) -> bool:
 
 def iroot(x: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of x >= 0 and whether it is exact."""
-    if x < 0 or k < 1:
-        raise DomainError("iroot needs x >= 0 and k >= 1")
+    if type(x) is not int or type(k) is not int or x < 0 or k < 1:
+        raise DomainError("iroot needs ints x >= 0 and k >= 1, got %r and %r" % (x, k))
     if k == 1 or x in (0, 1):
         return x, True
     r = 1 << ((x.bit_length() + k - 1) // k)
@@ -149,26 +155,25 @@ def iroot(x: int, k: int) -> tuple[int, bool]:
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Work bound for factorization: trial division, perfect powers, rho."""
+    """Work bound for factorization: two int bounds.
+
+    `trial_bound` is the largest trial divisor and `rho_iterations` the number
+    of Brent-Pollard rho steps shared by all splits of one factorization.
+    Both must be ints >= 0, bools rejected as for IntPoly's coefficients
+    (DomainError).  Perfect powers are always extracted, at no rho cost.
+    """
 
     trial_bound: int = 100_000
     rho_iterations: int = 1_000_000
-    perfect_power: bool = True
 
     def __post_init__(self):
-        if (
-            type(self.trial_bound) is not int
-            or type(self.rho_iterations) is not int
-            or type(self.perfect_power) is not bool
+        if not (
+            type(self.trial_bound) is type(self.rho_iterations) is int
+            and self.trial_bound >= 0
+            and self.rho_iterations >= 0
         ):
             raise DomainError(
-                "budget needs int trial_bound and rho_iterations and a bool"
-                " perfect_power, got %r" % (self,)
-            )
-        if self.trial_bound < 0 or self.rho_iterations < 0:
-            raise DomainError(
-                "budget needs trial_bound >= 0 and rho_iterations >= 0, got %r and %r"
-                % (self.trial_bound, self.rho_iterations)
+                "budget needs int trial_bound >= 0 and rho_iterations >= 0, got %r" % (self,)
             )
 
     def scaled(self, factor: int) -> "FactorBudget":
@@ -176,7 +181,6 @@ class FactorBudget:
         return FactorBudget(
             trial_bound=self.trial_bound * factor,
             rho_iterations=self.rho_iterations * factor,
-            perfect_power=self.perfect_power,
         )
 
 
@@ -284,8 +288,8 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     split end up multiplied into the cofactor and the result is marked
     uncertified.
     """
-    if n == 0:
-        raise DomainError("cannot factor 0")
+    if type(n) is not int or n == 0:
+        raise DomainError("factorize needs a nonzero int, got %r" % (n,))
     found: dict[int, int] = {}
     rest = abs(n)
     if budget.trial_bound >= 2:  # a rho-only split skips starting an empty walk
@@ -312,12 +316,11 @@ def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
         if is_prime(value):
             found[value] = found.get(value, 0) + mult
             continue
-        if budget.perfect_power:
-            power = _perfect_power(value)
-            if power is not None:
-                base, k = power
-                pending.append((base, mult * k))
-                continue
+        power = _perfect_power(value)
+        if power is not None:
+            base, k = power
+            pending.append((base, mult * k))
+            continue
         divisor = _brent_rho(value, rho_left)
         if divisor is None:
             cofactor *= value**mult
@@ -553,8 +556,8 @@ def _certified_factors(d: int, what: str) -> Factorization:
 
 def euler_phi(d: int) -> int:
     """Euler totient of d >= 1."""
-    if d < 1:
-        raise DomainError("euler_phi needs d >= 1")
+    if type(d) is not int or d < 1:
+        raise DomainError("euler_phi needs an int d >= 1, got %r" % (d,))
     out = d
     for p, _ in _certified_factors(d, "euler_phi").factors:
         out -= out // p
@@ -563,8 +566,8 @@ def euler_phi(d: int) -> int:
 
 def mobius(d: int) -> int:
     """Mobius function of d >= 1."""
-    if d < 1:
-        raise DomainError("mobius needs d >= 1")
+    if type(d) is not int or d < 1:
+        raise DomainError("mobius needs an int d >= 1, got %r" % (d,))
     fact = _certified_factors(d, "mobius")
     for _, e in fact.factors:
         if e > 1:

@@ -76,12 +76,11 @@ def trial_factorize(n, budget=DEFAULT_BUDGET):
             if is_prime(value):
                 found[value] = found.get(value, 0) + mult
                 continue
-            if budget.perfect_power:
-                power = _perfect_power(value)
-                if power is not None:
-                    base, k = power
-                    pending.append((base, mult * k))
-                    continue
+            power = _perfect_power(value)
+            if power is not None:
+                base, k = power
+                pending.append((base, mult * k))
+                continue
             divisor = _brent_rho(value, rho_left)
             if divisor is None:
                 cofactor *= value**mult

@@ -19,8 +19,6 @@ def test_negative_budget_is_rejected(trial_bound, rho_iterations):
         {"trial_bound": True},
         {"rho_iterations": 2.0},
         {"rho_iterations": None},
-        {"perfect_power": 1},
-        {"perfect_power": None},
     ],
 )
 def test_non_int_budget_is_rejected(fields):
@@ -33,7 +31,7 @@ def test_non_int_budget_is_rejected(fields):
 
 
 def test_zero_budget_is_valid():
-    budget = FactorBudget(0, 0, False)
+    budget = FactorBudget(0, 0)
     assert (budget.trial_bound, budget.rho_iterations) == (0, 0)
 
 

@@ -249,7 +249,7 @@ def test_monte_carlo_counts_are_consistent():
 
 
 def test_monte_carlo_unresolved_under_tiny_budget():
-    tiny = FactorBudget(trial_bound=2, rho_iterations=0, perfect_power=False)
+    tiny = FactorBudget(trial_bound=2, rho_iterations=0)
     r = monte_carlo(2, 10**6, 300, seed=5, budget=tiny)
     assert r.unresolved > 0  # most discriminants have odd prime factors
 

@@ -25,7 +25,7 @@ from eisenshift import (
     taylor_shift,
 )
 
-BUDGETS = (DEFAULT_BUDGET, FactorBudget(2, 0, False))
+BUDGETS = (DEFAULT_BUDGET, FactorBudget(2, 0))
 
 
 class _Counting:

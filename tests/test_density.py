@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf, primezeta, workdps
 
+import eisenshift.density as density_module
 from eisenshift import (
     DomainError,
     density_report,
@@ -114,6 +115,36 @@ def test_density_report_matches_mpmath_oracle():
     # Two terms far apart: tau_10 ~ 1e-43 against P_10^2 ~ 6e-8, so the
     # oracle loses some 35 digits to cancellation and gets 60 guard digits.
     assert _worst_relative_error(10, [2, 7919, 104729], 50, guard=60) < mpf(10) ** -50
+
+
+def test_first_precision_meets_the_proven_bounds_at_their_edge(monkeypatch):
+    # The error-bound proof uses no primality, so ascending integers stand in
+    # for primes here.  With 2^20 - 1 entries, the first two just below 2^32
+    # and the rest above 2^50 (their terms floor to 0), the pair sum misses
+    # the 2^-t bound and meets the proven 2^-(t-1) one.  The entries above
+    # 2^50 change the constants by about 2^-17 relative.
+    head = [2**32 - 17, 2**32 - 5]
+    edge = head + list(range(2**50 + 1, 2**50 + 2**21 - 5, 2))
+    assert len(edge) == 2**20 - 1
+    sums = []
+    fixed_point_sums = density_module._fixed_point_sums
+
+    def recording(*args):
+        sums.append(fixed_point_sums(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(density_module, "_fixed_point_sums", recording)
+    report = density_report(2, edge, dps=1)
+    with workdps(1):
+        target = mp.prec + 8
+    [(total, pairs, _)] = sums
+    count = len(edge)
+    assert pairs < (count - 1) * (2 * total + count) << target
+    assert 2 * pairs >= (count - 1) * (2 * total + count) << target
+    reference = _mpmath_oracle(2, head, 30)
+    with workdps(30):
+        values = (report.p_n, report.rho, report.tau, report.gamma)
+        assert max(abs(v - r) / r for v, r in zip(values, reference)) < mpf(10) ** -1
 
 
 def test_truncation_stability():

@@ -24,7 +24,7 @@ from eisenshift import (
     verify_certificate,
 )
 
-TINY = FactorBudget(trial_bound=2, rho_iterations=0, perfect_power=False)
+TINY = FactorBudget(trial_bound=2, rho_iterations=0)
 
 
 def _random_poly(rng, deg, bound):
@@ -218,7 +218,7 @@ def test_naive_scan_certificates_verify():
 def test_naive_scan_budget_error_on_huge_bound():
     f = IntPoly((10_000, 10_000, 1))
     with pytest.raises(BudgetError):
-        naive_shift_scan(f, scan_cap=1000)
+        naive_shift_scan(f)
 
 
 def test_periodicity_of_certificates():

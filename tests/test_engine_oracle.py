@@ -72,7 +72,7 @@ def test_quadratic_budget_behaviour_matches_oracle(f):
     # only through the factorization of |D|, which both engines share.
     for budget in (
         FactorBudget(trial_bound=2, rho_iterations=1),
-        FactorBudget(trial_bound=2, rho_iterations=0, perfect_power=False),
+        FactorBudget(trial_bound=2, rho_iterations=0),
     ):
         assert shifted_eisenstein(f, budget) == discriminant_engine(f, budget), f
 
@@ -98,9 +98,9 @@ def test_engine_skips_discriminant_machinery(monkeypatch):
 
 TINY_BUDGETS = (
     FactorBudget(trial_bound=2, rho_iterations=1),
-    FactorBudget(trial_bound=2, rho_iterations=0, perfect_power=False),
+    FactorBudget(trial_bound=2, rho_iterations=0),
     FactorBudget(trial_bound=150, rho_iterations=5),
-    FactorBudget(trial_bound=150, rho_iterations=0, perfect_power=False),
+    FactorBudget(trial_bound=150, rho_iterations=0),
 )
 
 

@@ -178,7 +178,7 @@ def test_factorize_random_reconstruction():
 
 def test_factorize_perfect_power_without_rho():
     p = 104729
-    budget = FactorBudget(trial_bound=100, rho_iterations=0, perfect_power=True)
+    budget = FactorBudget(trial_bound=100, rho_iterations=0)
     fact = factorize(p * p, budget)
     assert fact.certified
     assert fact.factors == ((p, 2),)
@@ -187,7 +187,7 @@ def test_factorize_perfect_power_without_rho():
 def test_factorize_budget_exhaustion_is_honest():
     p = 1_000_000_007
     q = 1_000_000_009
-    budget = FactorBudget(trial_bound=100, rho_iterations=0, perfect_power=False)
+    budget = FactorBudget(trial_bound=100, rho_iterations=0)
     fact = factorize(p * q, budget)
     assert not fact.certified
     assert fact.cofactor == p * q
@@ -209,7 +209,7 @@ def test_factorize_rho_splits_semiprime():
 ORACLE_BUDGETS = (
     FactorBudget(),
     FactorBudget(trial_bound=2, rho_iterations=1),
-    FactorBudget(trial_bound=100, rho_iterations=0, perfect_power=False),
+    FactorBudget(trial_bound=100, rho_iterations=0),
     FactorBudget(trial_bound=1000, rho_iterations=200),
     FactorBudget(trial_bound=primes_module._SIEVE_CACHE_CAP + 1000),
 )
@@ -266,7 +266,6 @@ def test_factor_budget_scaled():
     s = b.scaled(3)
     assert s.trial_bound == 30
     assert s.rho_iterations == 60
-    assert s.perfect_power == b.perfect_power
 
 
 def _brute_roots(f: IntPoly, p: int) -> list[int]:

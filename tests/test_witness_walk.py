@@ -35,7 +35,7 @@ GCDS = (
 )
 BUDGETS = (
     DEFAULT_BUDGET,
-    FactorBudget(trial_bound=2, rho_iterations=0, perfect_power=False),
+    FactorBudget(trial_bound=2, rho_iterations=0),
     FactorBudget(trial_bound=150, rho_iterations=5),
 )
 
