@@ -55,7 +55,7 @@ CSV_COLUMNS = (
 )
 
 CHUNK_SIZE = 256
-DEFAULT_ENUMERATION_CAP = 100_000_000
+_ENUMERATION_CAP = 100_000_000  # exact_census refuses larger boxes
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,11 @@ class ExperimentReport:
     """Counts from one census or Monte Carlo run.
 
     `samples` is the box size for a census and the sample count for a
-    simulation; `ratio` is shifted/eisenstein (None when eisenstein is 0);
-    the Wilson-based interval and the seed are None for exact censuses;
-    `unresolved` counts heuristic (uncertified) negatives, always 0 for a
-    census.
+    simulation; `unresolved` counts heuristic (uncertified) negatives, always
+    0 for a census, and `seed` is None for a census.  The rest follows from
+    the counts: `ratio` is shifted/eisenstein, and `ci_low`, `ci_high` the
+    conservative quotient of the two 95% Wilson intervals of a Monte Carlo
+    run.  All three are None when eisenstein is 0, and the interval for a census.
     """
 
     kind: str
@@ -76,11 +77,28 @@ class ExperimentReport:
     eisenstein: int
     shifted: int
     f_count: int
-    ratio: float | None
-    ci_low: float | None
-    ci_high: float | None
-    seed: int | None
     unresolved: int
+    seed: int | None
+
+    @property
+    def ratio(self) -> float | None:
+        return self.shifted / self.eisenstein if self.eisenstein else None
+
+    @property
+    def ci_low(self) -> float | None:
+        return self._ratio_bound(upper=False)
+
+    @property
+    def ci_high(self) -> float | None:
+        return self._ratio_bound(upper=True)
+
+    def _ratio_bound(self, upper: bool) -> float | None:
+        """A Wilson bound of the shifted proportion over the opposite one of eisenstein's."""
+        if self.seed is None or not self.eisenstein:
+            return None
+        shifted = wilson_interval(self.shifted, self.samples)[upper]
+        eisenstein = wilson_interval(self.eisenstein, self.samples)[not upper]
+        return shifted / eisenstein if eisenstein > 0 else None
 
     def as_record(self) -> dict:
         """The report keyed by CSV_COLUMNS, in that order (`height` is "H")."""
@@ -100,20 +118,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _ratio_interval(
-    shifted: int, eisenstein: int, samples: int
-) -> tuple[float | None, float | None, float | None]:
-    """Conservative interval for shifted/eisenstein from the two proportions."""
-    if eisenstein == 0:
-        return None, None, None
-    ratio = shifted / eisenstein
-    s_lo, s_hi = wilson_interval(shifted, samples)
-    e_lo, e_hi = wilson_interval(eisenstein, samples)
-    lo = s_lo / e_hi if e_hi > 0 else None
-    hi = s_hi / e_lo if e_lo > 0 else None
-    return ratio, lo, hi
 
 
 def _check_box(caller: str, n: int, height: int, **more: int) -> None:
@@ -146,43 +150,21 @@ def _count(polys, decide) -> tuple[int, int, int, int]:
     return eis, shifted, f_count, unresolved
 
 
-def exact_census(
-    n: int,
-    height: int,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ExperimentReport:
-    """Exact counts over the whole box; every decision is certified."""
+def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> ExperimentReport:
+    """Exact counts over the whole box, every decision certified; a box of
+    more than 10^8 polynomials is refused with BudgetError."""
     _check_box("exact_census", n, height)
     side = 2 * height + 1
     total = side**n * (side - 1)
-    if total > enumeration_cap:
-        raise BudgetError(
-            "box size %d exceeds enumeration cap %d" % (total, enumeration_cap)
-        )
+    if total > _ENUMERATION_CAP:
+        raise BudgetError("box size %d exceeds enumeration cap %d" % (total, _ENUMERATION_CAP))
     lows = range(-height, height + 1)
     leads = [a for a in lows if a != 0]
     box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
     # This module's binding of shifted_eisenstein, so wrappers installed on it
     # see every escalated attempt.
-    eis, shifted, f_count, unresolved = _count(
-        box, lambda f: decide_certified(f, budget, decide=shifted_eisenstein)
-    )
-    ratio = shifted / eis if eis else None
-    return ExperimentReport(
-        kind="census",
-        n=n,
-        height=height,
-        samples=total,
-        eisenstein=eis,
-        shifted=shifted,
-        f_count=f_count,
-        ratio=ratio,
-        ci_low=None,
-        ci_high=None,
-        seed=None,
-        unresolved=unresolved,
-    )
+    counts = _count(box, lambda f: decide_certified(f, budget, decide=shifted_eisenstein))
+    return ExperimentReport("census", n, height, total, *counts, None)
 
 
 def census_h_subset(n: int, d: int, height: int) -> int:
@@ -274,22 +256,8 @@ def monte_carlo(
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_mc_chunk, tasks, chunksize=8))
-    eis, shifted, f_count, unresolved = map(sum, zip(*results))
-    ratio, ci_low, ci_high = _ratio_interval(shifted, eis, samples)
-    return ExperimentReport(
-        kind="montecarlo",
-        n=n,
-        height=height,
-        samples=samples,
-        eisenstein=eis,
-        shifted=shifted,
-        f_count=f_count,
-        ratio=ratio,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        seed=seed,
-        unresolved=unresolved,
-    )
+    counts = map(sum, zip(*results))
+    return ExperimentReport("montecarlo", n, height, samples, *counts, seed)
 
 
 def reports_to_csv(reports: list[ExperimentReport]) -> str:

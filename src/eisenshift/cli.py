@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .census import DEFAULT_ENUMERATION_CAP, exact_census, monte_carlo, reports_to_csv
+from .census import exact_census, monte_carlo, reports_to_csv
 from .density import DEFAULT_DPS, density_report, sinh_bound_check
 from .eisenstein import (
     Verdict,
@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     census.add_argument("--degree", type=int, required=True, help="degree n >= 2")
     census.add_argument("--height", type=int, required=True, help="height bound H")
-    census.add_argument(
-        "--enumeration-cap",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help="refuse boxes larger than this many polynomials",
-    )
     census.add_argument("--csv", default=None, help="also append a CSV row to this file")
     _add_budget_args(census)
     _add_format_arg(census)
@@ -306,12 +300,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     if args.csv:
         _check_csv(args.csv)
-    report = exact_census(
-        args.degree,
-        args.height,
-        budget=_budget(args),
-        enumeration_cap=args.enumeration_cap,
-    )
+    report = exact_census(args.degree, args.height, budget=_budget(args))
     record = report.as_record()
     lines = [
         "census: degree %d, height %d, %d polynomials"

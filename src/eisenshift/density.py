@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from mpmath import ldexp, mp, mpf, sinh, workdps
 
 from .errors import DomainError
+from .primes import first_primes
 
 __all__ = [
     "DensityReport",
@@ -45,20 +46,21 @@ DEFAULT_DPS = 50
 
 
 def _check_args(primes: list[int], dps: int, n: int = 2) -> None:
-    """DomainError unless n >= 2 and dps >= 1 are ints and primes is a
-    nonempty ascending list of ints whose first element is at least 2."""
+    """DomainError unless n >= 2 and dps >= 1 are ints and primes is
+    first_primes(k) for some k >= 1."""
     if type(n) is not int or n < 2:
         raise DomainError("density constants need an int degree n >= 2, got %r" % (n,))
     if type(dps) is not int or dps < 1:
         raise DomainError("need an int dps >= 1 significant digits, got %r" % (dps,))
-    # sum() and sorted() run at C speed; a float, Fraction or Decimal makes
-    # the sum one, and a bool cannot pass the first-element and order tests.
+    # sum() runs at C speed; a float, Fraction or Decimal makes the sum one,
+    # and a bool never equals a prime.
     try:
-        valid = type(sum(primes)) is int and primes[0] >= 2 and list(primes) == sorted(primes)
-    except (TypeError, LookupError):
+        count = len(primes)
+        valid = type(sum(primes)) is int and count > 0 and list(primes) == first_primes(count)
+    except TypeError:
         valid = False
     if not valid:
-        raise DomainError("need a nonempty ascending list of int primes starting at >= 2")
+        raise DomainError("need the first k >= 1 primes, as first_primes(k) gives them")
 
 
 def _fixed_point_sums(n: int, primes: list[int], frac_bits: int):
@@ -121,6 +123,10 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
     allowance 10^-dps * p_n.  The tail dominates sum_{m > B} m^(-n), every
     dropped term being below p^(-n); summing over all integers rather than
     primes leaves it far above the true tail, which absorbs its own rounding.
+    The tail covers only primes above B, so every entry point here takes
+    just an initial segment first_primes(k) of the primes (DomainError
+    otherwise): a gap, a duplicate or a composite would leave p_n off by
+    more than p_n_tail.
     """
     _check_args(primes, dps, n)
     count = len(primes)

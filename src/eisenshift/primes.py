@@ -70,20 +70,15 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def first_primes(count: int) -> list[int]:
-    """The first `count` primes, ascending."""
+    """The first `count` primes, ascending, as a fresh list.  They stay cached
+    in the sieve trial division reads, grown past _SIEVE_CACHE_CAP if need be."""
     if type(count) is not int or count < 0:
         raise DomainError("first_primes needs an int count >= 0, got %r" % (count,))
-    if count == 0:
-        return []
-    bound = 15
+    bound = 15  # p_5 = 11
     if count >= 6:
-        x = float(count)
-        bound = int(x * (math.log(x) + math.log(math.log(x)))) + 10
-    primes = sieve_primes(bound)
-    while len(primes) < count:
-        bound *= 2
-        primes = sieve_primes(bound)
-    return primes[:count]
+        # p_k < k (ln k + ln ln k) for k >= 6 (Rosser and Schoenfeld 1962, Theorem 3)
+        bound = int(count * (math.log(count) + math.log(math.log(count)))) + 10
+    return _primes_up_to(bound)[:count]
 
 
 _SMALL_PRIMES = sieve_primes(1000)
@@ -344,6 +339,16 @@ _sieve_cover = 1000
 _sieve_products = _block_products(_SMALL_PRIMES)
 
 
+def _primes_up_to(bound: int) -> list[int]:
+    """The cached primes, first grown to cover every prime up to `bound`."""
+    global _sieve_cache, _sieve_cover, _sieve_products
+    if _sieve_cover < bound:
+        _sieve_cache = sieve_primes(bound)
+        _sieve_cover = bound
+        _sieve_products = _block_products(_sieve_cache)
+    return _sieve_cache
+
+
 def _trial_division(m: int, bound: int):
     """Trial-divide m >= 1 by the primes up to `bound`, smallest first.
 
@@ -353,16 +358,13 @@ def _trial_division(m: int, bound: int):
     prime factors all exceed `bound`.  A caller that stops early never pays
     for the larger primes.
 
-    The primes come from a sieve cached across calls, grown up to 8*10^6;
-    beyond that every odd number is tried.  Past the first block of 64
+    The primes come from the sieve cached across calls, which trial division
+    grows up to 8*10^6; past what it covers every odd number is tried.  Past the first block of 64
     cached primes, a block whose cached product is coprime to the rest is
     skipped with one gcd.
     """
-    global _sieve_cache, _sieve_cover, _sieve_products
-    if _sieve_cover < bound <= _SIEVE_CACHE_CAP:
-        _sieve_cache = sieve_primes(bound)
-        _sieve_cover = bound
-        _sieve_products = _block_products(_sieve_cache)
+    if bound <= _SIEVE_CACHE_CAP:
+        _primes_up_to(bound)
     primes = _sieve_cache
     products = _sieve_products
     stop = len(primes) if bound >= _sieve_cover else bisect_right(primes, bound)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -23,7 +24,7 @@ from eisenshift import (
     taylor_shift,
     wilson_interval,
 )
-from eisenshift.census import CSV_COLUMNS
+from eisenshift.census import CSV_COLUMNS, ExperimentReport
 
 
 def test_wilson_interval_known_values():
@@ -167,8 +168,8 @@ def test_exact_census_rejects_bad_arguments():
         exact_census(1, 3)
     with pytest.raises(DomainError):
         exact_census(2, 0)
-    with pytest.raises(BudgetError):
-        exact_census(2, 100, enumeration_cap=1000)
+    with pytest.raises(BudgetError, match="exceeds enumeration cap"):
+        exact_census(2, 300)  # 601^2 * 600 = 216 721 200 polynomials
 
 
 def _brute_h_subset(n, d, height):
@@ -305,3 +306,46 @@ def test_csv_round_trip():
     assert census_row[0] == "census"
     assert census_row[7] == ""  # no ratio when eisenstein count is 0
     assert census_row[10] == ""  # censuses have no seed
+
+# JSON records and CSV rows recorded when the ratio and its interval were
+# stored fields; deriving them from the counts must not change a byte.
+PINNED_RECORDS = (
+    '{"H": 1000000, "ci_high": 7.2844964676341935, "ci_low": 2.1444605350762345, '
+    '"eisenstein": 21, "f_count": 0, "kind": "montecarlo", "n": 3, "ratio": 3.9523809523809526, '
+    '"samples": 513, "seed": 7, "shifted": 83, "unresolved": 0}',
+    '{"H": 1000000, "ci_high": 2.37073584435623, "ci_low": 1.0097010304884115, '
+    '"eisenstein": 53, "f_count": 7, "kind": "montecarlo", "n": 2, "ratio": 1.5471698113207548, '
+    '"samples": 300, "seed": 5, "shifted": 82, "unresolved": 218}',
+    '{"H": 2, "ci_high": null, "ci_low": null, "eisenstein": 12, "f_count": 2, '
+    '"kind": "census", "n": 2, "ratio": 4.5, "samples": 100, "seed": null, "shifted": 54, '
+    '"unresolved": 0}',
+)
+PINNED_CSV = (
+    "kind,n,H,samples,eisenstein,shifted,f_count,ratio,ci_low,ci_high,seed,unresolved\n"
+    "montecarlo,3,1000000,513,21,83,0,3.9523809523809526,2.1444605350762345,7.2844964676341935,7,0\n"
+    "montecarlo,2,1000000,300,53,82,7,1.5471698113207548,1.0097010304884115,2.37073584435623,5,218\n"
+    "census,2,2,100,12,54,2,4.5,,,,0\n"
+)
+
+
+def test_report_records_and_csv_are_pinned():
+    reports = [
+        monte_carlo(3, 10**6, 513, seed=7),
+        monte_carlo(2, 10**6, 300, seed=5, budget=FactorBudget(2, 0)),
+        exact_census(2, 2),
+    ]
+    for report, pinned in zip(reports, PINNED_RECORDS):
+        assert json.dumps(report.as_record(), sort_keys=True) == pinned
+    assert reports_to_csv(reports) == PINNED_CSV
+
+
+def test_report_stores_counts_and_derives_the_ratio():
+    assert [f.name for f in fields(ExperimentReport)] == [
+        "kind", "n", "height", "samples", "eisenstein", "shifted", "f_count", "unresolved", "seed",
+    ]
+    census = ExperimentReport("census", 2, 2, 100, 12, 54, 2, 0, None)
+    assert (census.ratio, census.ci_low, census.ci_high) == (4.5, None, None)
+    empty = ExperimentReport("montecarlo", 2, 9, 10, 0, 3, 0, 0, 1)
+    assert (empty.ratio, empty.ci_low, empty.ci_high) == (None, None, None)
+    with pytest.raises(AttributeError):
+        census.ratio = 1.0

@@ -180,9 +180,15 @@ def test_module_runs_as_a_script():
 
 
 def test_census_cap_error(capsys):
-    args = ["census", "--degree", "3", "--height", "50", "--enumeration-cap", "100"]
+    # 101^3 * 100 = 103 030 100 polynomials, above the fixed cap of 10^8.
+    args = ["census", "--degree", "3", "--height", "50"]
     assert main(args) == 2
-    assert "error" in capsys.readouterr().err
+    assert "exceeds enumeration cap" in capsys.readouterr().err
+
+
+def test_census_has_no_enumeration_cap_option(capsys):
+    assert main(["census", "--degree", "2", "--height", "2", "--enumeration-cap", "5"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_montecarlo_deterministic(capsys):

@@ -52,6 +52,49 @@ def test_first_primes():
         first_primes(-1)
 
 
+def _fresh_sieve_cache(monkeypatch):
+    """Start the shared prime cache over at the primes below 1000."""
+    monkeypatch.setattr(primes_module, "_sieve_cache", primes_module._SMALL_PRIMES)
+    monkeypatch.setattr(primes_module, "_sieve_cover", 1000)
+    small_products = primes_module._block_products(primes_module._SMALL_PRIMES)
+    monkeypatch.setattr(primes_module, "_sieve_products", small_products)
+
+
+def test_first_primes_returns_a_fresh_list(monkeypatch):
+    # first_primes reads the sieve that trial division keeps; changing its
+    # result must reach neither the next call nor a factorization.
+    _fresh_sieve_cache(monkeypatch)
+    for count in (5, 200, 10_000):
+        primes = first_primes(count)
+        primes[0] = 9
+        primes.append(4)
+        assert first_primes(count) == sieve_primes(104729)[:count]
+    assert factorize(2 * 3 * 104723) == trial_factorize(2 * 3 * 104723, FactorBudget())
+
+
+def test_factorize_is_unchanged_when_first_primes_grows_the_cache(monkeypatch):
+    # The default trial bound of 10^5 sieves to 10^5; first_primes(10^4)
+    # then grows the cache to cover p_10000 = 104729, so trial division
+    # stops inside the cache.  Without rho iterations, primes just above
+    # 10^5 must stay in the cofactor.
+    _fresh_sieve_cache(monkeypatch)
+    rng = random.Random(72)
+    candidates = sieve_primes(110_000)[-1500:]  # 98 000 < p < 110 000
+    numbers = [
+        math.prod(rng.choice(candidates) ** rng.randrange(1, 3) for _ in range(rng.randrange(1, 4)))
+        * rng.randrange(1, 10**6)
+        for _ in range(300)
+    ]
+    budgets = (FactorBudget(), FactorBudget(trial_bound=100_000, rho_iterations=0))
+    before = [factorize(n, budget) for n in numbers for budget in budgets]
+    assert primes_module._sieve_cover == 100_000
+    first_primes(10**4)
+    assert primes_module._sieve_cover > 104729
+    after = [factorize(n, budget) for n in numbers for budget in budgets]
+    assert after == before
+    assert before == [trial_factorize(n, budget) for n in numbers for budget in budgets]
+
+
 def test_is_prime_against_sieve():
     table = set(sieve_primes(20000))
     for n in range(20000):
@@ -239,26 +282,22 @@ def test_factorize_matches_trial_division_oracle(n):
         assert factorize(n, budget) == trial_factorize(n, budget), (n, budget)
 
 
-def test_factorize_past_a_small_cache_cap_matches_oracle():
+def test_factorize_past_a_small_cache_cap_matches_oracle(monkeypatch):
     # With the cache cap lowered to 3000, a bound of 20000 walks the cached
     # primes and then every odd number up to the bound; bounds of 2000 and
     # 2999 grow the cache and its block products first.
     candidates = sieve_primes(30_000)
     rng = random.Random(71)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primes_module, "_SIEVE_CACHE_CAP", 3000)
-        mp.setattr(primes_module, "_sieve_cache", primes_module._SMALL_PRIMES)
-        mp.setattr(primes_module, "_sieve_cover", 1000)
-        small_products = primes_module._block_products(primes_module._SMALL_PRIMES)
-        mp.setattr(primes_module, "_sieve_products", small_products)
-        for bound in (2000, 20_000, 2999, 20_000):
-            budget = FactorBudget(trial_bound=bound, rho_iterations=50)
-            for _ in range(200):
-                n = 1
-                for _ in range(rng.randrange(1, 5)):
-                    n *= rng.choice(candidates) ** rng.randrange(1, 3)
-                assert factorize(n, budget) == trial_factorize(n, budget), (n, bound)
-        assert primes_module._sieve_cover == 2999
+    monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 3000)
+    _fresh_sieve_cache(monkeypatch)
+    for bound in (2000, 20_000, 2999, 20_000):
+        budget = FactorBudget(trial_bound=bound, rho_iterations=50)
+        for _ in range(200):
+            n = 1
+            for _ in range(rng.randrange(1, 5)):
+                n *= rng.choice(candidates) ** rng.randrange(1, 3)
+            assert factorize(n, budget) == trial_factorize(n, budget), (n, bound)
+    assert primes_module._sieve_cover == 2999
 
 
 def test_factor_budget_scaled():
