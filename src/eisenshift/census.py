@@ -4,9 +4,14 @@ The sample space for degree n and height H is the box of integer coefficient
 vectors (a_0, ..., a_n) with |a_i| <= H and a_n != 0.  Reports count three
 nested classes: Eisenstein polynomials, shifted-Eisenstein polynomials, and
 Eisenstein polynomials that stay Eisenstein after the shift x -> x+1.  Each
-polynomial gets one shifted decision: its plain-witness step runs first and
-under a fixed budget, so a YES with shift 0 means exactly that f is
-Eisenstein, whatever budget the run uses.
+polynomial gets one shifted decision, whose plain-witness step runs first and
+under a fixed budget, so the Eisenstein column does not depend on the budget
+the run uses.  A census decides with `decide_certified`, which escalates the
+budget until the decision is certified.  Monte Carlo counts verdicts only:
+it decides a quadratic from the exponents of the primes of its discriminant
+where that needs little trial division (README, "Counting verdicts"), and
+every other polynomial by the certificate search of `shifted_eisenstein`,
+under the run's budget.
 
 Monte Carlo runs are deterministic for a given seed and independent of the
 worker count: samples are generated in chunks of CHUNK_SIZE, each chunk from
@@ -23,7 +28,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .eisenstein import Verdict, decide_certified, is_eisenstein, shifted_eisenstein
+from .eisenstein import (
+    Verdict,
+    _shifted_verdict,
+    decide_certified,
+    is_eisenstein,
+    shifted_eisenstein,
+)
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, taylor_shift
 from .primes import DEFAULT_BUDGET, DEFAULT_SEED, FactorBudget, euler_phi, mobius
@@ -134,18 +145,19 @@ def _check_box(caller: str, n: int, height: int, **more: int) -> None:
 def _count(polys, decide) -> tuple[int, int, int, int]:
     """Counts (eisenstein, shifted, f, unresolved) from one decision per polynomial.
 
-    A YES counts as shifted; a shift-0 YES also counts as Eisenstein, and
-    only then is f(x+1) tested for the f column.
+    `decide(f)` gives the verdict and whether f is Eisenstein.  A YES counts
+    as shifted, and also as Eisenstein when f is; only then is f(x+1) tested
+    for the f column.
     """
     eis = shifted = f_count = unresolved = 0
     for f in polys:
-        decision = decide(f)
-        if decision.verdict is Verdict.YES:
+        verdict, plain = decide(f)
+        if verdict is Verdict.YES:
             shifted += 1
-            if decision.certificate.shift == 0:
+            if plain:
                 eis += 1
                 f_count += is_eisenstein(taylor_shift(f, 1))
-        elif decision.verdict is Verdict.NO_HEURISTIC:
+        elif verdict is Verdict.NO_HEURISTIC:
             unresolved += 1
     return eis, shifted, f_count, unresolved
 
@@ -161,9 +173,15 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
     lows = range(-height, height + 1)
     leads = [a for a in lows if a != 0]
     box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
-    # This module's binding of shifted_eisenstein, so wrappers installed on it
-    # see every escalated attempt.
-    counts = _count(box, lambda f: decide_certified(f, budget, decide=shifted_eisenstein))
+
+    def decide(f):
+        # This module's binding of shifted_eisenstein, so wrappers installed
+        # on it see every escalated attempt.
+        decision = decide_certified(f, budget, decide=shifted_eisenstein)
+        certificate = decision.certificate
+        return decision.verdict, certificate is not None and certificate.shift == 0
+
+    counts = _count(box, decide)
     return ExperimentReport("census", n, height, total, *counts, None)
 
 
@@ -225,7 +243,7 @@ def _mc_chunk(args) -> tuple[int, int, int, int]:
     n, height, seed, chunk_index, count, budget = args
     rng = random.Random(_mix64(seed, chunk_index))
     polys = _samples(n, height, rng, count)
-    return _count(polys, lambda f: shifted_eisenstein(f, budget))
+    return _count(polys, lambda f: _shifted_verdict(f, budget))
 
 
 def monte_carlo(

@@ -29,6 +29,7 @@ significant digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from mpmath import ldexp, mp, mpf, sinh, workdps
 
@@ -56,7 +57,15 @@ def _check_args(primes: list[int], dps: int, n: int = 2) -> None:
     # and a bool never equals a prime.
     try:
         count = len(primes)
-        valid = type(sum(primes)) is int and count > 0 and list(primes) == first_primes(count)
+        head = min(count, 8)
+        valid = (
+            type(sum(primes)) is int
+            and count > 0
+            # The head refuses most wrong lists before first_primes sieves,
+            # and caches, the primes up to the count-th one.
+            and list(islice(primes, head)) == first_primes(head)
+            and list(primes) == first_primes(count)
+        )
     except TypeError:
         valid = False
     if not valid:

@@ -30,6 +30,7 @@ from .primes import (
     Factorization,
     _trial_division,
     factorize,
+    iroot,
     is_prime,
 )
 
@@ -286,6 +287,11 @@ def shifted_eisenstein(
     witness = _smallest_witness(f)
     if witness is not None:
         return ShiftedDecision(Verdict.YES, ShiftCertificate(0, witness))
+    return _certificate_search(f, n, budget)
+
+
+def _certificate_search(f: IntPoly, n: int, budget: FactorBudget) -> ShiftedDecision:
+    """`shifted_eisenstein` for f of degree n after its plain-witness step found no witness."""
     an = f.leading
     if n == 2:
         # Every prime that can work divides D, 2 included.
@@ -313,6 +319,57 @@ def shifted_eisenstein(
         # A repeated root makes f reducible, so no shift can work.
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
     return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
+
+
+def _shifted_verdict(f: IntPoly, budget: FactorBudget) -> tuple[Verdict, bool]:
+    """The verdict of `shifted_eisenstein(f, budget)` and whether f is Eisenstein.
+
+    For degree n >= 2.  The plain-witness walk runs once.  A quadratic is then
+    decided by `_quadratic_verdict` where its trial bound fits the budget;
+    every other polynomial goes through the certificate search.
+    """
+    if _smallest_witness(f) is not None:
+        return Verdict.YES, True
+    n = f.degree
+    verdict = _quadratic_verdict(f, budget) if n == 2 else None
+    if verdict is None:
+        verdict = _certificate_search(f, n, budget).verdict
+    return verdict, False
+
+
+def _quadratic_verdict(f: IntPoly, budget: FactorBudget) -> Verdict | None:
+    """Certified verdict for a quadratic without a plain witness, or None.
+
+    With D = a_1^2 - 4*a_0*a_2, h_0 = -a_2*D in `_local_gcd`'s terms, so an
+    odd prime p not dividing a_2 qualifies exactly when p divides D exactly
+    once.  After the scan of p = 2, f is a NO exactly when the part r of |D|
+    coprime to 2*a_2 is powerful (no prime divides it exactly once).  Trial
+    division to T = floor(r^(1/5)) leaves a rest w whose primes all exceed T,
+    and w <= r < (T+1)^5, so w has at most four prime factors counted with
+    multiplicity: w is powerful exactly when it is a perfect square or cube
+    (1, p^2, p^3, p^4 or p^2*q^2).  None when T exceeds the budget's trial
+    bound.
+    """
+    a0, a1, a2 = f.coeffs
+    d = abs(a1 * a1 - 4 * a0 * a2)
+    if d == 0:
+        return Verdict.NO_CERTIFIED
+    for s in _candidate_shifts(f, 2):
+        if is_eisenstein_with(taylor_shift(f, s), 2):
+            return Verdict.YES
+    rest = _strip_primes_of(d, 2 * a2)
+    bound = iroot(rest, 5)[0]
+    if bound > budget.trial_bound:
+        return None
+    # A prime rest yielded once p^2 exceeds what is left divides r exactly
+    # once too, although it exceeds the bound.
+    for p, e in _trial_division(rest, bound):
+        if e == 1:
+            return Verdict.YES
+        rest //= p**e
+    if iroot(rest, 2)[1] or iroot(rest, 3)[1]:
+        return Verdict.NO_CERTIFIED
+    return Verdict.YES
 
 
 def decide_certified(

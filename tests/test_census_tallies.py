@@ -41,7 +41,8 @@ class _Counting:
 
 
 def _run_recorded(monkeypatch, experiment):
-    """Run `experiment()`, returning its report, the polynomials it built and its call counts."""
+    """Run `experiment()`, returning its report, the polynomials it built and
+    its call counts of the Monte Carlo verdict decision and of `shifted_eisenstein`."""
     built = []
 
     def record(coeffs):
@@ -51,14 +52,16 @@ def _run_recorded(monkeypatch, experiment):
     monkeypatch.setattr(census_module, "IntPoly", record)
     witness = _Counting(eisenstein_module._smallest_witness)
     monkeypatch.setattr(eisenstein_module, "_smallest_witness", witness)
+    verdicts = _Counting(census_module._shifted_verdict)
+    monkeypatch.setattr(census_module, "_shifted_verdict", verdicts)
     decisions = _Counting(shifted_eisenstein)
     monkeypatch.setattr(census_module, "shifted_eisenstein", decisions)
     report = experiment()
     monkeypatch.undo()
     # One plain-witness test per decision (escalations included) and one per
     # f(x+1) check, which only Eisenstein polynomials get.
-    assert witness.calls == decisions.calls + report.eisenstein
-    return report, built, decisions.calls
+    assert witness.calls == verdicts.calls + decisions.calls + report.eisenstein
+    return report, built, (verdicts.calls, decisions.calls)
 
 
 def _tally(polys, decide):
@@ -80,7 +83,8 @@ def test_monte_carlo_matches_per_polynomial_tally(monkeypatch, budget, n, height
     report, built, decisions = _run_recorded(
         monkeypatch, lambda: monte_carlo(n, height, 300, seed=seed, budget=budget)
     )
-    assert len(built) == decisions == 300
+    # Monte Carlo makes one verdict decision per polynomial and no other.
+    assert len(built) == 300 and decisions == (300, 0)
     expected = _tally(built, lambda f: shifted_eisenstein(f, budget))
     assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
 
@@ -124,8 +128,11 @@ def test_monte_carlo_draws_the_documented_sample_stream(monkeypatch, n, samples,
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_exact_census_matches_per_polynomial_tally(monkeypatch, budget):
-    report, built, _ = _run_recorded(monkeypatch, lambda: exact_census(2, 3, budget))
-    assert len(built) == report.samples
+    report, built, (verdicts, decisions) = _run_recorded(
+        monkeypatch, lambda: exact_census(2, 3, budget)
+    )
+    # The census keeps certified, escalated decisions.
+    assert len(built) == report.samples <= decisions and verdicts == 0
     expected = _tally(built, lambda f: decide_certified(f, budget))
     assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
 
