@@ -228,13 +228,22 @@ def _mix64(seed: int, chunk_index: int) -> int:
 
 
 def _samples(n: int, height: int, rng: random.Random, count: int):
-    """`count` polynomials from the box, coefficients drawn low to high."""
+    """`count` polynomials from the box, coefficients drawn low to high.
+
+    Each coefficient is `rng.randint(-height, height)`, the leading one
+    redrawn while 0, drawn the way `random.Random` does it: getrandbits(k)
+    with k = span.bit_length(), redrawn while it is >= span = 2*height + 1.
+    """
+    span = 2 * height + 1
+    k = span.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(count):
-        coeffs = [rng.randint(-height, height) for _ in range(n)]
-        lead = rng.randint(-height, height)
-        while lead == 0:
-            lead = rng.randint(-height, height)
-        coeffs.append(lead)
+        coeffs = []
+        for i in range(n + 1):
+            r = getrandbits(k)
+            while r >= span or (i == n and r == height):
+                r = getrandbits(k)
+            coeffs.append(r - height)
         yield IntPoly(tuple(coeffs))
 
 

@@ -170,30 +170,60 @@ def _strip_primes_of(g: int, u: int) -> int:
     return g
 
 
-def _local_gcd(f: IntPoly) -> int:
-    """G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
+def _local_gcd(f: IntPoly) -> tuple[int, int | None]:
+    """(G, h_0): G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
 
-    h(y) = u^n * f((y - a_(n-1))/u) has integer coefficients, leading
-    coefficient a_n and no y^(n-1) term: coefficient k of f is scaled by
-    u^(n-k), then the result is shifted by -a_(n-1).  For a prime p not
-    dividing u, f = a_n*(x-s)^n (mod p) holds for some s exactly when
-    p | gcd(h_0, ..., h_(n-2)).  That gcd is 0 exactly when
-    f = a_n*(x-r)^n over Q; then 0 is returned.
+    For f of degree n >= 3.  h(y) = u^n * f((y - a_(n-1))/u) has integer
+    coefficients, leading coefficient a_n and no y^(n-1) term; with
+    t = -a_(n-1) they are
+
+        h_j = sum over k >= j of C(k, j) * a_k * u^(n-k) * t^(k-j).
+
+    For a prime p not dividing u, f = a_n*(x-s)^n (mod p) holds for some s
+    exactly when p | gcd(h_0, ..., h_(n-2)).  G is 0 exactly when
+    f = a_n*(x-r)^n over Q; then h_0 is 0 too.
+
+    The top one, h_(n-2), is u^2*a_(n-2) - (n-1)*u*a_(n-1)^2 + C(n, 2)*a_n*a_(n-1)^2
+    = (u/2) * c with c = 2*n*a_n*a_(n-2) - (n-1)*a_(n-1)^2.  When u is odd,
+    n is odd and c is even, so h_(n-2) = u * (c/2).  So c, halved when u is
+    odd, has the valuation of h_(n-2) at every prime not dividing u, and it
+    stands in for h_(n-2) in the gcd.  The others follow top-down, each by
+    Horner's rule in t; the walk returns (1, None) as soon as the gcd
+    reaches 1, and otherwise ends with h_0 = h(0).
+
+    The shift test: for p not dividing u with p | G, the shift s has
+    y = u*s + a_(n-1) = 0 (mod p), and h(y) = u^n * f(s).  As p divides h_1,
+    h(y) = h_0 + h_1*y = h_0 (mod p^2).  So p^2 does not divide f(s), which
+    means f(x+s) is Eisenstein at p, exactly when p^2 does not divide h_0.
     """
-    n = f.degree
-    u = n * f.leading
+    coeffs = f.coeffs
+    n = len(coeffs) - 1
+    u = n * coeffs[-1]
+    t = -coeffs[-2]
+    g = 2 * u * coeffs[-3] - (n - 1) * t * t
+    if u & 1:
+        g //= 2
+    scaled = []  # scaled[i] = a_(n-i) * u^i
     power = 1
-    scaled = []
-    for c in reversed(f.coeffs):
+    for c in reversed(coeffs):
         scaled.append(c * power)
         power *= u
-    h = taylor_shift(IntPoly(tuple(reversed(scaled))), -f.coeffs[-2]).coeffs
-    g = 0
-    for c in h[: n - 1]:
-        g = math.gcd(g, c)
+    for row in _binomial_rows(n):
+        h = 0
+        for b, c in zip(scaled, row):
+            h = h * t + c * b
+        g = math.gcd(g, h)
         if g == 1:
-            return 1
-    return _strip_primes_of(g, u) if g else 0
+            return 1, None
+    return (_strip_primes_of(g, u) if g else 0), h
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """(C(n, j), C(n-1, j), ..., C(j, j)) for j = n-3, ..., 0: the weights of h_j in `_local_gcd`."""
+    return tuple(
+        tuple(math.comb(k, j) for k in range(n, j - 1, -1)) for j in range(n - 3, -1, -1)
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -260,8 +290,9 @@ def shifted_eisenstein(
     witness (shift 0) is looked for first.  Otherwise, for n >= 3, the
     candidate primes not dividing u = n*a_n are the prime factors of
     G = gcd(h_0, ..., h_(n-2)) (see `_local_gcd`), each with the single shift
-    s = -a_(n-1)/u (mod p); the primes dividing n but not a_n (each at most n)
-    are candidates too, with every shift s < p.  G = 0 means f = a_n*(x-r)^n,
+    s = -a_(n-1)/u (mod p), which works exactly when p^2 does not divide h_0;
+    the primes dividing n but not a_n (each at most n) are candidates too,
+    with every shift s < p.  G = 0 means f = a_n*(x-r)^n,
     a certified NO.  For n = 2, G is a_2*|D| with D = a_1^2 - 4*a_0*a_2, and
     |D| itself is factored.
 
@@ -297,9 +328,10 @@ def _certificate_search(f: IntPoly, n: int, budget: FactorBudget) -> ShiftedDeci
         # Every prime that can work divides D, 2 included.
         a0, a1, _ = f.coeffs
         target = abs(a1 * a1 - 4 * a0 * an)
+        h0 = None
         small = []
     else:
-        target = _local_gcd(f)
+        target, h0 = _local_gcd(f)
         small = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
@@ -310,6 +342,11 @@ def _certificate_search(f: IntPoly, n: int, budget: FactorBudget) -> ShiftedDeci
         candidates = _candidate_primes(target, small, budget, split)
     for p in candidates:
         reason = "no-root-shift-works"
+        # A prime of G (n >= 3, p not dividing n*a_n) qualifies exactly when
+        # p^2 does not divide h_0 (see `_local_gcd`); only the certificate
+        # returned is checked in full.
+        if h0 is not None and n % p and h0 % (p * p) == 0:
+            continue
         for s in _candidate_shifts(f, p):
             if is_eisenstein_with(taylor_shift(f, s), p):
                 return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))

@@ -7,7 +7,7 @@ Coefficients are stored in ascending order: ``(a0, a1, ..., an)`` stands for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -28,6 +28,9 @@ class IntPoly:
     """Immutable dense polynomial over the integers."""
 
     coeffs: tuple[int, ...]
+    # Index of the last nonzero coefficient; -1 for the zero polynomial.
+    # Derived from coeffs, so equality, hashing and repr ignore it.
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = tuple(self.coeffs)
@@ -39,14 +42,9 @@ class IntPoly:
         end = len(raw)
         while end > 1 and raw[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", raw[:end])
-
-    @property
-    def degree(self) -> int:
-        """Index of the last nonzero coefficient; -1 for the zero polynomial."""
-        if self.is_zero:
-            return -1
-        return len(self.coeffs) - 1
+        coeffs = raw[:end]
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "degree", -1 if coeffs == (0,) else end - 1)
 
     @property
     def is_zero(self) -> bool:

@@ -7,9 +7,12 @@ its whole target that way and only then tested the sorted candidate primes.
 `trial_factorize` and `factor_first_engine` are those two procedures, and
 `factor_first_witnesses` is the plain-witness step done the same way: factor
 the coefficient gcd completely, then test its primes in ascending order.
-They share the prime sieve, `is_prime`, the rho helpers and the engine's
-local criterion with the package, so they check the blocked walk, the cached
-block products, the early exits and the order in which candidates are tried.
+`taylor_local_gcd` computes the engine's local gcd by building h with a
+Taylor shift, and `factor_first_engine` tests every candidate with the full
+Eisenstein criterion.  They share the prime sieve, `is_prime`, the rho
+helpers and the candidate shifts with the package, so they check the blocked
+walk, the cached block products, the early exits, the closed-form local gcd,
+the h_0 shift test and the order in which candidates are tried.
 """
 
 import math
@@ -19,6 +22,7 @@ from eisenshift import (
     BudgetError,
     DomainError,
     Factorization,
+    IntPoly,
     ShiftCertificate,
     ShiftedDecision,
     Verdict,
@@ -30,8 +34,8 @@ from eisenshift import (
 )
 from eisenshift.eisenstein import (
     _candidate_shifts,
-    _local_gcd,
     _prime_divisors,
+    _strip_primes_of,
 )
 from eisenshift.primes import _brent_rho, _perfect_power
 
@@ -100,6 +104,25 @@ def factor_first_witnesses(f, budget=DEFAULT_BUDGET):
     return [p for p, _ in fact.factors if is_eisenstein_with(f, p)]
 
 
+def taylor_local_gcd(f):
+    """(G, h_0) of `_local_gcd`, from h(y) = u^n * f((y - a_(n-1))/u) built in full.
+
+    Coefficient k of f is scaled by u^(n-k), with u = n*a_n, then the result
+    is shifted by -a_(n-1).  G = gcd(h_0, ..., h_(n-2)) with the primes of u
+    removed; h_0 is returned whatever G is.
+    """
+    n = f.degree
+    u = n * f.leading
+    power = 1
+    scaled = []
+    for c in reversed(f.coeffs):
+        scaled.append(c * power)
+        power *= u
+    h = taylor_shift(IntPoly(tuple(reversed(scaled))), -f.coeffs[-2]).coeffs
+    g = math.gcd(*h[: n - 1])
+    return (_strip_primes_of(g, u) if g else 0), h[0]
+
+
 def factor_first_engine(f, budget=DEFAULT_BUDGET):
     """Shifted-Eisenstein decision that factors its target before testing any prime."""
     n = f.degree
@@ -113,7 +136,7 @@ def factor_first_engine(f, budget=DEFAULT_BUDGET):
         target = abs(a1 * a1 - 4 * a0 * an)
         primes = []
     else:
-        target = _local_gcd(f)
+        target, _ = taylor_local_gcd(f)
         primes = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")

@@ -118,8 +118,10 @@ def _documented_samples(n, height, samples, seed):
 @pytest.mark.parametrize("samples", [300, 513])
 @pytest.mark.parametrize("n", [2, 4])
 def test_monte_carlo_draws_the_documented_sample_stream(monkeypatch, n, samples, seed):
-    # 300 and 513 end in a partial chunk; H = 2 makes zero leads common.
-    for height in (2, 10**6):
+    # 300 and 513 end in a partial chunk.  H = 1 and H = 2 make zero leads
+    # common (one draw in three, one in five); the span 2^21 + 1 of H = 2^20
+    # makes randint reject almost half of its 22-bit draws.
+    for height in (1, 2, 10**6, 2**20):
         _, built, _ = _run_recorded(
             monkeypatch, lambda: monte_carlo(n, height, samples, seed=seed)
         )

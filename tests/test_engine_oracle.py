@@ -1,5 +1,6 @@
 """The local-criterion engine against the former discriminant engine and
-against the factor-first decision it replaced."""
+against the factor-first decision it replaced, and its closed-form local gcd
+against the Taylor-shift definition."""
 
 import random
 
@@ -21,7 +22,7 @@ from eisenshift import (
 )
 
 from discriminant_engine import discriminant_engine
-from factor_first import factor_first_engine
+from factor_first import factor_first_engine, taylor_local_gcd
 
 DEGREES = (2, 3, 4, 5, 6, 8)
 HEIGHTS = (10, 10**6)
@@ -139,3 +140,63 @@ def test_rest_primes_are_tried_before_larger_primes_of_n(g, tiny_certificate):
     tiny = FactorBudget(trial_bound=2, rho_iterations=1)
     assert shifted_eisenstein(f, tiny) == ShiftedDecision(Verdict.YES, tiny_certificate)
     assert factor_first_engine(f, tiny) == shifted_eisenstein(f, tiny)
+
+
+LOCAL_DEGREES = (3, 4, 5, 6, 8)
+
+
+@st.composite
+def local_polynomials(draw):
+    """Degree n >= 3 polynomials, two thirds of them planted at a prime q.
+
+    A planted f is F(x-s) with F = a*x^n + q*x*g(x) + q^e*c, e in {1, 2} and
+    deg g <= n - 2.  So q divides G whenever it does not divide n*a, and
+    f(x+s) = F is Eisenstein at q exactly when e = 1 and q does not divide
+    c: every plant with e = 2 fails the h_0 test at q.
+    """
+    n = draw(st.sampled_from(LOCAL_DEGREES))
+    height = draw(st.sampled_from((1, 3, 30, 10**6)))
+    coeff = st.integers(-height, height)
+    e = draw(st.integers(0, 2))
+    if e == 0:
+        body = tuple(draw(coeff) for _ in range(n))
+        return IntPoly(body + (draw(coeff.filter(bool)),))
+    q = draw(st.sampled_from(PLANT_PRIMES))
+    middle = tuple(q * draw(coeff) for _ in range(n - 1))
+    big = (q**e * draw(coeff),) + middle + (draw(coeff.filter(bool)),)
+    return taylor_shift(IntPoly(big), -draw(coeff))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(local_polynomials())
+def test_closed_form_local_gcd_matches_taylor_shift_oracle(f):
+    g, h0 = eisenstein_module._local_gcd(f)
+    oracle_g, oracle_h0 = taylor_local_gcd(f)
+    assert g == oracle_g, f
+    # h_0 is only needed, and may be left out, when G = 1.
+    assert h0 == oracle_h0 or (g == 1 and h0 is None), f
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(local_polynomials())
+def test_local_decisions_match_factor_first_oracle(f):
+    # The oracle tests every candidate shift in full; the engine tests a
+    # prime of G by h_0 and checks only the certificate it returns.
+    for budget in (DEFAULT_BUDGET, FactorBudget(2, 0)):
+        assert shifted_eisenstein(f, budget) == factor_first_engine(f, budget), (f, budget)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(local_polynomials())
+def test_every_yes_is_checked_in_full(f):
+    # With an h_0 that lets every prime of G through, the full check on the
+    # certificate alone must keep the decisions unchanged.
+    local_gcd = eisenstein_module._local_gcd
+
+    def permissive(f):
+        g, h0 = local_gcd(f)
+        return g, (h0 if g == 1 else 1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eisenstein_module, "_local_gcd", permissive)
+        assert shifted_eisenstein(f) == factor_first_engine(f), f

@@ -1,6 +1,8 @@
 """Integer polynomial container and exact coefficient operations."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -41,6 +43,21 @@ def test_degree_and_leading():
     assert f.degree == 2
     assert f.leading == 1
     assert not f.is_zero
+
+
+def test_stored_degree_leaves_equality_hash_repr_and_pickling_alone():
+    for coeffs, degree in (((0, 0, 0), -1), ((0,), -1), ((7,), 0), ((1, 2, 0, 0), 1)):
+        assert IntPoly(coeffs).degree == degree
+    f = IntPoly((1, 2, 0))
+    assert repr(f) == "IntPoly(coeffs=(1, 2))"
+    assert f == IntPoly((1, 2)) and hash(f) == hash((f.coeffs,))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        g = pickle.loads(pickle.dumps(f, protocol))
+        assert g == f and g.degree == 1 and hash(g) == hash(f)
+    with pytest.raises(TypeError):
+        IntPoly((1, 2), degree=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.degree = 2
 
 
 def test_rejects_bad_coefficients():

@@ -1,5 +1,8 @@
-"""Monte Carlo's verdict decision against the certificate search, and the
-paper's families of irreducible polynomials that are not shifted Eisenstein."""
+"""Monte Carlo's verdict decision against the certificate search, the
+paper's families of irreducible polynomials that are not shifted Eisenstein,
+and the bound on the shift a YES needs."""
+
+from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +13,11 @@ from eisenshift import (
     IntPoly,
     Verdict,
     decide_certified,
+    discriminant,
     evaluate,
+    iroot,
     is_eisenstein,
+    max_shift_bound,
     sieve_primes,
     shifted_eisenstein,
 )
@@ -84,3 +90,27 @@ def test_the_paper_families_are_never_shifted_eisenstein():
             assert all(evaluate(f, x) for x in (1, -1, p, -p)), f
             assert _shifted_verdict(f, DEFAULT_BUDGET) == (Verdict.NO_CERTIFIED, False), f
             assert decide_certified(f).verdict is Verdict.NO_CERTIFIED, f
+
+
+def test_every_certificate_shift_is_within_the_discriminant_bound():
+    # f(x+s) Eisenstein at p makes p^(n-1) divide D, so p <= |D|^(1/(n-1)),
+    # and the residue of s nearest 0, s or s - p, has |s| <= p/2.
+    attained = set()
+    for n, height in ((2, 8), (3, 3), (4, 2), (5, 1)):
+        lows = range(-height, height + 1)
+        for body in product(lows, repeat=n):
+            for lead in lows:
+                if not lead:
+                    continue
+                f = IntPoly(body + (lead,))
+                decision = shifted_eisenstein(f)
+                if decision.verdict is not Verdict.YES:
+                    continue
+                s, p = decision.certificate.shift, decision.certificate.prime
+                bound = iroot(abs(discriminant(f)), n - 1)[0] // 2
+                assert min(s, p - s) <= bound <= max_shift_bound(f), (f, decision)
+                if min(s, p - s) == bound:
+                    attained.add(n)
+    # The bound is attained: -x^2 - x - 8 has D = -31 and the certificate
+    # (15, 31); x^3 + 2x^2 - x - 1 has D = 7^2 and (4, 7), so s - p = -3.
+    assert attained == {2, 3}
