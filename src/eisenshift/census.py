@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -267,7 +268,8 @@ def monte_carlo(
 
     Coefficients are drawn uniformly from [-H, H] low to high, the leading
     one redrawn until nonzero.  The report is identical for any `workers`
-    value because chunk results only depend on (seed, chunk index).
+    value because chunk results only depend on (seed, chunk index).  The
+    pool has at most one process per chunk and per CPU.
     """
     _check_box("monte_carlo", n, height, samples=samples, seed=seed, workers=workers)
     if samples < 1:
@@ -281,7 +283,9 @@ def monte_carlo(
     if workers == 1:
         results = [_mc_chunk(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        # A fork-started pool starts all its processes at once.
+        size = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_mc_chunk, tasks, chunksize=8))
     counts = map(sum, zip(*results))
     return ExperimentReport("montecarlo", n, height, samples, *counts, seed)

@@ -144,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="RNG seed (default: EISENSHIFT_SEED env var, else a fixed seed)",
     )
     mc.add_argument(
-        "--workers", type=int, default=1, help="parallel worker processes"
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel worker processes (at most one per CPU and per 256-sample chunk)",
     )
     mc.add_argument("--csv", default=None, help="also append a CSV row to this file")
     _add_budget_args(mc)

@@ -7,11 +7,11 @@ f(x+s) is Eisenstein for some integer s; either way f is irreducible over Q.
 
 The decision rests on the local criterion: f(x+s) is Eisenstein with respect
 to p exactly when f = a_n*(x-s)^n (mod p), p does not divide a_n, and p^2
-does not divide f(s).  For p not dividing n*a_n the x^(n-1) coefficient fixes
-s modulo p, and the primes for which the congruence holds are the prime
-factors of one integer computed from f; the primes dividing n are tried with
-every residue.  Such an f has f'(s) = 0 (mod p), so f(s + k*p) = f(s)
-(mod p^2): shifts repeat with period p, and only 0 <= s < p needs checking.
+does not divide f(s).  Each candidate prime has one candidate shift: the
+congruence fixes s modulo p (see `_shift_at`).  The candidate primes are the
+primes dividing n and the prime factors of one integer computed from f.  Such
+an f has f'(s) = 0 (mod p), so f(s + k*p) = f(s) (mod p^2): shifts repeat
+with period p, and only 0 <= s < p needs checking.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .algebra import discriminant, max_shift_bound
+from .algebra import discriminant
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, evaluate, taylor_shift
 from .primes import (
@@ -51,7 +51,6 @@ __all__ = [
     "CERTIFY_RETRIES",
     "decide_certified",
     "verify_certificate",
-    "naive_shift_scan",
 ]
 
 # Budget escalations that `decide_certified` makes before giving up.
@@ -170,8 +169,8 @@ def _strip_primes_of(g: int, u: int) -> int:
     return g
 
 
-def _local_gcd(f: IntPoly) -> tuple[int, int | None]:
-    """(G, h_0): G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
+def _local_gcd(f: IntPoly) -> int:
+    """G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
 
     For f of degree n >= 3.  h(y) = u^n * f((y - a_(n-1))/u) has integer
     coefficients, leading coefficient a_n and no y^(n-1) term; with
@@ -181,20 +180,14 @@ def _local_gcd(f: IntPoly) -> tuple[int, int | None]:
 
     For a prime p not dividing u, f = a_n*(x-s)^n (mod p) holds for some s
     exactly when p | gcd(h_0, ..., h_(n-2)).  G is 0 exactly when
-    f = a_n*(x-r)^n over Q; then h_0 is 0 too.
+    f = a_n*(x-r)^n over Q.
 
     The top one, h_(n-2), is u^2*a_(n-2) - (n-1)*u*a_(n-1)^2 + C(n, 2)*a_n*a_(n-1)^2
     = (u/2) * c with c = 2*n*a_n*a_(n-2) - (n-1)*a_(n-1)^2.  When u is odd,
     n is odd and c is even, so h_(n-2) = u * (c/2).  So c, halved when u is
     odd, has the valuation of h_(n-2) at every prime not dividing u, and it
     stands in for h_(n-2) in the gcd.  The others follow top-down, each by
-    Horner's rule in t; the walk returns (1, None) as soon as the gcd
-    reaches 1, and otherwise ends with h_0 = h(0).
-
-    The shift test: for p not dividing u with p | G, the shift s has
-    y = u*s + a_(n-1) = 0 (mod p), and h(y) = u^n * f(s).  As p divides h_1,
-    h(y) = h_0 + h_1*y = h_0 (mod p^2).  So p^2 does not divide f(s), which
-    means f(x+s) is Eisenstein at p, exactly when p^2 does not divide h_0.
+    Horner's rule in t; the walk returns 1 as soon as the gcd reaches 1.
     """
     coeffs = f.coeffs
     n = len(coeffs) - 1
@@ -214,8 +207,8 @@ def _local_gcd(f: IntPoly) -> tuple[int, int | None]:
             h = h * t + c * b
         g = math.gcd(g, h)
         if g == 1:
-            return 1, None
-    return (_strip_primes_of(g, u) if g else 0), h
+            return 1
+    return _strip_primes_of(g, u) if g else 0
 
 
 @functools.lru_cache(maxsize=64)
@@ -232,22 +225,30 @@ def _prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(p for p, _ in _trial_division(m, m))
 
 
-def _candidate_shifts(f: IntPoly, p: int):
-    """Residues s in [0, p) for which f(x+s) can be Eisenstein with respect to p."""
+def _shift_at(f: IntPoly, p: int) -> int | None:
+    """The shift 0 <= s < p with f(x+s) Eisenstein at the prime p, or None.
+
+    At most one residue can work.  Let q = p^v with p^v exactly dividing n,
+    and m = n/q.  As s^q = s (mod p), (x-s)^n = (x^q - s)^m (mod p), whose
+    x^(n-q) coefficient is -m*s with p not dividing m.  So
+    f = a_n*(x-s)^n (mod p) forces s = -a_(n-q) / (m*a_n) (mod p); for p not
+    dividing n that is s = -a_(n-1) / (n*a_n).  That s is returned when p
+    divides f(s) exactly once, which alone decides for a prime of
+    `_local_gcd`'s G as the congruence holds there, and f(x+s) passes the
+    full Eisenstein check.
+    """
     n = f.degree
     an = f.leading
     if an % p == 0:
-        return ()  # the leading coefficient is shift-invariant
-    if n % p:
-        # f = a_n*(x-s)^n (mod p) fixes s through the x^(n-1) coefficient.
-        return ((-f.coeffs[-2] * pow(n * an, -1, p)) % p,)
-    # The constant term of f(x+s) is f(s), which p must divide exactly once.
-    shifts = []
-    for s in range(p):
-        r = evaluate(f, s) % (p * p)
-        if r and r % p == 0:
-            shifts.append(s)
-    return shifts
+        return None  # the leading coefficient is shift-invariant
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    s = (-f.coeffs[n - q] * pow(n // q * an, -1, p)) % p
+    r = evaluate(f, s) % (p * p)
+    if r and r % p == 0 and is_eisenstein_with(taylor_shift(f, s), p):
+        return s
+    return None
 
 
 def _candidate_primes(
@@ -288,13 +289,11 @@ def shifted_eisenstein(
     f(x+s) is Eisenstein with respect to p exactly when f = a_n*(x-s)^n
     (mod p), p does not divide a_n, and p^2 does not divide f(s).  A plain
     witness (shift 0) is looked for first.  Otherwise, for n >= 3, the
-    candidate primes not dividing u = n*a_n are the prime factors of
-    G = gcd(h_0, ..., h_(n-2)) (see `_local_gcd`), each with the single shift
-    s = -a_(n-1)/u (mod p), which works exactly when p^2 does not divide h_0;
-    the primes dividing n but not a_n (each at most n) are candidates too,
-    with every shift s < p.  G = 0 means f = a_n*(x-r)^n,
-    a certified NO.  For n = 2, G is a_2*|D| with D = a_1^2 - 4*a_0*a_2, and
-    |D| itself is factored.
+    candidate primes are the prime factors of G = gcd(h_0, ..., h_(n-2)) (see
+    `_local_gcd`) and the primes dividing n but not a_n (each at most n).
+    G = 0 means f = a_n*(x-r)^n, a certified NO.  For n = 2 the candidate
+    primes are those of |D| with D = a_1^2 - 4*a_0*a_2.  Each candidate prime
+    has one candidate shift, tested by `_shift_at`.
 
     Candidates are tried in ascending order as they are found: trial
     division hands out the prime factors smallest first, the primes of n are
@@ -303,11 +302,12 @@ def shifted_eisenstein(
     rest go through perfect powers and rho.
 
     YES answers always carry a verified certificate with 0 <= shift < prime,
-    in canonical order: a shift-0 witness first, then smallest prime, then
-    smallest shift (f(x+1) may be Eisenstein at a prime below f's own
-    witness); shifts repeat with period p, as f'(s) = 0 (mod p).  The
-    shift-0 step walks the coefficient gcd under DEFAULT_BUDGET whatever
-    `budget` is, so a YES with shift 0 means exactly that f is Eisenstein.
+    in canonical order: a shift-0 witness first, then the smallest prime,
+    whose shift is its one candidate (f(x+1) may be Eisenstein at a prime
+    below f's own witness); shifts repeat with period p, as f'(s) = 0
+    (mod p).  The shift-0 step walks the coefficient gcd under DEFAULT_BUDGET
+    whatever `budget` is, so a YES with shift 0 means exactly that f is
+    Eisenstein.
     A NO is certified when the factorization is complete, or, for n >= 3,
     when the discriminant of f is 0; otherwise the verdict is heuristic and
     carries the unsplit cofactor.
@@ -328,10 +328,9 @@ def _certificate_search(f: IntPoly, n: int, budget: FactorBudget) -> ShiftedDeci
         # Every prime that can work divides D, 2 included.
         a0, a1, _ = f.coeffs
         target = abs(a1 * a1 - 4 * a0 * an)
-        h0 = None
         small = []
     else:
-        target, h0 = _local_gcd(f)
+        target = _local_gcd(f)
         small = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
@@ -342,14 +341,9 @@ def _certificate_search(f: IntPoly, n: int, budget: FactorBudget) -> ShiftedDeci
         candidates = _candidate_primes(target, small, budget, split)
     for p in candidates:
         reason = "no-root-shift-works"
-        # A prime of G (n >= 3, p not dividing n*a_n) qualifies exactly when
-        # p^2 does not divide h_0 (see `_local_gcd`); only the certificate
-        # returned is checked in full.
-        if h0 is not None and n % p and h0 % (p * p) == 0:
-            continue
-        for s in _candidate_shifts(f, p):
-            if is_eisenstein_with(taylor_shift(f, s), p):
-                return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
+        s = _shift_at(f, p)
+        if s is not None:
+            return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
     if not split or split[0].certified:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
     if n > 2 and discriminant(f) == 0:
@@ -377,10 +371,11 @@ def _shifted_verdict(f: IntPoly, budget: FactorBudget) -> tuple[Verdict, bool]:
 def _quadratic_verdict(f: IntPoly, budget: FactorBudget) -> Verdict | None:
     """Certified verdict for a quadratic without a plain witness, or None.
 
-    With D = a_1^2 - 4*a_0*a_2, h_0 = -a_2*D in `_local_gcd`'s terms, so an
-    odd prime p not dividing a_2 qualifies exactly when p divides D exactly
-    once.  After the scan of p = 2, f is a NO exactly when the part r of |D|
-    coprime to 2*a_2 is powerful (no prime divides it exactly once).  Trial
+    With D = a_1^2 - 4*a_0*a_2, an odd prime p not dividing a_2 qualifies
+    exactly when p divides D exactly once: its one candidate shift s has
+    2*a_2*s + a_1 = 0 (mod p), and 4*a_2*f(s) = (2*a_2*s + a_1)^2 - D, whose
+    first term p^2 divides.  After p = 2, f is a NO exactly when the part r
+    of |D| coprime to 2*a_2 is powerful (no prime divides it exactly once).  Trial
     division to T = floor(r^(1/5)) leaves a rest w whose primes all exceed T,
     and w <= r < (T+1)^5, so w has at most four prime factors counted with
     multiplicity: w is powerful exactly when it is a perfect square or cube
@@ -391,9 +386,8 @@ def _quadratic_verdict(f: IntPoly, budget: FactorBudget) -> Verdict | None:
     d = abs(a1 * a1 - 4 * a0 * a2)
     if d == 0:
         return Verdict.NO_CERTIFIED
-    for s in _candidate_shifts(f, 2):
-        if is_eisenstein_with(taylor_shift(f, s), 2):
-            return Verdict.YES
+    if _shift_at(f, 2) is not None:
+        return Verdict.YES
     rest = _strip_primes_of(d, 2 * a2)
     bound = iroot(rest, 5)[0]
     if bound > budget.trial_bound:
@@ -453,30 +447,3 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
         return is_eisenstein_with(taylor_shift(f, s), p)
     except AttributeError:
         return False
-
-
-# Largest scan bound `naive_shift_scan` accepts.
-_SCAN_CAP = 1_000_000
-
-
-def naive_shift_scan(f: IntPoly) -> ShiftedDecision:
-    """Decide by trying every shift 0 <= s <= max_shift_bound(f) directly.
-
-    Independent of the local criterion, hence useful as an oracle.
-    Refuses (BudgetError) when the scan bound exceeds 10^6 shifts.  The first
-    working shift is returned; by shift periodicity it satisfies s < p for
-    its smallest witness prime, so the certificate is already canonical.
-    """
-    n = f.degree
-    if n < 2:
-        raise DomainError("naive_shift_scan needs degree >= 2")
-    bound = max_shift_bound(f)
-    if bound > _SCAN_CAP:
-        raise BudgetError("scan bound %d exceeds cap %d" % (bound, _SCAN_CAP))
-    g = f
-    for s in range(bound + 1):
-        witness = _smallest_witness(g)
-        if witness is not None:
-            return ShiftedDecision(Verdict.YES, ShiftCertificate(s % witness, witness))
-        g = taylor_shift(g, 1)
-    return ShiftedDecision(Verdict.NO_CERTIFIED, reason="no-root-shift-works")

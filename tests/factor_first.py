@@ -8,11 +8,13 @@ its whole target that way and only then tested the sorted candidate primes.
 `factor_first_witnesses` is the plain-witness step done the same way: factor
 the coefficient gcd completely, then test its primes in ascending order.
 `taylor_local_gcd` computes the engine's local gcd by building h with a
-Taylor shift, and `factor_first_engine` tests every candidate with the full
-Eisenstein criterion.  They share the prime sieve, `is_prime`, the rho
-helpers and the candidate shifts with the package, so they check the blocked
+Taylor shift, and `factor_first_engine` tests every shift of `candidate_shifts`
+with the full Eisenstein criterion.  `candidate_shifts` is the engine's former
+rule: one residue for a prime p not dividing n, and every s < p with p
+exactly dividing f(s) for a prime p dividing n.  They share the prime sieve,
+`is_prime` and the rho helpers with the package, so they check the blocked
 walk, the cached block products, the early exits, the closed-form local gcd,
-the h_0 shift test and the order in which candidates are tried.
+the engine's one shift per prime and the order in which candidates are tried.
 """
 
 import math
@@ -27,16 +29,13 @@ from eisenshift import (
     ShiftedDecision,
     Verdict,
     discriminant,
+    evaluate,
     is_eisenstein_with,
     is_prime,
     sieve_primes,
     taylor_shift,
 )
-from eisenshift.eisenstein import (
-    _candidate_shifts,
-    _prime_divisors,
-    _strip_primes_of,
-)
+from eisenshift.eisenstein import _prime_divisors, _strip_primes_of
 from eisenshift.primes import _brent_rho, _perfect_power
 
 _SIEVED_TO = 2_000_000
@@ -105,11 +104,11 @@ def factor_first_witnesses(f, budget=DEFAULT_BUDGET):
 
 
 def taylor_local_gcd(f):
-    """(G, h_0) of `_local_gcd`, from h(y) = u^n * f((y - a_(n-1))/u) built in full.
+    """G of `_local_gcd`, from h(y) = u^n * f((y - a_(n-1))/u) built in full.
 
     Coefficient k of f is scaled by u^(n-k), with u = n*a_n, then the result
     is shifted by -a_(n-1).  G = gcd(h_0, ..., h_(n-2)) with the primes of u
-    removed; h_0 is returned whatever G is.
+    removed.
     """
     n = f.degree
     u = n * f.leading
@@ -120,7 +119,25 @@ def taylor_local_gcd(f):
         power *= u
     h = taylor_shift(IntPoly(tuple(reversed(scaled))), -f.coeffs[-2]).coeffs
     g = math.gcd(*h[: n - 1])
-    return (_strip_primes_of(g, u) if g else 0), h[0]
+    return _strip_primes_of(g, u) if g else 0
+
+
+def candidate_shifts(f, p):
+    """Residues s in [0, p) for which f(x+s) can be Eisenstein with respect to p."""
+    n = f.degree
+    an = f.leading
+    if an % p == 0:
+        return ()  # the leading coefficient is shift-invariant
+    if n % p:
+        # f = a_n*(x-s)^n (mod p) fixes s through the x^(n-1) coefficient.
+        return ((-f.coeffs[-2] * pow(n * an, -1, p)) % p,)
+    # The constant term of f(x+s) is f(s), which p must divide exactly once.
+    shifts = []
+    for s in range(p):
+        r = evaluate(f, s) % (p * p)
+        if r and r % p == 0:
+            shifts.append(s)
+    return shifts
 
 
 def factor_first_engine(f, budget=DEFAULT_BUDGET):
@@ -136,7 +153,7 @@ def factor_first_engine(f, budget=DEFAULT_BUDGET):
         target = abs(a1 * a1 - 4 * a0 * an)
         primes = []
     else:
-        target, _ = taylor_local_gcd(f)
+        target = taylor_local_gcd(f)
         primes = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
         return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
@@ -148,7 +165,7 @@ def factor_first_engine(f, budget=DEFAULT_BUDGET):
         cofactor = fact.cofactor
         primes = sorted(primes + [p for p, _ in fact.factors])
     for p in primes:
-        for s in _candidate_shifts(f, p):
+        for s in candidate_shifts(f, p):
             if is_eisenstein_with(taylor_shift(f, s), p):
                 return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
     reason = "no-root-shift-works" if primes else "no-qualifying-prime"

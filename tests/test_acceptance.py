@@ -28,13 +28,14 @@ from eisenshift import (
     is_eisenstein_with,
     mahler_bound,
     monte_carlo,
-    naive_shift_scan,
     reports_to_csv,
     shifted_eisenstein,
     sinh_bound_check,
     taylor_shift,
     verify_certificate,
 )
+
+from shift_scan import naive_shift_scan
 
 import random
 

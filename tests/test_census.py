@@ -19,12 +19,14 @@ from eisenshift import (
     h_subset_main_term,
     is_eisenstein,
     monte_carlo,
-    naive_shift_scan,
     reports_to_csv,
     taylor_shift,
     wilson_interval,
 )
+import eisenshift.census as census_module
 from eisenshift.census import CSV_COLUMNS, ExperimentReport
+
+from shift_scan import naive_shift_scan
 
 
 def test_wilson_interval_known_values():
@@ -238,6 +240,43 @@ def test_monte_carlo_worker_counts_agree():
     assert json.dumps(base.as_record(), sort_keys=True) == json.dumps(
         two.as_record(), sort_keys=True
     )
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, size",
+    [
+        (2, 10**5, 2),  # 16 chunks, capped by the CPU count
+        (64, 10**5, 16),  # capped by the chunk count
+        (8, 3, 3),
+        (None, 10**5, 1),  # an unknown CPU count counts as one
+    ],
+)
+def test_monte_carlo_pool_is_bounded(monkeypatch, cpus, workers, size):
+    # No process is started: the pool is a fake and the CPU count is pinned.
+    monkeypatch.setattr(census_module, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(census_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    report = monte_carlo(2, 10, 4096, seed=4, workers=workers)
+    assert _InProcessPool.sizes == [size]
+    assert report == monte_carlo(2, 10, 4096, seed=4)
 
 
 def test_monte_carlo_counts_are_consistent():

@@ -80,7 +80,7 @@ def test_shift_heuristic_no_and_certified_escalation(capsys):
 
 
 def test_shift_has_no_oracle_switch(capsys):
-    # The brute-force scan is the library's naive_shift_scan, not a CLI mode.
+    # The brute-force scan is the tests' naive_shift_scan, not a CLI mode.
     assert main(["shift", "2,1,1", "--oracle"]) == 2
     assert main(["shift", "2,1,1", "--scan-cap", "100"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -17,12 +17,13 @@ from eisenshift import (
     evaluate,
     is_eisenstein,
     is_eisenstein_with,
-    naive_shift_scan,
     parse_poly,
     shifted_eisenstein,
     taylor_shift,
     verify_certificate,
 )
+
+from shift_scan import naive_shift_scan
 
 TINY = FactorBudget(trial_bound=2, rho_iterations=0)
 

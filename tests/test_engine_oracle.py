@@ -152,7 +152,7 @@ def local_polynomials(draw):
     A planted f is F(x-s) with F = a*x^n + q*x*g(x) + q^e*c, e in {1, 2} and
     deg g <= n - 2.  So q divides G whenever it does not divide n*a, and
     f(x+s) = F is Eisenstein at q exactly when e = 1 and q does not divide
-    c: every plant with e = 2 fails the h_0 test at q.
+    c: every plant with e = 2 has q^2 dividing f(s), so q fails there.
     """
     n = draw(st.sampled_from(LOCAL_DEGREES))
     height = draw(st.sampled_from((1, 3, 30, 10**6)))
@@ -170,18 +170,14 @@ def local_polynomials(draw):
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(local_polynomials())
 def test_closed_form_local_gcd_matches_taylor_shift_oracle(f):
-    g, h0 = eisenstein_module._local_gcd(f)
-    oracle_g, oracle_h0 = taylor_local_gcd(f)
-    assert g == oracle_g, f
-    # h_0 is only needed, and may be left out, when G = 1.
-    assert h0 == oracle_h0 or (g == 1 and h0 is None), f
+    assert eisenstein_module._local_gcd(f) == taylor_local_gcd(f), f
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(local_polynomials())
 def test_local_decisions_match_factor_first_oracle(f):
-    # The oracle tests every candidate shift in full; the engine tests a
-    # prime of G by h_0 and checks only the certificate it returns.
+    # The oracle tests every shift of its own candidate rule in full; the
+    # engine tests one shift per prime.
     for budget in (DEFAULT_BUDGET, FactorBudget(2, 0)):
         assert shifted_eisenstein(f, budget) == factor_first_engine(f, budget), (f, budget)
 
@@ -189,14 +185,15 @@ def test_local_decisions_match_factor_first_oracle(f):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(local_polynomials())
 def test_every_yes_is_checked_in_full(f):
-    # With an h_0 that lets every prime of G through, the full check on the
-    # certificate alone must keep the decisions unchanged.
+    # With a G that carries five primes which need not qualify, the full
+    # check in `_shift_at` alone must keep verdict and certificate unchanged.
     local_gcd = eisenstein_module._local_gcd
 
-    def permissive(f):
-        g, h0 = local_gcd(f)
-        return g, (h0 if g == 1 else 1)
+    def padded(f):
+        return local_gcd(f) * (3 * 5 * 7 * 11 * 13)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eisenstein_module, "_local_gcd", permissive)
-        assert shifted_eisenstein(f) == factor_first_engine(f), f
+        patch.setattr(eisenstein_module, "_local_gcd", padded)
+        engine = shifted_eisenstein(f)
+    oracle = factor_first_engine(f)
+    assert (engine.verdict, engine.certificate) == (oracle.verdict, oracle.certificate), f

@@ -1,4 +1,5 @@
-"""README's console examples are what the CLI prints, byte for byte."""
+"""README's console examples are what the CLI prints, byte for byte, and its
+Library usage block runs."""
 
 import re
 import shlex
@@ -33,3 +34,8 @@ def test_readme_has_the_console_examples():
 def test_readme_console_example(command, expected, capsys):
     main(shlex.split(command)[1:])
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_usage_runs():
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,6 +1,6 @@
-"""Monte Carlo's verdict decision against the certificate search, the
-paper's families of irreducible polynomials that are not shifted Eisenstein,
-and the bound on the shift a YES needs."""
+"""Monte Carlo's verdict decision against the certificate search, the one
+shift each prime allows, the paper's families of irreducible polynomials that
+are not shifted Eisenstein, and the bound on the shift a YES needs."""
 
 from itertools import product
 
@@ -17,11 +17,13 @@ from eisenshift import (
     evaluate,
     iroot,
     is_eisenstein,
+    is_eisenstein_with,
     max_shift_bound,
     sieve_primes,
     shifted_eisenstein,
+    taylor_shift,
 )
-from eisenshift.eisenstein import _shifted_verdict
+from eisenshift.eisenstein import _shift_at, _shifted_verdict
 
 HEIGHTS = (3, 30, 10**6)
 BUDGETS = (DEFAULT_BUDGET, FactorBudget(2, 0))
@@ -74,6 +76,39 @@ def test_quadratic_verdict_matches_the_certificate_search(f):
             assert verdict is decision.verdict, (f, budget, decision)
 
 
+@st.composite
+def planted_at_prime(draw):
+    """(f, p) with f = a_n*(x-s)^n + p*g + p^2*k for n = 2..12 and p <= 13.
+
+    g and k have degree below n and p does not divide a_n, so f(x+s) is
+    Eisenstein at p exactly when p does not divide g(s).
+    """
+    n = draw(st.integers(2, 12))
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    height = draw(st.sampled_from((1, 30, 10**6)))
+    coeff = st.integers(-height, height)
+    lead = draw(coeff.filter(lambda c: c % p))
+    power = taylor_shift(IntPoly((0,) * n + (lead,)), -draw(coeff))
+    low = tuple(c + p * draw(coeff) + p * p * draw(coeff) for c in power.coeffs[:-1])
+    return IntPoly(low + (lead,)), p
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(planted_at_prime())
+# p^2 divides n: f(x+s) is x^4 + 2, 3x^8 + 6, x^9 + 3 and x^12 + 4x + 2.
+@example((taylor_shift(IntPoly((2, 0, 0, 0, 1)), -1), 2))
+@example((taylor_shift(IntPoly((6,) + (0,) * 7 + (3,)), -5), 2))
+@example((taylor_shift(IntPoly((3,) + (0,) * 8 + (1,)), 2), 3))
+@example((taylor_shift(IntPoly((2, 4) + (0,) * 10 + (1,)), -3), 2))
+# f(x+1) = x^4 + 4: 2^2 divides f(1), so no residue works.
+@example((taylor_shift(IntPoly((4, 0, 0, 0, 1)), -1), 2))
+def test_each_prime_has_at_most_one_working_residue(case):
+    f, p = case
+    working = [s for s in range(p) if is_eisenstein_with(taylor_shift(f, s), p)]
+    shift = _shift_at(f, p)
+    assert working == ([] if shift is None else [shift]), (f, p)
+
+
 def test_the_paper_families_are_never_shifted_eisenstein():
     # n = 2: x^2 + x + (3^(2j+1) + 1)/4 has D = -3^(2j+1) < 0, so it has no
     # real root, and D is powerful.
@@ -95,22 +130,29 @@ def test_the_paper_families_are_never_shifted_eisenstein():
 def test_every_certificate_shift_is_within_the_discriminant_bound():
     # f(x+s) Eisenstein at p makes p^(n-1) divide D, so p <= |D|^(1/(n-1)),
     # and the residue of s nearest 0, s or s - p, has |s| <= p/2.
+    polys = [
+        IntPoly(body + (lead,))
+        for n, height in ((2, 8), (3, 3), (4, 2), (5, 1))
+        for body in product(range(-height, height + 1), repeat=n)
+        for lead in range(-height, height + 1)
+        if lead
+    ]
+    # 12x^2 - 11x - 10 has the prime D = 601 and needs |s| = 275 <= 300.
+    polys.append(IntPoly((-10, -11, 12)))
     attained = set()
-    for n, height in ((2, 8), (3, 3), (4, 2), (5, 1)):
-        lows = range(-height, height + 1)
-        for body in product(lows, repeat=n):
-            for lead in lows:
-                if not lead:
-                    continue
-                f = IntPoly(body + (lead,))
-                decision = shifted_eisenstein(f)
-                if decision.verdict is not Verdict.YES:
-                    continue
-                s, p = decision.certificate.shift, decision.certificate.prime
-                bound = iroot(abs(discriminant(f)), n - 1)[0] // 2
-                assert min(s, p - s) <= bound <= max_shift_bound(f), (f, decision)
-                if min(s, p - s) == bound:
-                    attained.add(n)
+    needed = {}
+    for f in polys:
+        decision = shifted_eisenstein(f)
+        if decision.verdict is not Verdict.YES:
+            continue
+        n = f.degree
+        s, p = decision.certificate.shift, decision.certificate.prime
+        bound = iroot(abs(discriminant(f)), n - 1)[0] // 2
+        needed[f] = min(s, p - s)
+        assert needed[f] <= bound <= max_shift_bound(f), (f, decision)
+        if needed[f] == bound:
+            attained.add(n)
     # The bound is attained: -x^2 - x - 8 has D = -31 and the certificate
     # (15, 31); x^3 + 2x^2 - x - 1 has D = 7^2 and (4, 7), so s - p = -3.
     assert attained == {2, 3}
+    assert needed[IntPoly((-10, -11, 12))] == 275
