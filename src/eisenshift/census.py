@@ -25,7 +25,6 @@ import io
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -38,9 +37,10 @@ from .eisenstein import (
 )
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, taylor_shift
-from .primes import DEFAULT_BUDGET, DEFAULT_SEED, FactorBudget, euler_phi, mobius
+from .primes import DEFAULT_BUDGET, FactorBudget, euler_phi, mobius
 
 __all__ = [
+    "DEFAULT_SEED",
     "ExperimentReport",
     "CSV_COLUMNS",
     "wilson_interval",
@@ -66,6 +66,7 @@ CSV_COLUMNS = (
     "unresolved",
 )
 
+DEFAULT_SEED = 0x5EED
 CHUNK_SIZE = 256
 _ENUMERATION_CAP = 100_000_000  # exact_census refuses larger boxes
 
@@ -283,6 +284,8 @@ def monte_carlo(
     if workers == 1:
         results = [_mc_chunk(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
         # A fork-started pool starts all its processes at once.
         size = min(workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:

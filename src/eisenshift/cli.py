@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .census import exact_census, monte_carlo, reports_to_csv
+from .census import DEFAULT_SEED, exact_census, monte_carlo, reports_to_csv
 from .density import DEFAULT_DPS, density_report, sinh_bound_check
 from .eisenstein import (
     Verdict,
@@ -34,21 +34,11 @@ from .eisenstein import (
 )
 from .errors import BudgetError, DomainError
 from .intpoly import parse_poly
-from .primes import DEFAULT_BUDGET, DEFAULT_SEED, FactorBudget, first_primes
+from .primes import DEFAULT_BUDGET, FactorBudget, first_primes
 
 from . import __version__
 
 __all__ = ["build_parser", "main", "entry"]
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("EISENSHIFT_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError("EISENSHIFT_SEED must be an integer, got %r" % raw) from None
 
 
 def _add_budget_args(sub: argparse.ArgumentParser) -> None:
@@ -140,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument(
         "--seed",
         type=int,
-        default=None,
-        help="RNG seed (default: EISENSHIFT_SEED env var, else a fixed seed)",
+        default=DEFAULT_SEED,
+        help="RNG seed (default %(default)s)",
     )
     mc.add_argument(
         "--workers",
@@ -321,21 +311,20 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.csv:
         _check_csv(args.csv)
     report = monte_carlo(
         args.degree,
         args.height,
         args.samples,
-        seed=seed,
+        seed=args.seed,
         budget=_budget(args),
         workers=args.workers,
     )
     record = report.as_record()
     lines = [
         "montecarlo: degree %d, height %d, %d samples, seed %d"
-        % (report.n, report.height, report.samples, seed),
+        % (report.n, report.height, report.samples, report.seed),
         "eisenstein          : %d" % report.eisenstein,
         "shifted eisenstein  : %d" % report.shifted,
         "eisenstein at 0 and 1: %d" % report.f_count,

@@ -8,4 +8,10 @@ class DomainError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A configured work bound (scan cap, enumeration cap, ...) was exceeded."""
+    """A work bound ran out before an answer.
+
+    Raised when the plain-witness walk cannot split the coefficient gcd, when
+    `decide_certified` exhausts its escalations, when a census box exceeds
+    the enumeration cap, and when `euler_phi` or `mobius` cannot factor
+    their argument.
+    """

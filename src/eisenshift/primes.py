@@ -2,7 +2,7 @@
 
 Everything here is deterministic: primality testing uses fixed Miller-Rabin
 base sets, Pollard rho restarts walk a fixed parameter schedule, and the
-randomized root-splitting step reseeds from its inputs.  Budgets make the
+randomized root-splitting step is seeded from the prime.  Budgets make the
 expensive operations refuse predictably instead of running away.
 """
 
@@ -18,7 +18,6 @@ from .intpoly import IntPoly
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "DEFAULT_SEED",
     "sieve_primes",
     "first_primes",
     "is_prime",
@@ -30,8 +29,6 @@ __all__ = [
     "euler_phi",
     "mobius",
 ]
-
-DEFAULT_SEED = 0x5EED
 
 # Miller-Rabin to the first k prime bases is proven correct below the
 # smallest strong pseudoprime to all of them; each n gets the shortest base
@@ -187,16 +184,18 @@ class Factorization:
     """Outcome of a budgeted factorization of |n|.
 
     `factors` lists (prime, exponent) ascending; `cofactor` multiplies any
-    composite part the budget could not split (1 when complete); `certified`
-    is True exactly when cofactor == 1.  Every listed prime passed `is_prime`,
-    so the factorization is proven when all of them lie below
-    3,317,044,064,679,887,385,961,981; a listed prime above that bound is a
-    strong probable prime to 25 fixed bases.
+    composite part the budget could not split, and `certified` says it is 1.
+    Every listed prime passed `is_prime`, so a certified factorization is
+    proven when all of them lie below 3,317,044,064,679,887,385,961,981; a
+    listed prime above that bound is a strong probable prime to 25 fixed bases.
     """
 
     factors: tuple[tuple[int, int], ...]
     cofactor: int
-    certified: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.cofactor == 1
 
     def reconstruct(self) -> int:
         out = self.cofactor
@@ -235,8 +234,6 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
     if n % 2 == 0:
         return 2
     attempt = 0
-    from math import gcd
-
     while budget[0] > 0:
         y = 2 + attempt
         c = 1 + 2 * attempt
@@ -259,7 +256,7 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 budget[0] -= steps
-                g = gcd(q, n)
+                g = math.gcd(q, n)
                 k += steps
             r *= 2
         if g == n:
@@ -267,7 +264,7 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = math.gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
     return None
@@ -292,7 +289,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             found[p] = e
             rest //= p**e
     cofactor = _split_rest(rest, budget, found)
-    return Factorization(tuple(sorted(found.items())), cofactor, cofactor == 1)
+    return Factorization(tuple(sorted(found.items())), cofactor)
 
 
 def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
@@ -409,6 +406,10 @@ def _divide_out(m: int, p: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over F_p (dense ascending lists), used for root finding.
 
+# Up to this prime, trying every residue is faster than gcd(x^p - x, f) and
+# splitting; for degrees 2..12 the two cost the same near p = 509.
+_SCAN_LIMIT = 512
+
 
 def _ptrim(a: list[int]) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
@@ -418,21 +419,18 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmod_reduce(a: list[int], f: list[int], p: int) -> list[int]:
-    """Reduce a modulo the monic polynomial f over F_p."""
-    a = [c % p for c in a]
-    df = len(f) - 1
-    while len(a) - 1 >= df and any(a):
-        d = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        lead = a[-1]
-        shift = d - df
-        for i in range(df + 1):
-            a[shift + i] = (a[shift + i] - lead * f[i]) % p
-        a.pop()
-    return _ptrim(a)
+def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b over F_p."""
+    r = [c % p for c in a]
+    db = len(b) - 1
+    q = [0] * (len(r) - db)
+    for d in range(len(r) - 1, db - 1, -1):
+        coef = r[d]
+        if coef:
+            q[d - db] = coef
+            for i in range(db + 1):
+                r[d - db + i] = (r[d - db + i] - coef * b[i]) % p
+    return _ptrim(q), _ptrim(r[:db])
 
 
 def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
@@ -441,12 +439,12 @@ def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _pmod_reduce(out, f, p)
+    return _pdivmod(out, f, p)[1]
 
 
 def _ppowmod(base: list[int], exp: int, f: list[int], p: int) -> list[int]:
     result = [1]
-    acc = _pmod_reduce(list(base), f, p)
+    acc = _pdivmod(base, f, p)[1]
     while exp:
         if exp & 1:
             result = _pmulmod(result, acc, f, p)
@@ -461,8 +459,7 @@ def _pgcd_monic(a: list[int], b: list[int], p: int) -> list[int]:
     while b != [0]:
         inv = pow(b[-1], -1, p)
         bm = [(c * inv) % p for c in b]
-        r = _pmod_reduce(a, bm, p)
-        a, b = bm, r
+        a, b = bm, _pdivmod(a, bm, p)[1]
     if a != [0]:
         inv = pow(a[-1], -1, p)
         a = [(c * inv) % p for c in a]
@@ -480,49 +477,27 @@ def _split_linear(g: list[int], p: int, rng: random.Random) -> list[int]:
         a = rng.randrange(p)
         # gcd(g, (x+a)^((p-1)/2) - 1) separates the roots r with r+a a QR.
         h = _ppowmod([a, 1], (p - 1) // 2, g, p)
-        h = list(h)
         h[0] = (h[0] - 1) % p
-        h = _ptrim(h)
         w = _pgcd_monic(g, h, p)
-        dw = len(w) - 1
-        if 0 < dw < d:
-            other = _pquot(g, w, p)
+        if 0 < len(w) - 1 < d:
+            other = _pdivmod(g, w, p)[0]
             return _split_linear(w, p, rng) + _split_linear(other, p, rng)
 
 
-def _pquot(a: list[int], b: list[int], p: int) -> list[int]:
-    """Quotient a / b over F_p for monic b dividing a exactly."""
-    a = [c % p for c in a]
-    db = len(b) - 1
-    out = [0] * (len(a) - db)
-    for d in range(len(a) - 1, db - 1, -1):
-        coef = a[d] % p
-        if coef:
-            out[d - db] = coef
-            for i in range(db + 1):
-                a[d - db + i] = (a[d - db + i] - coef * b[i]) % p
-    return _ptrim(out)
+def roots_mod_p(f: IntPoly, p: int) -> list[int]:
+    """All residues s with f(s) = 0 (mod p), ascending, each once.
 
-
-def roots_mod_p(
-    f: IntPoly,
-    p: int,
-    scan_threshold: int = 1_000_000,
-    seed: int = DEFAULT_SEED,
-) -> list[int]:
-    """All residues s with f(s) = 0 (mod p), ascending.
-
-    Below `scan_threshold` every residue is tried directly.  Above it the
-    roots come from gcd(x^p - x, f) over F_p followed by randomized splitting
-    of the linear-factor product; the splitter is reseeded from (seed, p, f)
-    so repeated calls give identical results.
+    For p <= 512 every residue is tried.  Above that the roots come from
+    gcd(x^p - x, f) over F_p followed by randomized splitting of that
+    product of linear factors; the splitter is seeded from p, and the sorted
+    roots do not depend on its draws.
     """
     if not is_prime(p):
         raise DomainError("roots_mod_p needs a prime modulus")
     fbar = _ptrim([c % p for c in f.coeffs])
     if fbar == [0]:
         raise DomainError("polynomial vanishes identically modulo p")
-    if p <= max(scan_threshold, 3):
+    if p <= _SCAN_LIMIT:
         out = []
         for s in range(p):
             acc = 0
@@ -535,18 +510,12 @@ def roots_mod_p(
     monic = [(c * inv) % p for c in fbar]
     if len(monic) == 1:
         return []
-    xp = _ppowmod([0, 1], p, monic, p)
-    xp = list(xp) + [0, 0]
+    xp = _ppowmod([0, 1], p, monic, p) + [0, 0]
     xp[1] = (xp[1] - 1) % p  # x^p - x
-    g = _pgcd_monic(monic, _ptrim(xp), p)
+    g = _pgcd_monic(monic, xp, p)
     if g == [1]:
         return []
-    mix = seed & 0xFFFFFFFFFFFFFFFF
-    for c in f.coeffs:
-        mix = (mix * 0x9E3779B97F4A7C15 + (c & 0xFFFFFFFFFFFFFFFF) + 1) & 0xFFFFFFFFFFFFFFFF
-    mix = (mix + p) & 0xFFFFFFFFFFFFFFFF
-    rng = random.Random(mix)
-    return sorted(_split_linear(g, p, rng))
+    return sorted(_split_linear(g, p, random.Random(p)))
 
 
 def _certified_factors(d: int, what: str) -> Factorization:

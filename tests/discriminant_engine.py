@@ -28,9 +28,6 @@ from eisenshift import (
 )
 from eisenshift.intpoly import derivative
 
-# Scan/splitting crossover for roots_mod_p; the root set does not depend on it.
-SCAN_THRESHOLD = 512
-
 
 def discriminant_engine(f, budget=DEFAULT_BUDGET):
     """Shifted-Eisenstein decision by discriminant, subresultant and roots mod p."""
@@ -55,7 +52,7 @@ def discriminant_engine(f, budget=DEFAULT_BUDGET):
     for p in candidates:
         if f.leading % p == 0:
             continue
-        for s in roots_mod_p(f, p, scan_threshold=SCAN_THRESHOLD):
+        for s in roots_mod_p(f, p):
             if is_eisenstein_with(taylor_shift(f, s), p):
                 return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
     reason = "no-qualifying-prime" if not candidates else "no-root-shift-works"

@@ -59,7 +59,7 @@ def trial_factorize(n, budget=DEFAULT_BUDGET):
     m = abs(n)
     found = {}
     if m == 1:
-        return Factorization((), 1, True)
+        return Factorization((), 1)
     for p in _primes_up_to(budget.trial_bound):
         if p * p > m:
             break
@@ -90,7 +90,7 @@ def trial_factorize(n, budget=DEFAULT_BUDGET):
                 continue
             pending.append((divisor, mult))
             pending.append((value // divisor, mult))
-    return Factorization(tuple(sorted(found.items())), cofactor, cofactor == 1)
+    return Factorization(tuple(sorted(found.items())), cofactor)
 
 
 def factor_first_witnesses(f, budget=DEFAULT_BUDGET):

@@ -1,5 +1,6 @@
 """Exact censuses, the d-local box count, and Monte Carlo determinism."""
 
+import concurrent.futures
 import json
 import math
 import random
@@ -271,7 +272,7 @@ class _InProcessPool:
 )
 def test_monte_carlo_pool_is_bounded(monkeypatch, cpus, workers, size):
     # No process is started: the pool is a fake and the CPU count is pinned.
-    monkeypatch.setattr(census_module, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(census_module.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     report = monte_carlo(2, 10, 4096, seed=4, workers=workers)

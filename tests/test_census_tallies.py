@@ -6,6 +6,7 @@ shifted decision separately for every polynomial the experiment built.  The
 Monte Carlo sample stream itself is pinned against the documented scheme.
 """
 
+import concurrent.futures
 import random
 
 import pytest
@@ -158,7 +159,7 @@ class _InlineExecutor:
 
 
 def test_monte_carlo_starts_no_more_workers_than_chunks(monkeypatch):
-    monkeypatch.setattr(census_module, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     _InlineExecutor.sizes.clear()
     serial = monte_carlo(2, 50, 300, seed=9, workers=1)
     assert _InlineExecutor.sizes == []

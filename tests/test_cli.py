@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eisenshift import cli
+from eisenshift import DEFAULT_SEED, cli
 from eisenshift.cli import main
 
 
@@ -179,6 +179,19 @@ def test_module_runs_as_a_script():
     assert done.stdout == "YES: f(x + 3) is Eisenstein with respect to p = 7 (verified)\n"
 
 
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # Only `monte_carlo` with workers > 1 needs it, and it costs start-up time.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, eisenshift.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_census_cap_error(capsys):
     # 101^3 * 100 = 103 030 100 polynomials, above the fixed cap of 10^8.
     args = ["census", "--degree", "3", "--height", "50"]
@@ -206,17 +219,14 @@ def test_montecarlo_deterministic(capsys):
     assert record["seed"] == 17
 
 
-def test_montecarlo_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("EISENSHIFT_SEED", "99")
+def test_montecarlo_seed_default(capsys):
     args = ["montecarlo", "--degree", "2", "--height", "50", "--samples", "100",
             "--format", "json"]
     assert main(args) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 99
-    monkeypatch.setenv("EISENSHIFT_SEED", "not-a-number")
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: EISENSHIFT_SEED" in captured.err
+    default = capsys.readouterr().out
+    assert json.loads(default)["seed"] == DEFAULT_SEED
+    assert main(args + ["--seed", str(DEFAULT_SEED)]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_montecarlo_text_mentions_ratio(capsys):

@@ -10,11 +10,14 @@ from mpmath import mp, mpf, primezeta, workdps
 import eisenshift.density as density_module
 import eisenshift.primes as primes_module
 from eisenshift import (
+    DEFAULT_SEED,
     DomainError,
     density_report,
     first_primes,
+    monte_carlo,
     predicted_eisenstein_count,
     sinh_bound_check,
+    wilson_interval,
 )
 
 PRIMES = first_primes(2000)
@@ -75,6 +78,18 @@ def test_rho_between_p_n_terms():
         report = density_report(n, PRIMES)
         assert report.rho <= report.p_n
         assert report.rho >= (2 - 1) ** 2 / mpf(2) ** (n + 2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_monte_carlo_shifted_density_is_rho_one_degree_lower(n):
+    # At each prime p at most one residue s mod p can make f(x+s) Eisenstein,
+    # so the local shifted density is (p-1)^2/p^(n+1), the plain local density
+    # of degree n-1: the shifted density of degree n is rho_(n-1), not rho_n.
+    primes = first_primes(10**4)
+    report = monte_carlo(n, 10**6, 20000, seed=DEFAULT_SEED)
+    low, high = wilson_interval(report.shifted, report.samples)
+    assert low <= density_report(n - 1, primes).rho <= high, (report, low, high)
+    assert not low <= density_report(n, primes).rho <= high, (report, low, high)
 
 
 def test_tau_is_small_positive_correction():

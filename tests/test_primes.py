@@ -319,9 +319,10 @@ def _brute_roots(f: IntPoly, p: int) -> list[int]:
 
 
 def test_roots_mod_p_scan_matches_brute_force():
+    # Up to 512 roots_mod_p tries every residue.
     rng = random.Random(53)
     for _ in range(300):
-        p = rng.choice([2, 3, 5, 7, 11, 13, 97])
+        p = rng.choice([2, 3, 5, 7, 11, 13, 97, 509])
         deg = rng.randrange(1, 6)
         coeffs = [rng.randrange(-30, 31) for _ in range(deg)] + [1]
         f = IntPoly(tuple(coeffs))
@@ -329,22 +330,20 @@ def test_roots_mod_p_scan_matches_brute_force():
 
 
 def test_roots_mod_p_splitting_matches_scan():
+    # Above 512 roots_mod_p splits gcd(x^p - x, f).
     rng = random.Random(54)
     for _ in range(150):
-        p = rng.choice([101, 257, 1009, 4099])
+        p = rng.choice([521, 1009, 4099])
         deg = rng.randrange(1, 6)
         coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
         f = IntPoly(tuple(coeffs))
-        # scan_threshold=3 forces the gcd/splitting path for these p
-        fast = roots_mod_p(f, p, scan_threshold=3)
-        slow = roots_mod_p(f, p)
-        assert fast == slow == _brute_roots(f, p)
+        assert roots_mod_p(f, p) == _brute_roots(f, p)
 
 
 def test_roots_mod_p_repeated_roots_reported_once():
     p = 1009
     f = IntPoly((9, -6, 1))  # (x-3)^2
-    assert roots_mod_p(f, p, scan_threshold=3) == [3]
+    assert roots_mod_p(f, p) == [3]
 
 
 def test_roots_mod_p_constructed_full_split():
@@ -355,13 +354,13 @@ def test_roots_mod_p_constructed_full_split():
     c1 = (r1 * r2 + r1 * r3 + r2 * r3) % p
     c2 = (-(r1 + r2 + r3)) % p
     f = IntPoly((c0, c1, c2, 1))
-    assert roots_mod_p(f, p, scan_threshold=3) == [1, 2, 5000]
+    assert roots_mod_p(f, p) == [1, 2, 5000]
 
 
 def test_roots_mod_p_deterministic():
     f = IntPoly((123, 456, 789, 1))
-    a = roots_mod_p(f, 100003, scan_threshold=3)
-    b = roots_mod_p(f, 100003, scan_threshold=3)
+    a = roots_mod_p(f, 100003)
+    b = roots_mod_p(f, 100003)
     assert a == b
 
 
