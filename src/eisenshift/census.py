@@ -25,8 +25,9 @@ import io
 import math
 import os
 import random
+import struct
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 
 from .eisenstein import (
     Verdict,
@@ -147,18 +148,19 @@ def _check_box(caller: str, n: int, height: int, **more: int) -> None:
 def _count(polys, decide) -> tuple[int, int, int, int]:
     """Counts (eisenstein, shifted, f, unresolved) from one decision per polynomial.
 
-    `decide(f)` gives the verdict and whether f is Eisenstein.  A YES counts
-    as shifted, and also as Eisenstein when f is; only then is f(x+1) tested
-    for the f column.
+    `polys` holds IntPolys or coefficient tuples, whichever `decide` takes.
+    `decide(f)` gives the verdict and, when f is Eisenstein, f as an IntPoly
+    (None otherwise).  A YES counts as shifted, and also as Eisenstein when
+    f is; only then is f(x+1) tested for the f column.
     """
     eis = shifted = f_count = unresolved = 0
     for f in polys:
-        verdict, plain = decide(f)
+        verdict, eisenstein = decide(f)
         if verdict is Verdict.YES:
             shifted += 1
-            if plain:
+            if eisenstein is not None:
                 eis += 1
-                f_count += is_eisenstein(taylor_shift(f, 1))
+                f_count += is_eisenstein(taylor_shift(eisenstein, 1))
         elif verdict is Verdict.NO_HEURISTIC:
             unresolved += 1
     return eis, shifted, f_count, unresolved
@@ -181,7 +183,8 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
         # on it see every escalated attempt.
         decision = decide_certified(f, budget, decide=shifted_eisenstein)
         certificate = decision.certificate
-        return decision.verdict, certificate is not None and certificate.shift == 0
+        plain = certificate is not None and certificate.shift == 0
+        return decision.verdict, f if plain else None
 
     counts = _count(box, decide)
     return ExperimentReport("census", n, height, total, *counts, None)
@@ -230,31 +233,67 @@ def _mix64(seed: int, chunk_index: int) -> int:
 
 
 def _samples(n: int, height: int, rng: random.Random, count: int):
-    """`count` polynomials from the box, coefficients drawn low to high.
+    """`count` coefficient tuples from the box, coefficients drawn low to high.
 
-    Each coefficient is `rng.randint(-height, height)`, the leading one
-    redrawn while 0, drawn the way `random.Random` does it: getrandbits(k)
-    with k = span.bit_length(), redrawn while it is >= span = 2*height + 1.
+    Each coefficient is the value `rng.randint(-height, height)` would give,
+    the leading one redrawn while 0.  The values come from `_uniform` in one
+    stream: a sample takes the next n of them, then the next nonzero one.
+    """
+    width = n + 1
+    values = chain.from_iterable(_uniform(rng, height, count * width))
+    for coeffs in islice(zip(*[values] * width), count):
+        if not coeffs[n]:
+            lead = next(values)
+            while not lead:
+                lead = next(values)
+            coeffs = coeffs[:n] + (lead,)
+        yield coeffs
+
+
+def _uniform(rng: random.Random, height: int, count: int):
+    """Lists of `rng.randint(-height, height)` values, drawn in bulk, endlessly.
+
+    randint draws getrandbits(k), with k = span.bit_length() for
+    span = 2*height + 1, until the draw is below span.  getrandbits(k)
+    takes w = ceil(k/32) 32-bit words of the generator, little-endian, and
+    keeps the top k - 32*(w-1) bits of the last one, while getrandbits(32*m)
+    hands out m words in one call.  So the first list comes from `count`
+    draws cut from one call, and each later one, which makes up for the
+    rejected draws, from a sixteenth as many.
     """
     span = 2 * height + 1
     k = span.bit_length()
-    getrandbits = rng.getrandbits
-    for _ in range(count):
-        coeffs = []
-        for i in range(n + 1):
-            r = getrandbits(k)
-            while r >= span or (i == n and r == height):
-                r = getrandbits(k)
-            coeffs.append(r - height)
-        yield IntPoly(tuple(coeffs))
+    w = -(-k // 32)
+    low = 32 * (w - 1)  # bits a draw takes from its whole words
+    drop = 32 * w - k  # bits of its last word that a draw discards
+    mask = (1 << low) - 1
+    size = 4 * w  # bytes per draw
+    batch = count
+    while True:
+        raw = rng.getrandbits(8 * size * batch).to_bytes(size * batch, "little")
+        if w == 1:
+            draws = [x >> drop for x in struct.unpack("<%dI" % batch, raw)]
+        else:
+            whole = (int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size))
+            draws = [x & mask | x >> (low + drop) << low for x in whole]
+        yield [r - height for r in draws if r < span]
+        batch = count // 16 + 1
 
 
 def _mc_chunk(args) -> tuple[int, int, int, int]:
-    """Counts (eisenstein, shifted, f, unresolved) for one sample chunk."""
+    """Counts (eisenstein, shifted, f, unresolved) for one sample chunk.
+
+    The samples stay coefficient tuples; only an Eisenstein one becomes an
+    IntPoly, for its f(x+1) check.
+    """
     n, height, seed, chunk_index, count, budget = args
     rng = random.Random(_mix64(seed, chunk_index))
-    polys = _samples(n, height, rng, count)
-    return _count(polys, lambda f: _shifted_verdict(f, budget))
+
+    def decide(coeffs):
+        verdict, plain = _shifted_verdict(coeffs, budget)
+        return verdict, IntPoly(coeffs) if plain else None
+
+    return _count(_samples(n, height, rng, count), decide)
 
 
 def monte_carlo(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import discriminant
 from .errors import BudgetError, DomainError
-from .intpoly import IntPoly, evaluate, taylor_shift
+from .intpoly import IntPoly, _taylor_shift, taylor_shift
 from .primes import (
     DEFAULT_BUDGET,
     FactorBudget,
@@ -91,15 +91,15 @@ class ShiftedDecision:
     cofactor: int | None = None
 
 
-def _witness_primes(f: IntPoly, budget: FactorBudget):
+def _witness_primes(coeffs: tuple[int, ...], budget: FactorBudget):
     """The primes f is Eisenstein with respect to, ascending, found lazily.
 
-    They are the primes p of g = gcd(a_0, ..., a_(n-1)) with p^2 not dividing
-    a_0 and p not dividing a_n, in the order `_candidate_primes` finds them.
+    f is given by its coefficients.  They are the primes p of
+    g = gcd(a_0, ..., a_(n-1)) with p^2 not dividing a_0 and p not dividing
+    a_n, in the order `_candidate_primes` finds them.
     BudgetError once the walk reaches a rho split of g that is not
     certified, before any prime of that split is tested.
     """
-    coeffs = f.coeffs
     if len(coeffs) < 2:
         raise DomainError("Eisenstein tests need degree >= 1")
     a0 = coeffs[0]
@@ -124,38 +124,38 @@ def _walk_witnesses(g: int, a0: int, an: int, budget: FactorBudget):
 
 def eisenstein_primes(f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET) -> list[int]:
     """All primes with respect to which f is Eisenstein, ascending."""
-    return list(_witness_primes(f, budget))
+    return list(_witness_primes(f.coeffs, budget))
 
 
-def _smallest_witness(f: IntPoly) -> int | None:
-    """Smallest Eisenstein witness prime of f, or None.
+def _smallest_witness(coeffs: tuple[int, ...]) -> int | None:
+    """Smallest Eisenstein witness prime of f, given by its coefficients, or None.
 
     The walk stops at the first witness and always runs under
     DEFAULT_BUDGET, so the answer does not depend on a caller's budget.
     """
-    for p in _witness_primes(f, DEFAULT_BUDGET):
+    for p in _witness_primes(coeffs, DEFAULT_BUDGET):
         return p
     return None
 
 
 def is_eisenstein(f: IntPoly) -> bool:
     """True iff f is Eisenstein with respect to some prime."""
-    return _smallest_witness(f) is not None
+    return _smallest_witness(f.coeffs) is not None
 
 
 def is_eisenstein_with(f: IntPoly, p: int) -> bool:
     """Check the three Eisenstein conditions for one specific prime p."""
     if not is_prime(p):  # DomainError from is_prime for a non-int p
         raise DomainError("is_eisenstein_with needs a prime, got %r" % (p,))
-    if f.degree < 1:
+    return f.degree >= 1 and _eisenstein_at(f.coeffs, p)
+
+
+def _eisenstein_at(coeffs: tuple[int, ...], p: int) -> bool:
+    """The three Eisenstein conditions at the prime p, for degree >= 1."""
+    if coeffs[0] % (p * p) == 0 or coeffs[-1] % p == 0:
         return False
-    a0 = f.coeffs[0]
-    if a0 % (p * p) == 0:
-        return False
-    if f.leading % p == 0:
-        return False
-    for c in f.coeffs[:-1]:
-        if c % p != 0:
+    for c in coeffs[:-1]:
+        if c % p:
             return False
     return True
 
@@ -169,7 +169,7 @@ def _strip_primes_of(g: int, u: int) -> int:
     return g
 
 
-def _local_gcd(f: IntPoly) -> int:
+def _local_gcd(coeffs: tuple[int, ...]) -> int:
     """G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
 
     For f of degree n >= 3.  h(y) = u^n * f((y - a_(n-1))/u) has integer
@@ -189,7 +189,6 @@ def _local_gcd(f: IntPoly) -> int:
     stands in for h_(n-2) in the gcd.  The others follow top-down, each by
     Horner's rule in t; the walk returns 1 as soon as the gcd reaches 1.
     """
-    coeffs = f.coeffs
     n = len(coeffs) - 1
     u = n * coeffs[-1]
     t = -coeffs[-2]
@@ -225,28 +224,33 @@ def _prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(p for p, _ in _trial_division(m, m))
 
 
-def _shift_at(f: IntPoly, p: int) -> int | None:
+def _shift_at(coeffs: tuple[int, ...], p: int) -> int | None:
     """The shift 0 <= s < p with f(x+s) Eisenstein at the prime p, or None.
 
-    At most one residue can work.  Let q = p^v with p^v exactly dividing n,
-    and m = n/q.  As s^q = s (mod p), (x-s)^n = (x^q - s)^m (mod p), whose
+    f is given by its coefficients.  At most one residue can work.  Let
+    q = p^v with p^v exactly dividing n, and m = n/q.  As s^q = s (mod p), (x-s)^n = (x^q - s)^m (mod p), whose
     x^(n-q) coefficient is -m*s with p not dividing m.  So
     f = a_n*(x-s)^n (mod p) forces s = -a_(n-q) / (m*a_n) (mod p); for p not
     dividing n that is s = -a_(n-1) / (n*a_n).  That s is returned when p
     divides f(s) exactly once, which alone decides for a prime of
     `_local_gcd`'s G as the congruence holds there, and f(x+s) passes the
-    full Eisenstein check.
+    full Eisenstein check.  f(s) comes from Horner's rule and the full check
+    from `_eisenstein_at` on `_taylor_shift`'s coefficients of f(x+s), so
+    the test builds no IntPoly.
     """
-    n = f.degree
-    an = f.leading
+    n = len(coeffs) - 1
+    an = coeffs[n]
     if an % p == 0:
         return None  # the leading coefficient is shift-invariant
     q = 1
     while n % (q * p) == 0:
         q *= p
-    s = (-f.coeffs[n - q] * pow(n // q * an, -1, p)) % p
-    r = evaluate(f, s) % (p * p)
-    if r and r % p == 0 and is_eisenstein_with(taylor_shift(f, s), p):
+    s = (-coeffs[n - q] * pow(n // q * an, -1, p)) % p
+    value = 0
+    for c in reversed(coeffs):
+        value = value * s + c
+    r = value % (p * p)
+    if r and r % p == 0 and _eisenstein_at(_taylor_shift(coeffs, s), p):
         return s
     return None
 
@@ -315,25 +319,36 @@ def shifted_eisenstein(
     n = f.degree
     if n < 2:
         raise DomainError("shifted_eisenstein needs degree >= 2")
-    witness = _smallest_witness(f)
+    witness = _smallest_witness(f.coeffs)
     if witness is not None:
         return ShiftedDecision(Verdict.YES, ShiftCertificate(0, witness))
-    return _certificate_search(f, n, budget)
+    return _certificate_search(f.coeffs, n, budget)
 
 
-def _certificate_search(f: IntPoly, n: int, budget: FactorBudget) -> ShiftedDecision:
-    """`shifted_eisenstein` for f of degree n after its plain-witness step found no witness."""
-    an = f.leading
+# The certified NO decisions, one per reason; they carry no certificate and
+# no cofactor, and ShiftedDecision is frozen, so every decision shares them.
+_CERTIFIED_NO = {
+    reason: ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
+    for reason in ("discriminant-zero", "no-qualifying-prime", "no-root-shift-works")
+}
+
+
+def _certificate_search(
+    coeffs: tuple[int, ...], n: int, budget: FactorBudget
+) -> ShiftedDecision:
+    """`shifted_eisenstein` for the coefficients of f of degree n after its
+    plain-witness step found no witness."""
+    an = coeffs[n]
     if n == 2:
         # Every prime that can work divides D, 2 included.
-        a0, a1, _ = f.coeffs
+        a0, a1, _ = coeffs
         target = abs(a1 * a1 - 4 * a0 * an)
         small = []
     else:
-        target = _local_gcd(f)
+        target = _local_gcd(coeffs)
         small = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
-        return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
+        return _CERTIFIED_NO["discriminant-zero"]
     split: list[Factorization] = []
     reason = "no-qualifying-prime"
     candidates = small
@@ -341,34 +356,35 @@ def _certificate_search(f: IntPoly, n: int, budget: FactorBudget) -> ShiftedDeci
         candidates = _candidate_primes(target, small, budget, split)
     for p in candidates:
         reason = "no-root-shift-works"
-        s = _shift_at(f, p)
+        s = _shift_at(coeffs, p)
         if s is not None:
             return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
     if not split or split[0].certified:
-        return ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
-    if n > 2 and discriminant(f) == 0:
+        return _CERTIFIED_NO[reason]
+    if n > 2 and discriminant(IntPoly(coeffs)) == 0:
         # A repeated root makes f reducible, so no shift can work.
-        return ShiftedDecision(Verdict.NO_CERTIFIED, reason="discriminant-zero")
+        return _CERTIFIED_NO["discriminant-zero"]
     return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
 
 
-def _shifted_verdict(f: IntPoly, budget: FactorBudget) -> tuple[Verdict, bool]:
+def _shifted_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> tuple[Verdict, bool]:
     """The verdict of `shifted_eisenstein(f, budget)` and whether f is Eisenstein.
 
-    For degree n >= 2.  The plain-witness walk runs once.  A quadratic is then
-    decided by `_quadratic_verdict` where its trial bound fits the budget;
-    every other polynomial goes through the certificate search.
+    f is given by its coefficients, of degree n >= 2.  The plain-witness walk
+    runs once.  A quadratic is then decided by `_quadratic_verdict` where its
+    trial bound fits the budget; every other polynomial goes through the
+    certificate search.
     """
-    if _smallest_witness(f) is not None:
+    if _smallest_witness(coeffs) is not None:
         return Verdict.YES, True
-    n = f.degree
-    verdict = _quadratic_verdict(f, budget) if n == 2 else None
+    n = len(coeffs) - 1
+    verdict = _quadratic_verdict(coeffs, budget) if n == 2 else None
     if verdict is None:
-        verdict = _certificate_search(f, n, budget).verdict
+        verdict = _certificate_search(coeffs, n, budget).verdict
     return verdict, False
 
 
-def _quadratic_verdict(f: IntPoly, budget: FactorBudget) -> Verdict | None:
+def _quadratic_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | None:
     """Certified verdict for a quadratic without a plain witness, or None.
 
     With D = a_1^2 - 4*a_0*a_2, an odd prime p not dividing a_2 qualifies
@@ -382,11 +398,11 @@ def _quadratic_verdict(f: IntPoly, budget: FactorBudget) -> Verdict | None:
     (1, p^2, p^3, p^4 or p^2*q^2).  None when T exceeds the budget's trial
     bound.
     """
-    a0, a1, a2 = f.coeffs
+    a0, a1, a2 = coeffs
     d = abs(a1 * a1 - 4 * a0 * a2)
     if d == 0:
         return Verdict.NO_CERTIFIED
-    if _shift_at(f, 2) is not None:
+    if _shift_at(coeffs, 2) is not None:
         return Verdict.YES
     rest = _strip_primes_of(d, 2 * a2)
     bound = iroot(rest, 5)[0]

@@ -104,15 +104,20 @@ def derivative(f: IntPoly) -> IntPoly:
 
 
 def taylor_shift(f: IntPoly, s: int) -> IntPoly:
-    """Coefficients of f(x+s) by repeated synthetic division.
+    """f(x+s), by `_taylor_shift` on the coefficients."""
+    return IntPoly(_taylor_shift(f.coeffs, s))
+
+
+def _taylor_shift(coeffs: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """Coefficients of f(x+s) from those of f, by repeated synthetic division.
 
     Runs in O(n^2) coefficient operations and never materializes binomial
     tables, so coefficient growth is the only cost.
     """
-    b = list(f.coeffs)
+    b = list(coeffs)
     n = len(b)
     # After pass i, b[i] is the coefficient of x^i in f(x+s).
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             b[j] += s * b[j + 1]
-    return IntPoly(tuple(b))
+    return tuple(b)

@@ -32,7 +32,7 @@ def naive_shift_scan(f: IntPoly) -> ShiftedDecision:
         raise BudgetError("scan bound %d exceeds cap %d" % (bound, _SCAN_CAP))
     g = f
     for s in range(bound + 1):
-        witness = _smallest_witness(g)
+        witness = _smallest_witness(g.coeffs)
         if witness is not None:
             return ShiftedDecision(Verdict.YES, ShiftCertificate(s % witness, witness))
         g = taylor_shift(g, 1)

@@ -42,15 +42,28 @@ class _Counting:
 
 
 def _run_recorded(monkeypatch, experiment):
-    """Run `experiment()`, returning its report, the polynomials it built and
-    its call counts of the Monte Carlo verdict decision and of `shifted_eisenstein`."""
+    """Run `experiment()`, returning its report, the polynomials it classified
+    and its call counts of the Monte Carlo verdict decision and of `shifted_eisenstein`.
+
+    Monte Carlo classifies the coefficient tuples `census._samples` yields,
+    and a census the IntPolys it builds.
+    """
     built = []
+    sampled = []
 
     def record(coeffs):
         built.append(IntPoly(coeffs))
         return built[-1]
 
+    samples = census_module._samples
+
+    def record_samples(*args):
+        for coeffs in samples(*args):
+            sampled.append(IntPoly(coeffs))
+            yield coeffs
+
     monkeypatch.setattr(census_module, "IntPoly", record)
+    monkeypatch.setattr(census_module, "_samples", record_samples)
     witness = _Counting(eisenstein_module._smallest_witness)
     monkeypatch.setattr(eisenstein_module, "_smallest_witness", witness)
     verdicts = _Counting(census_module._shifted_verdict)
@@ -62,6 +75,11 @@ def _run_recorded(monkeypatch, experiment):
     # One plain-witness test per decision (escalations included) and one per
     # f(x+1) check, which only Eisenstein polynomials get.
     assert witness.calls == verdicts.calls + decisions.calls + report.eisenstein
+    if sampled:
+        # Monte Carlo builds an IntPoly only for an Eisenstein sample, whose
+        # f(x+1) it checks.
+        assert built == [f for f in sampled if is_eisenstein(f)]
+        built = sampled
     return report, built, (verdicts.calls, decisions.calls)
 
 
@@ -101,17 +119,24 @@ def _splitmix64(seed, chunk):
     return z ^ (z >> 31)
 
 
+def _randint_samples(n, height, rng, count):
+    """`count` coefficient tuples by randint, low to high, a_n redrawn until nonzero."""
+    samples = []
+    for _ in range(count):
+        coeffs = [rng.randint(-height, height) for _ in range(n)]
+        lead = 0
+        while lead == 0:
+            lead = rng.randint(-height, height)
+        samples.append(tuple(coeffs) + (lead,))
+    return samples
+
+
 def _documented_samples(n, height, samples, seed):
-    """README's stream: one Random per 256-sample chunk, a_n redrawn until nonzero."""
+    """README's stream: one Random per 256-sample chunk."""
     polys = []
     for start in range(0, samples, 256):
         rng = random.Random(_splitmix64(seed, start // 256))
-        for _ in range(min(256, samples - start)):
-            coeffs = [rng.randint(-height, height) for _ in range(n)]
-            lead = 0
-            while lead == 0:
-                lead = rng.randint(-height, height)
-            polys.append(IntPoly(tuple(coeffs) + (lead,)))
+        polys += map(IntPoly, _randint_samples(n, height, rng, min(256, samples - start)))
     return polys
 
 
@@ -121,12 +146,34 @@ def _documented_samples(n, height, samples, seed):
 def test_monte_carlo_draws_the_documented_sample_stream(monkeypatch, n, samples, seed):
     # 300 and 513 end in a partial chunk.  H = 1 and H = 2 make zero leads
     # common (one draw in three, one in five); the span 2^21 + 1 of H = 2^20
-    # makes randint reject almost half of its 22-bit draws.
-    for height in (1, 2, 10**6, 2**20):
+    # makes randint reject almost half of its 22-bit draws.  H = 2^31 - 1,
+    # 2^31 and 10^12 draw 32, 33 and 41 bits: one whole word, and two words
+    # of which the second gives its top 1 or 9 bits.
+    for height in (1, 2, 10**6, 2**20, 2**31 - 1, 2**31, 10**12):
         _, built, _ = _run_recorded(
             monkeypatch, lambda: monte_carlo(n, height, samples, seed=seed)
         )
         assert built == _documented_samples(n, height, samples, seed)
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_samples_refill_their_bulk_draw(n):
+    # With H = 1 a quarter of the 2-bit draws is rejected and a third of the
+    # leads is 0, so 513 samples in one stream need several refills.
+    rng = _CountingRandom(3)
+    drawn = list(census_module._samples(n, 1, rng, 513))
+    assert rng.calls > 2
+    assert drawn == _randint_samples(n, 1, random.Random(3), 513)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

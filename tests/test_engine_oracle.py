@@ -170,7 +170,7 @@ def local_polynomials(draw):
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(local_polynomials())
 def test_closed_form_local_gcd_matches_taylor_shift_oracle(f):
-    assert eisenstein_module._local_gcd(f) == taylor_local_gcd(f), f
+    assert eisenstein_module._local_gcd(f.coeffs) == taylor_local_gcd(f), f
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -189,8 +189,8 @@ def test_every_yes_is_checked_in_full(f):
     # check in `_shift_at` alone must keep verdict and certificate unchanged.
     local_gcd = eisenstein_module._local_gcd
 
-    def padded(f):
-        return local_gcd(f) * (3 * 5 * 7 * 11 * 13)
+    def padded(coeffs):
+        return local_gcd(coeffs) * (3 * 5 * 7 * 11 * 13)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eisenstein_module, "_local_gcd", padded)

@@ -67,7 +67,7 @@ def quadratics(draw):
 @example(IntPoly((-1125, 0, 1)))
 def test_quadratic_verdict_matches_the_certificate_search(f):
     for budget in BUDGETS:
-        verdict, plain = _shifted_verdict(f, budget)
+        verdict, plain = _shifted_verdict(f.coeffs, budget)
         assert plain == is_eisenstein(f), f
         decision = shifted_eisenstein(f, budget)
         if decision.verdict is Verdict.NO_HEURISTIC:
@@ -105,7 +105,7 @@ def planted_at_prime(draw):
 def test_each_prime_has_at_most_one_working_residue(case):
     f, p = case
     working = [s for s in range(p) if is_eisenstein_with(taylor_shift(f, s), p)]
-    shift = _shift_at(f, p)
+    shift = _shift_at(f.coeffs, p)
     assert working == ([] if shift is None else [shift]), (f, p)
 
 
@@ -116,14 +116,14 @@ def test_the_paper_families_are_never_shifted_eisenstein():
         f = IntPoly(((3 ** (2 * j + 1) + 1) // 4, 1, 1))
         assert 1 - 4 * f.coeffs[0] == -(3 ** (2 * j + 1))
         assert all(evaluate(f, x) for x in (1, -1, 3, -3)), f
-        assert _shifted_verdict(f, DEFAULT_BUDGET) == (Verdict.NO_CERTIFIED, False), f
+        assert _shifted_verdict(f.coeffs, DEFAULT_BUDGET) == (Verdict.NO_CERTIFIED, False), f
         assert decide_certified(f).verdict is Verdict.NO_CERTIFIED, f
     # n >= 3: x^n - x + p has no rational root, as f(+-1) and f(+-p) are nonzero.
     for n in range(3, 16):
         for p in sieve_primes(1223)[2:]:
             f = IntPoly((p, -1) + (0,) * (n - 2) + (1,))
             assert all(evaluate(f, x) for x in (1, -1, p, -p)), f
-            assert _shifted_verdict(f, DEFAULT_BUDGET) == (Verdict.NO_CERTIFIED, False), f
+            assert _shifted_verdict(f.coeffs, DEFAULT_BUDGET) == (Verdict.NO_CERTIFIED, False), f
             assert decide_certified(f).verdict is Verdict.NO_CERTIFIED, f
 
 
