@@ -7,11 +7,12 @@ Eisenstein polynomials that stay Eisenstein after the shift x -> x+1.  Each
 polynomial gets one shifted decision, whose plain-witness step runs first and
 under a fixed budget, so the Eisenstein column does not depend on the budget
 the run uses.  A census decides with `decide_certified`, which escalates the
-budget until the decision is certified.  Monte Carlo counts verdicts only:
-it decides a quadratic from the exponents of the primes of its discriminant
-where that needs little trial division (README, "Counting verdicts"), and
-every other polynomial by the certificate search of `shifted_eisenstein`,
-under the run's budget.
+budget until the decision is certified.  Monte Carlo counts verdicts only,
+by one rule for every degree (README, "Counting verdicts"): a prime p not
+dividing u = n*a_n qualifies when it divides once the local gcd G stripped
+of the primes of h_0/G, h_0 = u^n * f(-a_(n-1)/u); for n = 2, h_0 = -a_2*D
+shares G's valuations and nothing is stripped.  Past the rule's trial
+bound, the certificate search of `shifted_eisenstein` decides.
 
 Monte Carlo runs are deterministic for a given seed and independent of the
 worker count: samples are generated in chunks of CHUNK_SIZE, each chunk from

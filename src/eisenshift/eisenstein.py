@@ -169,10 +169,10 @@ def _strip_primes_of(g: int, u: int) -> int:
     return g
 
 
-def _local_gcd(coeffs: tuple[int, ...]) -> int:
-    """G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
+def _local_gcd(coeffs: tuple[int, ...]) -> tuple[int, int | None]:
+    """(G, h_0): G = gcd(h_0, ..., h_(n-2)) with the primes of u = n*a_n removed.
 
-    For f of degree n >= 3.  h(y) = u^n * f((y - a_(n-1))/u) has integer
+    For f of degree n >= 2.  h(y) = u^n * f((y - a_(n-1))/u) has integer
     coefficients, leading coefficient a_n and no y^(n-1) term; with
     t = -a_(n-1) they are
 
@@ -186,8 +186,9 @@ def _local_gcd(coeffs: tuple[int, ...]) -> int:
     = (u/2) * c with c = 2*n*a_n*a_(n-2) - (n-1)*a_(n-1)^2.  When u is odd,
     n is odd and c is even, so h_(n-2) = u * (c/2).  So c, halved when u is
     odd, has the valuation of h_(n-2) at every prime not dividing u, and it
-    stands in for h_(n-2) in the gcd.  The others follow top-down, each by
-    Horner's rule in t; the walk returns 1 as soon as the gcd reaches 1.
+    stands in for h_(n-2) in the gcd; at n = 2, c = -D is all there is.  The
+    others follow top-down, each by Horner's rule in t, and the walk returns
+    (1, None) as soon as the gcd reaches 1.  h_0 is None at n = 2.
     """
     n = len(coeffs) - 1
     u = n * coeffs[-1]
@@ -195,19 +196,21 @@ def _local_gcd(coeffs: tuple[int, ...]) -> int:
     g = 2 * u * coeffs[-3] - (n - 1) * t * t
     if u & 1:
         g //= 2
-    scaled = []  # scaled[i] = a_(n-i) * u^i
-    power = 1
-    for c in reversed(coeffs):
-        scaled.append(c * power)
-        power *= u
-    for row in _binomial_rows(n):
-        h = 0
-        for b, c in zip(scaled, row):
-            h = h * t + c * b
-        g = math.gcd(g, h)
-        if g == 1:
-            return 1
-    return _strip_primes_of(g, u) if g else 0
+    h = None
+    if n > 2:
+        scaled = []  # scaled[i] = a_(n-i) * u^i
+        power = 1
+        for c in reversed(coeffs):
+            scaled.append(c * power)
+            power *= u
+        for row in _binomial_rows(n):
+            h = 0
+            for b, c in zip(scaled, row):
+                h = h * t + c * b
+            g = math.gcd(g, h)
+            if g == 1:
+                return 1, None
+    return (_strip_primes_of(abs(g), u) if g else 0), h
 
 
 @functools.lru_cache(maxsize=64)
@@ -345,7 +348,7 @@ def _certificate_search(
         target = abs(a1 * a1 - 4 * a0 * an)
         small = []
     else:
-        target = _local_gcd(coeffs)
+        target = _local_gcd(coeffs)[0]
         small = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
         return _CERTIFIED_NO["discriminant-zero"]
@@ -368,55 +371,57 @@ def _certificate_search(
 
 
 def _shifted_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> tuple[Verdict, bool]:
-    """The verdict of `shifted_eisenstein(f, budget)` and whether f is Eisenstein.
+    """The shifted verdict for f under `budget` and whether f is Eisenstein.
 
     f is given by its coefficients, of degree n >= 2.  The plain-witness walk
-    runs once.  A quadratic is then decided by `_quadratic_verdict` where its
-    trial bound fits the budget; every other polynomial goes through the
-    certificate search.
+    runs once, then `_local_verdict`, then, past its trial bound, the search
+    of `shifted_eisenstein(f, budget)`.  So the verdict is certified wherever
+    the search's is, and equal to it there.
     """
     if _smallest_witness(coeffs) is not None:
         return Verdict.YES, True
-    n = len(coeffs) - 1
-    verdict = _quadratic_verdict(coeffs, budget) if n == 2 else None
+    verdict = _local_verdict(coeffs, budget)
     if verdict is None:
-        verdict = _certificate_search(coeffs, n, budget).verdict
+        verdict = _certificate_search(coeffs, len(coeffs) - 1, budget).verdict
     return verdict, False
 
 
-def _quadratic_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | None:
-    """Certified verdict for a quadratic without a plain witness, or None.
+def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | None:
+    """Certified verdict for f of degree n >= 2 without a plain witness, or None.
 
-    With D = a_1^2 - 4*a_0*a_2, an odd prime p not dividing a_2 qualifies
-    exactly when p divides D exactly once: its one candidate shift s has
-    2*a_2*s + a_1 = 0 (mod p), and 4*a_2*f(s) = (2*a_2*s + a_1)^2 - D, whose
-    first term p^2 divides.  After p = 2, f is a NO exactly when the part r
-    of |D| coprime to 2*a_2 is powerful (no prime divides it exactly once).  Trial
-    division to T = floor(r^(1/5)) leaves a rest w whose primes all exceed T,
-    and w <= r < (T+1)^5, so w has at most four prime factors counted with
-    multiplicity: w is powerful exactly when it is a perfect square or cube
-    (1, p^2, p^3, p^4 or p^2*q^2).  None when T exceeds the budget's trial
-    bound.
+    A prime p not dividing u = n*a_n qualifies exactly when p | G (see
+    `_local_gcd`) and p divides h_0 = u^n * f(t/u), t = -a_(n-1), once: its
+    shift s = t/u (mod p) has f'(s) = 0 (mod p), so f(s) = f(t/u) (mod p^2).
+    G divides h_0, so these are the primes dividing once the G' left by
+    stripping from G the primes of h_0/G (all of them when h_0 = 0).  At
+    n = 2, h_0 = -a_2*D, so G' = G with no strip.  Trial division of G' to
+    T = floor(G'^(1/5)) leaves a rest w with primes above T and w < (T+1)^5,
+    so at most four prime factors: none divides w once exactly when w is a
+    square or a cube (1, p^2, p^3, p^4, p^2*q^2).  Only when G' has no such
+    prime are the primes of n tested, by `_shift_at`.  G = 0 is a certified
+    NO.  None when T exceeds the budget's trial bound.
     """
-    a0, a1, a2 = coeffs
-    d = abs(a1 * a1 - 4 * a0 * a2)
-    if d == 0:
+    g, h0 = _local_gcd(coeffs)
+    if g == 0:
         return Verdict.NO_CERTIFIED
-    if _shift_at(coeffs, 2) is not None:
-        return Verdict.YES
-    rest = _strip_primes_of(d, 2 * a2)
-    bound = iroot(rest, 5)[0]
-    if bound > budget.trial_bound:
-        return None
-    # A prime rest yielded once p^2 exceeds what is left divides r exactly
-    # once too, although it exceeds the bound.
-    for p, e in _trial_division(rest, bound):
-        if e == 1:
+    if g > 1:
+        if h0 is not None:
+            g = _strip_primes_of(g, h0 // g)
+        bound = iroot(g, 5)[0]
+        if bound > budget.trial_bound:
+            return None
+        # A prime rest yielded once p^2 exceeds what is left divides G'
+        # exactly once too, although it exceeds the bound.
+        for p, e in _trial_division(g, bound):
+            if e == 1:
+                return Verdict.YES
+            g //= p**e
+        if not (iroot(g, 2)[1] or iroot(g, 3)[1]):
             return Verdict.YES
-        rest //= p**e
-    if iroot(rest, 2)[1] or iroot(rest, 3)[1]:
-        return Verdict.NO_CERTIFIED
-    return Verdict.YES
+    for p in _prime_divisors(len(coeffs) - 1):
+        if _shift_at(coeffs, p) is not None:
+            return Verdict.YES
+    return Verdict.NO_CERTIFIED
 
 
 def decide_certified(

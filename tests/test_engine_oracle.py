@@ -170,7 +170,12 @@ def local_polynomials(draw):
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(local_polynomials())
 def test_closed_form_local_gcd_matches_taylor_shift_oracle(f):
-    assert eisenstein_module._local_gcd(f.coeffs) == taylor_local_gcd(f), f
+    g, h0 = eisenstein_module._local_gcd(f.coeffs)
+    assert g == taylor_local_gcd(f), f
+    if g > 1:
+        # h_0 = u^n * f(t/u) with u = n*a_n and t = -a_(n-1).
+        n, u, t = f.degree, f.degree * f.leading, -f.coeffs[-2]
+        assert h0 == sum(c * u ** (n - k) * t**k for k, c in enumerate(f.coeffs)), f
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -190,7 +195,8 @@ def test_every_yes_is_checked_in_full(f):
     local_gcd = eisenstein_module._local_gcd
 
     def padded(coeffs):
-        return local_gcd(coeffs) * (3 * 5 * 7 * 11 * 13)
+        g, h0 = local_gcd(coeffs)
+        return g * (3 * 5 * 7 * 11 * 13), h0
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eisenstein_module, "_local_gcd", padded)

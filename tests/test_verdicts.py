@@ -1,6 +1,7 @@
-"""Monte Carlo's verdict decision against the certificate search, the one
-shift each prime allows, the paper's families of irreducible polynomials that
-are not shifted Eisenstein, and the bound on the shift a YES needs."""
+"""Monte Carlo's verdict decision against the certificate search at every
+degree, the one shift each prime allows, the paper's families of irreducible
+polynomials that are not shifted Eisenstein, and the bound on the shift a YES
+needs."""
 
 from itertools import product
 
@@ -23,15 +24,24 @@ from eisenshift import (
     shifted_eisenstein,
     taylor_shift,
 )
-from eisenshift.eisenstein import _shift_at, _shifted_verdict
+from eisenshift.eisenstein import _local_verdict, _shift_at, _shifted_verdict
 
 HEIGHTS = (3, 30, 10**6)
 BUDGETS = (DEFAULT_BUDGET, FactorBudget(2, 0))
 PLANT_PRIMES = (3, 5, 7, 11, 13)
 # Exponents (i, j) of the planted part p^i * q^j.
-SHAPES = ((1, 0), (2, 0), (3, 0), (4, 0), (2, 2), (2, 3))
+SHAPES = ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (2, 2), (2, 3))
 # Times 2, or times a prime that can be left as a rest above the trial bound.
 COFACTORS = (1, 2, 17, 29, 101, 1009)
+LOCAL_DEGREES = (3, 4, 5, 6, 8, 9)
+
+
+@st.composite
+def planted_parts(draw):
+    """(p, p^i * q^j) for distinct primes p, q from PLANT_PRIMES."""
+    p, q = draw(st.lists(st.sampled_from(PLANT_PRIMES), min_size=2, max_size=2, unique=True))
+    i, j = draw(st.sampled_from(SHAPES))
+    return p, p**i * q**j
 
 
 @st.composite
@@ -46,15 +56,35 @@ def quadratics(draw):
     a2 = draw(coeff.filter(bool))
     if draw(st.booleans()):
         return IntPoly((draw(coeff), draw(coeff), a2))
-    p, q = draw(st.lists(st.sampled_from(PLANT_PRIMES), min_size=2, max_size=2, unique=True))
-    i, j = draw(st.sampled_from(SHAPES))
-    e = draw(st.sampled_from((1, -1))) * p**i * q**j * draw(st.sampled_from(COFACTORS))
+    _, part = draw(planted_parts())
+    e = draw(st.sampled_from((1, -1))) * part * draw(st.sampled_from(COFACTORS))
     k = draw(st.integers(-2, 2))
     return IntPoly((a2 * k * k + e, 2 * a2 * k, a2))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(quadratics())
+@st.composite
+def higher_degree(draw):
+    """Degree n >= 3 polynomials from the box |a_i| <= H, half of them planted.
+
+    A planted f is F(x-k) with F = a_n*x^n + P*g + P^2*r, deg g, r < n and
+    P = p^i * q^j, so P divides the G of `_local_gcd` wherever p and q do not
+    divide n*a_n.  Half the time the constant term of F, f(k), is multiplied
+    by p, so that p^2 divides f(k) where p divides G once.
+    """
+    n = draw(st.sampled_from(LOCAL_DEGREES))
+    height = draw(st.sampled_from(HEIGHTS))
+    coeff = st.integers(-height, height)
+    lead = draw(coeff.filter(bool))
+    if draw(st.booleans()):
+        return IntPoly(tuple(draw(coeff) for _ in range(n)) + (lead,))
+    p, part = draw(planted_parts())
+    low = [part * draw(coeff) + part * part * draw(coeff) for _ in range(n)]
+    low[0] *= draw(st.sampled_from((1, p)))
+    return taylor_shift(IntPoly(tuple(low) + (lead,)), -draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.one_of(quadratics(), higher_degree()))
 # r = |D| without the primes of 2*a_2 is 7^4 * 101: trial division to
 # T = 11 yields the rest 101 > T, which qualifies.
 @example(IntPoly((-242500, 2, 1)))
@@ -65,13 +95,25 @@ def quadratics(draw):
 # r = 27, a cube, and r = 3^2 * 5^3, powerful but neither square nor cube.
 @example(IntPoly((27, 0, 1)))
 @example(IntPoly((-1125, 0, 1)))
-def test_quadratic_verdict_matches_the_certificate_search(f):
+# n = 3, G = 35 and T = 2: under FactorBudget(2, 0) the search leaves 35 to
+# rho, which has no steps, but the rest 35 is neither square nor cube, and
+# f(x+4) is Eisenstein at 5.
+@example(IntPoly((1, 8, -2, 6)))
+# n = 3, G = 5, but h_0 = 27 * 5^2: 5^2 divides f(0), so G' = 1.
+@example(IntPoly((25, 5, 0, 1)))
+# n = 3, G' = 11^2 * 13^3: trial division to T = 12 leaves the cube 13^3.
+@example(IntPoly((11**2 * 13**3, 11**2 * 13**3, 0, 1)))
+def test_local_verdict_matches_the_certificate_search(f):
     for budget in BUDGETS:
         verdict, plain = _shifted_verdict(f.coeffs, budget)
         assert plain == is_eisenstein(f), f
         decision = shifted_eisenstein(f, budget)
         if decision.verdict is Verdict.NO_HEURISTIC:
-            assert verdict in (Verdict.NO_HEURISTIC, decide_certified(f).verdict), (f, budget)
+            # The rule certifies wherever its trial bound fits the budget.
+            if _local_verdict(f.coeffs, budget) is None:
+                assert verdict is Verdict.NO_HEURISTIC, (f, budget)
+            else:
+                assert verdict is decide_certified(f).verdict, (f, budget)
         else:
             assert verdict is decision.verdict, (f, budget, decision)
 
