@@ -25,9 +25,11 @@ from .algebra import discriminant
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, _taylor_shift, taylor_shift
 from .primes import (
+    _SIEVE_CACHE_CAP,
     DEFAULT_BUDGET,
     FactorBudget,
     Factorization,
+    _prime_product,
     _trial_division,
     factorize,
     iroot,
@@ -248,6 +250,10 @@ def _shift_at(coeffs: tuple[int, ...], p: int) -> int | None:
     q = 1
     while n % (q * p) == 0:
         q *= p
+    if q > 1:
+        for j in range(1, n):
+            if j % q and coeffs[j] % p:
+                return None  # (x^q - s)^m has only powers of x^q
     s = (-coeffs[n - q] * pow(n // q * an, -1, p)) % p
     value = 0
     for c in reversed(coeffs):
@@ -394,12 +400,14 @@ def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | N
     shift s = t/u (mod p) has f'(s) = 0 (mod p), so f(s) = f(t/u) (mod p^2).
     G divides h_0, so these are the primes dividing once the G' left by
     stripping from G the primes of h_0/G (all of them when h_0 = 0).  At
-    n = 2, h_0 = -a_2*D, so G' = G with no strip.  Trial division of G' to
-    T = floor(G'^(1/5)) leaves a rest w with primes above T and w < (T+1)^5,
-    so at most four prime factors: none divides w once exactly when w is a
-    square or a cube (1, p^2, p^3, p^4, p^2*q^2).  Only when G' has no such
-    prime are the primes of n tested, by `_shift_at`.  G = 0 is a certified
-    NO.  None when T exceeds the budget's trial bound.
+    n = 2, h_0 = -a_2*D, so G' = G with no strip.  For a bound b from
+    T = floor(G'^(1/5)) to the trial bound B, P = gcd(G', product of the
+    primes up to b) differs from gcd(G'/P, P) exactly when one of them
+    divides G' once.  The rest w has primes above T and w < (T+1)^5, so at
+    most four prime factors, none of them once exactly when w is a square or
+    a cube (1, p^2, p^3, p^4, p^2*q^2).  Only then are the primes of n tested,
+    by `_shift_at`.  G = 0 is a certified NO.  None when G' >= (B+1)^5 (T > B)
+    or b exceeds the sieve's cache cap.
     """
     g, h0 = _local_gcd(coeffs)
     if g == 0:
@@ -407,15 +415,13 @@ def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | N
     if g > 1:
         if h0 is not None:
             g = _strip_primes_of(g, h0 // g)
-        bound = iroot(g, 5)[0]
-        if bound > budget.trial_bound:
+        bound = min(1 << -(-g.bit_length() // 5), budget.trial_bound)
+        if g >= (budget.trial_bound + 1) ** 5 or bound > _SIEVE_CACHE_CAP:
             return None
-        # A prime rest yielded once p^2 exceeds what is left divides G'
-        # exactly once too, although it exceeds the bound.
-        for p, e in _trial_division(g, bound):
-            if e == 1:
-                return Verdict.YES
-            g //= p**e
+        small = math.gcd(g, _prime_product(bound))
+        if math.gcd(g // small, small) != small:
+            return Verdict.YES
+        g = _strip_primes_of(g, small)
         if not (iroot(g, 2)[1] or iroot(g, 3)[1]):
             return Verdict.YES
     for p in _prime_divisors(len(coeffs) - 1):

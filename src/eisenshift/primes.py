@@ -8,6 +8,7 @@ expensive operations refuse predictably instead of running away.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_right
@@ -129,20 +130,32 @@ def is_prime(n: int) -> bool:
 
 
 def iroot(x: int, k: int) -> tuple[int, bool]:
-    """Floor k-th root of x >= 0 and whether it is exact."""
+    """Floor k-th root of x >= 0 and whether it is exact.
+
+    For k >= 3 and x < 2^1000 the float x**(1/k) is within a relative 10^-13
+    of the root (x and 1/k rounded once, pow within an ulp or two, ln x < 694):
+    off by at most 1 below 2^32, and above the root once raised by 2^-30.
+    """
     if type(x) is not int or type(k) is not int or x < 0 or k < 1:
         raise DomainError("iroot needs ints x >= 0 and k >= 1, got %r and %r" % (x, k))
     if k == 1 or x in (0, 1):
         return x, True
+    if k == 2:
+        r = math.isqrt(x)
+        return r, r * r == x
     r = 1 << ((x.bit_length() + k - 1) // k)
+    if x.bit_length() <= 1000:
+        r = int(x ** (1 / k))
+        if r < 1 << 32:
+            r -= r**k > x
+            r += (r + 1) ** k <= x
+            return r, r**k == x
+        r += (r >> 30) + 1
     while True:
         nxt = ((k - 1) * r + x // r ** (k - 1)) // k
         if nxt >= r:
-            break
+            return r, r**k == x
         r = nxt
-    while r**k > x:
-        r -= 1
-    return r, r**k == x
 
 
 @dataclass(frozen=True)
@@ -344,6 +357,12 @@ def _primes_up_to(bound: int) -> list[int]:
         _sieve_cover = bound
         _sieve_products = _block_products(_sieve_cache)
     return _sieve_cache
+
+
+@functools.lru_cache(maxsize=64)
+def _prime_product(bound: int) -> int:
+    primes = _primes_up_to(bound)
+    return math.prod(primes[: bisect_right(primes, bound)])
 
 
 def _trial_division(m: int, bound: int):

@@ -24,6 +24,7 @@ from eisenshift import (
 from eisenshift.primes import iroot
 
 from factor_first import trial_factorize
+from local_rule import newton_iroot
 
 _PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -185,6 +186,24 @@ def test_iroot():
         iroot(-4, 2)
     with pytest.raises(DomainError):
         iroot(4, 0)
+
+
+def test_iroot_matches_the_newton_oracle():
+    rng = random.Random(51)
+    cases = []
+    for _ in range(3000):
+        cases.append((rng.getrandbits(rng.randrange(1, 1201)), rng.randrange(1, 13)))
+    # r^k - 1, r^k and r^k + 1, for roots on both sides of 2^32 and for x on
+    # both sides of 2^1000, where the float seed gives way to 2^ceil(bits/k).
+    roots = [rng.getrandbits(rng.randrange(1, 120)) + 2 for _ in range(300)]
+    roots += [2**32 + d for d in range(-3, 4)] + [2**53 + d for d in (-1, 0, 1)]
+    for k in range(1, 13):
+        edge = newton_iroot(2**1000, k)[0]
+        for r in roots + [edge + d for d in range(-2, 3)]:
+            cases += [(r**k + d, k) for d in (-1, 0, 1)]
+        cases += [(2**1000 + d, k) for d in range(-3, 4)]
+    for x, k in cases:
+        assert iroot(x, k) == newton_iroot(x, k), (x, k)
 
 
 def test_factorize_complete_small():

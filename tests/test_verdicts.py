@@ -1,7 +1,7 @@
-"""Monte Carlo's verdict decision against the certificate search at every
-degree, the one shift each prime allows, the paper's families of irreducible
-polynomials that are not shifted Eisenstein, and the bound on the shift a YES
-needs."""
+"""Monte Carlo's verdict decision against the certificate search and its own
+trial-division form at every degree, the one shift each prime allows, the
+paper's families of irreducible polynomials that are not shifted Eisenstein,
+and the bound on the shift a YES needs."""
 
 from itertools import product
 
@@ -24,10 +24,18 @@ from eisenshift import (
     shifted_eisenstein,
     taylor_shift,
 )
-from eisenshift.eisenstein import _local_verdict, _shift_at, _shifted_verdict
+from eisenshift.eisenstein import (
+    _local_gcd,
+    _local_verdict,
+    _shift_at,
+    _shifted_verdict,
+    _strip_primes_of,
+)
+from local_rule import trial_local_verdict
 
 HEIGHTS = (3, 30, 10**6)
 BUDGETS = (DEFAULT_BUDGET, FactorBudget(2, 0))
+ORACLE_BUDGETS = BUDGETS + (FactorBudget(2, 1), FactorBudget(30, 0))
 PLANT_PRIMES = (3, 5, 7, 11, 13)
 # Exponents (i, j) of the planted part p^i * q^j.
 SHAPES = ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (2, 2), (2, 3))
@@ -104,6 +112,10 @@ def higher_degree(draw):
 # n = 3, G' = 11^2 * 13^3: trial division to T = 12 leaves the cube 13^3.
 @example(IntPoly((11**2 * 13**3, 11**2 * 13**3, 0, 1)))
 def test_local_verdict_matches_the_certificate_search(f):
+    # The rule also gives the verdicts of its trial-division form, which
+    # finds the prime that divides G' once.
+    for budget in ORACLE_BUDGETS:
+        assert _local_verdict(f.coeffs, budget) == trial_local_verdict(f.coeffs, budget), (f, budget)
     for budget in BUDGETS:
         verdict, plain = _shifted_verdict(f.coeffs, budget)
         assert plain == is_eisenstein(f), f
@@ -116,6 +128,35 @@ def test_local_verdict_matches_the_certificate_search(f):
                 assert verdict is decide_certified(f).verdict, (f, budget)
         else:
             assert verdict is decision.verdict, (f, budget, decision)
+
+
+def test_local_verdict_gives_up_exactly_at_the_fifth_power_of_the_bound():
+    # Under trial bound B = 2 the rule decides G' < 3^5 = 243 and hands
+    # G' >= 243 to the certificate search.
+    budget = FactorBudget(2, 0)
+    cases = {
+        # n = 2, G' = |D| = 241, a prime.
+        IntPoly((-60, 1, 1)): (241, Verdict.YES),
+        # n = 3, G' = 242 = 2 * 11^2: f(x-1) = x^3 + 242x + 242 is
+        # Eisenstein at 2; f itself is not.
+        taylor_shift(IntPoly((242, 242, 0, 1)), 1): (242, Verdict.YES),
+        # n = 2, G' = |D| = 3^5, from the paper's family.
+        IntPoly((61, 1, 1)): (243, None),
+        # n = 4, G' = 3^5: G is the odd part of gcd(a_2, a_1, a_0) and
+        # h_0 / G = 4^4 has only the prime 2.
+        IntPoly((243, 243, 243, 0, 1)): (243, None),
+    }
+    for f, (g_stripped, expected) in cases.items():
+        g, h0 = _local_gcd(f.coeffs)
+        assert (g if h0 is None else _strip_primes_of(g, h0 // g)) == g_stripped, f
+        assert not is_eisenstein(f), f
+        assert _local_verdict(f.coeffs, budget) is expected, f
+        assert trial_local_verdict(f.coeffs, budget) is expected, f
+    # One step up, B = 3, the rule decides both G' = 3^5: 3 divides it more
+    # than once and there is no rest, and neither has a working prime of n.
+    for f in (IntPoly((61, 1, 1)), IntPoly((243, 243, 243, 0, 1))):
+        assert _local_verdict(f.coeffs, FactorBudget(3, 0)) is Verdict.NO_CERTIFIED, f
+        assert decide_certified(f).verdict is Verdict.NO_CERTIFIED, f
 
 
 @st.composite
