@@ -39,7 +39,7 @@ from .eisenstein import (
 )
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, taylor_shift
-from .primes import DEFAULT_BUDGET, FactorBudget, euler_phi, mobius
+from .primes import DEFAULT_BUDGET, FactorBudget, _budget_error, euler_phi, mobius
 
 __all__ = [
     "DEFAULT_SEED",
@@ -171,6 +171,8 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
     """Exact counts over the whole box, every decision certified; a box of
     more than 10^8 polynomials is refused with BudgetError."""
     _check_box("exact_census", n, height)
+    if type(budget) is not FactorBudget:
+        raise _budget_error("exact_census", budget)
     side = 2 * height + 1
     total = side**n * (side - 1)
     if total > _ENUMERATION_CAP:
@@ -313,6 +315,8 @@ def monte_carlo(
     pool has at most one process per chunk and per CPU.
     """
     _check_box("monte_carlo", n, height, samples=samples, seed=seed, workers=workers)
+    if type(budget) is not FactorBudget:
+        raise _budget_error("monte_carlo", budget)
     if samples < 1:
         raise DomainError("monte_carlo needs samples >= 1")
     if workers < 1:

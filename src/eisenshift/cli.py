@@ -41,22 +41,24 @@ from . import __version__
 __all__ = ["build_parser", "main", "entry"]
 
 
-def _add_budget_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--trial-bound",
-        type=int,
-        default=DEFAULT_BUDGET.trial_bound,
-        help="trial division bound for factorizations (default %(default)s)",
-    )
-    sub.add_argument(
-        "--rho-iterations",
-        type=int,
-        default=DEFAULT_BUDGET.rho_iterations,
-        help="iteration budget for the rho factoring stage (default %(default)s)",
-    )
-
-
-def _add_format_arg(sub: argparse.ArgumentParser) -> None:
+def _add_shared_args(sub: argparse.ArgumentParser, handler, factors: bool = True) -> None:
+    """Give a subcommand its handler and the options it shares with the others:
+    the factoring budget if it `factors` integers, and --format.  Called after
+    the subcommand's own arguments, so that --help lists those first."""
+    sub.set_defaults(handler=handler)
+    if factors:
+        sub.add_argument(
+            "--trial-bound",
+            type=int,
+            default=DEFAULT_BUDGET.trial_bound,
+            help="trial division bound for factorizations (default %(default)s)",
+        )
+        sub.add_argument(
+            "--rho-iterations",
+            type=int,
+            default=DEFAULT_BUDGET.rho_iterations,
+            help="iteration budget for the rho factoring stage (default %(default)s)",
+        )
     sub.add_argument(
         "--format",
         choices=("text", "json"),
@@ -78,29 +80,33 @@ def build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser(
         "check", help="test the Eisenstein criterion for a polynomial"
     )
-    check.add_argument("poly", help="coefficients, constant term first: '5,4,1'")
-    check.add_argument(
-        "--prime", type=int, default=None, help="test one specific prime only"
-    )
-    _add_budget_args(check)
-    _add_format_arg(check)
-
     shift = subs.add_parser(
         "shift", help="decide whether some shift f(x+s) is Eisenstein"
     )
-    shift.add_argument("poly", help="coefficients, constant term first: '5,4,1'")
+    for sub in (check, shift):
+        sub.add_argument("poly", help="coefficients, constant term first: '5,4,1'")
+    check.add_argument(
+        "--prime", type=int, default=None, help="test one specific prime only"
+    )
+    _add_shared_args(check, _cmd_check)
     shift.add_argument(
         "--certified",
         action="store_true",
         help="retry with growing budgets until the answer is certified",
     )
-    _add_budget_args(shift)
-    _add_format_arg(shift)
+    _add_shared_args(shift, _cmd_shift)
 
     density = subs.add_parser(
         "density", help="density constants for random polynomials of one degree"
     )
-    density.add_argument("--degree", type=int, required=True, help="degree n >= 2")
+    census = subs.add_parser(
+        "census", help="exact counts over the box |a_i| <= H, a_n != 0"
+    )
+    mc = subs.add_parser(
+        "montecarlo", help="classify uniform random samples from a box"
+    )
+    for sub in (density, census, mc):
+        sub.add_argument("--degree", type=int, required=True, help="degree n >= 2")
     density.add_argument(
         "--primes",
         type=int,
@@ -110,22 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     density.add_argument(
         "--dps", type=int, default=DEFAULT_DPS, help="significant digits of the constants"
     )
-    _add_format_arg(density)
-
-    census = subs.add_parser(
-        "census", help="exact counts over the box |a_i| <= H, a_n != 0"
-    )
-    census.add_argument("--degree", type=int, required=True, help="degree n >= 2")
-    census.add_argument("--height", type=int, required=True, help="height bound H")
-    census.add_argument("--csv", default=None, help="also append a CSV row to this file")
-    _add_budget_args(census)
-    _add_format_arg(census)
-
-    mc = subs.add_parser(
-        "montecarlo", help="classify uniform random samples from a box"
-    )
-    mc.add_argument("--degree", type=int, required=True, help="degree n >= 2")
-    mc.add_argument("--height", type=int, required=True, help="height bound H")
+    _add_shared_args(density, _cmd_density, factors=False)
+    for sub in (census, mc):
+        sub.add_argument("--height", type=int, required=True, help="height bound H")
     mc.add_argument("--samples", type=int, required=True, help="number of samples")
     mc.add_argument(
         "--seed",
@@ -139,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="parallel worker processes (at most one per CPU and per 256-sample chunk)",
     )
-    mc.add_argument("--csv", default=None, help="also append a CSV row to this file")
-    _add_budget_args(mc)
-    _add_format_arg(mc)
+    for sub in (census, mc):
+        sub.add_argument("--csv", default=None, help="also append a CSV row to this file")
+        _add_shared_args(sub, _cmd_experiment)
 
     return parser
 
@@ -192,36 +185,17 @@ def _write_csv(path: str, report) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     f = parse_poly(args.poly)
-    if args.prime is not None:
-        ok = is_eisenstein_with(f, args.prime)
-        record = {
-            "poly": str(f),
-            "coeffs": list(f.coeffs),
-            "prime": args.prime,
-            "eisenstein": ok,
-        }
-        if ok:
-            lines = ["%s is Eisenstein with respect to p = %d" % (f, args.prime)]
-        else:
-            lines = ["%s is not Eisenstein with respect to p = %d" % (f, args.prime)]
-        _emit(args, record, lines)
-        return 0 if ok else 1
-    witnesses = eisenstein_primes(f, _budget(args))
-    ok = bool(witnesses)
-    record = {
-        "poly": str(f),
-        "coeffs": list(f.coeffs),
-        "eisenstein": ok,
-        "primes": witnesses,
-    }
-    if ok:
-        lines = [
-            "%s is Eisenstein with respect to p = %s"
-            % (f, ", ".join(str(p) for p in witnesses))
-        ]
+    record = {"poly": str(f), "coeffs": list(f.coeffs)}
+    if args.prime is None:
+        witnesses = record["primes"] = eisenstein_primes(f, _budget(args))
+        where = "p = %s" % ", ".join(str(p) for p in witnesses) if witnesses else "any prime"
     else:
-        lines = ["%s is not Eisenstein with respect to any prime" % f]
-    _emit(args, record, lines)
+        witnesses = [args.prime] if is_eisenstein_with(f, args.prime) else []
+        record["prime"] = args.prime
+        where = "p = %d" % args.prime
+    ok = record["eisenstein"] = bool(witnesses)
+    verb = "is" if ok else "is not"
+    _emit(args, record, ["%s %s Eisenstein with respect to %s" % (f, verb, where)])
     return 0 if ok else 1
 
 
@@ -244,28 +218,23 @@ def _cmd_shift(args: argparse.Namespace) -> int:
         record["certificate"] = {"shift": cert.shift, "prime": cert.prime}
         record["verified"] = verified
         flag = "verified" if verified else "VERIFICATION FAILED"
-        _emit(
-            args,
-            record,
-            [
-                "YES: f(x + %d) is Eisenstein with respect to p = %d (%s)"
-                % (cert.shift, cert.prime, flag)
-            ],
-        )
-        return 0 if verified else 2
-    if decision.verdict is Verdict.NO_CERTIFIED:
-        _emit(args, record, ["NO (certified): %s" % decision.reason])
-        return 1
-    _emit(
-        args,
-        record,
-        [
+        lines = [
+            "YES: f(x + %d) is Eisenstein with respect to p = %d (%s)"
+            % (cert.shift, cert.prime, flag)
+        ]
+        code = 0 if verified else 2
+    elif decision.verdict is Verdict.NO_CERTIFIED:
+        lines = ["NO (certified): %s" % decision.reason]
+        code = 1
+    else:
+        lines = [
             "NO (heuristic): %s; unfactored cofactor %d"
             % (decision.reason, decision.cofactor),
             "rerun with --certified or a larger --rho-iterations to settle it",
-        ],
-    )
-    return 3
+        ]
+        code = 3
+    _emit(args, record, lines)
+    return code
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
@@ -290,64 +259,45 @@ def _cmd_density(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """census and montecarlo: one report, printed, then appended to the CSV file."""
     if args.csv:
         _check_csv(args.csv)
-    report = exact_census(args.degree, args.height, budget=_budget(args))
-    record = report.as_record()
-    lines = [
-        "census: degree %d, height %d, %d polynomials"
-        % (report.n, report.height, report.samples),
-        "eisenstein          : %d" % report.eisenstein,
-        "shifted eisenstein  : %d" % report.shifted,
-        "eisenstein at 0 and 1: %d" % report.f_count,
-    ]
-    if report.ratio is not None:
-        lines.append("ratio shifted/eisenstein = %.6f" % report.ratio)
-    _emit(args, record, lines)  # before the append, so a failed append loses no result
-    if args.csv:
-        _write_csv(args.csv, report)
-    return 0
-
-
-def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    if args.csv:
-        _check_csv(args.csv)
-    report = monte_carlo(
-        args.degree,
-        args.height,
-        args.samples,
-        seed=args.seed,
-        budget=_budget(args),
-        workers=args.workers,
-    )
-    record = report.as_record()
-    lines = [
-        "montecarlo: degree %d, height %d, %d samples, seed %d"
-        % (report.n, report.height, report.samples, report.seed),
-        "eisenstein          : %d" % report.eisenstein,
-        "shifted eisenstein  : %d" % report.shifted,
-        "eisenstein at 0 and 1: %d" % report.f_count,
-        "unresolved          : %d" % report.unresolved,
-    ]
-    if report.ratio is not None:
-        lines.append(
-            "ratio shifted/eisenstein = %.4f  (95%% CI [%.4f, %.4f])"
-            % (report.ratio, report.ci_low, report.ci_high)
+    montecarlo = args.command == "montecarlo"
+    if montecarlo:
+        report = monte_carlo(
+            args.degree,
+            args.height,
+            args.samples,
+            seed=args.seed,
+            budget=_budget(args),
+            workers=args.workers,
         )
-    _emit(args, record, lines)  # before the append, so a failed append loses no result
+        sampled = "samples, seed %d" % report.seed
+    else:
+        report = exact_census(args.degree, args.height, budget=_budget(args))
+        sampled = "polynomials"
+    lines = [
+        "%s: degree %d, height %d, %d %s"
+        % (report.kind, report.n, report.height, report.samples, sampled),
+        "eisenstein          : %d" % report.eisenstein,
+        "shifted eisenstein  : %d" % report.shifted,
+        "eisenstein at 0 and 1: %d" % report.f_count,
+    ]
+    if montecarlo:  # a census certifies every decision
+        lines.append("unresolved          : %d" % report.unresolved)
+    if report.ratio is not None:
+        if montecarlo:
+            ratio = "%.4f  (95%% CI [%.4f, %.4f])" % (
+                report.ratio, report.ci_low, report.ci_high
+            )
+        else:
+            ratio = "%.6f" % report.ratio
+        lines.append("ratio shifted/eisenstein = %s" % ratio)
+    _emit(args, report.as_record(), lines)  # before the append, so a failed append loses no result
     if args.csv:
         _write_csv(args.csv, report)
     return 0
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "shift": _cmd_shift,
-    "density": _cmd_density,
-    "census": _cmd_census,
-    "montecarlo": _cmd_montecarlo,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (DomainError, BudgetError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from .primes import (
     DEFAULT_BUDGET,
     FactorBudget,
     Factorization,
+    _budget_error,
     _prime_product,
     _trial_division,
     factorize,
@@ -126,6 +127,8 @@ def _walk_witnesses(g: int, a0: int, an: int, budget: FactorBudget):
 
 def eisenstein_primes(f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET) -> list[int]:
     """All primes with respect to which f is Eisenstein, ascending."""
+    if type(budget) is not FactorBudget:
+        raise _budget_error("eisenstein_primes", budget)
     return list(_witness_primes(f.coeffs, budget))
 
 
@@ -325,6 +328,8 @@ def shifted_eisenstein(
     when the discriminant of f is 0; otherwise the verdict is heuristic and
     carries the unsplit cofactor.
     """
+    if type(budget) is not FactorBudget:
+        raise _budget_error("shifted_eisenstein", budget)
     n = f.degree
     if n < 2:
         raise DomainError("shifted_eisenstein needs degree >= 2")

@@ -104,7 +104,9 @@ def derivative(f: IntPoly) -> IntPoly:
 
 
 def taylor_shift(f: IntPoly, s: int) -> IntPoly:
-    """f(x+s), by `_taylor_shift` on the coefficients."""
+    """f(x+s), by `_taylor_shift` on the coefficients; s must be an int, not a bool."""
+    if type(s) is not int:
+        raise DomainError("taylor_shift needs an int shift, got %r" % (s,))
     return IntPoly(_taylor_shift(f.coeffs, s))
 
 

@@ -192,6 +192,13 @@ class FactorBudget:
 DEFAULT_BUDGET = FactorBudget()
 
 
+def _budget_error(caller: str, budget) -> DomainError:
+    """The error for a `budget` that is not a FactorBudget.  Public entry points
+    test `type(budget) is not FactorBudget` inline, once per call, as a call
+    costs more than the test on the decision path; private helpers trust them."""
+    return DomainError("%s needs a FactorBudget, got %r" % (caller, budget))
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Outcome of a budgeted factorization of |n|.
@@ -218,23 +225,22 @@ class Factorization:
 
 
 def _perfect_power(m: int) -> tuple[int, int] | None:
-    """Decompose m = base^k with k maximal (k >= 2), or None."""
-    best_base, best_k = m, 1
-    changed = True
-    while changed:
-        changed = False
-        limit = best_base.bit_length()
-        for k in _SMALL_PRIMES:
-            if k > limit:
-                break
-            root, exact = iroot(best_base, k)
-            if exact and root > 1:
-                best_base = root
-                best_k *= k
-                changed = True
-                break
-    if best_k >= 2:
-        return best_base, best_k
+    """Decompose m = base^k with k maximal (k >= 2), or None.
+
+    One pass over the primes k up to the base's bit length, taking k-th roots
+    while they are exact.  A base with no k-th root never gains one later:
+    if base = r^j and r = s^k, then base = (s^j)^k.
+    """
+    base, power = m, 1
+    for k in _SMALL_PRIMES:
+        if k > base.bit_length():
+            break
+        root, exact = iroot(base, k)
+        while exact and root > 1:
+            base, power = root, power * k
+            root, exact = iroot(base, k)
+    if power >= 2:
+        return base, power
     return None
 
 
@@ -295,6 +301,8 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """
     if type(n) is not int or n == 0:
         raise DomainError("factorize needs a nonzero int, got %r" % (n,))
+    if type(budget) is not FactorBudget:
+        raise _budget_error("factorize", budget)
     found: dict[int, int] = {}
     rest = abs(n)
     if budget.trial_bound >= 2:  # a rho-only split skips starting an empty walk

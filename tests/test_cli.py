@@ -238,6 +238,12 @@ def test_montecarlo_text_mentions_ratio(capsys):
     assert "95% CI" in out
 
 
+@pytest.mark.parametrize("command", ["check", "shift", "density", "census", "montecarlo"])
+def test_subcommand_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: eisenshift %s " % command)
+
+
 def test_usage_errors_and_version(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -1,20 +1,27 @@
-"""Integer arguments refuse floats and bools with DomainError, never a result or a traceback."""
+"""Integer arguments refuse floats and bools, and budget arguments anything but a
+FactorBudget, with DomainError, never a result or a traceback."""
 
 import pytest
 
 from eisenshift import (
     DomainError,
     IntPoly,
+    decide_certified,
     density_report,
+    eisenstein_primes,
     euler_phi,
+    exact_census,
     factorize,
     first_primes,
     is_eisenstein_with,
     is_prime,
     iroot,
     mobius,
+    monte_carlo,
     predicted_eisenstein_count,
+    shifted_eisenstein,
     sieve_primes,
+    taylor_shift,
     wilson_interval,
 )
 
@@ -39,6 +46,16 @@ from eisenshift import (
         lambda: predicted_eisenstein_count(2, 1.5, [2, 3]),
         lambda: wilson_interval(1.5, 3),
         lambda: wilson_interval(1, 3.0),
+        lambda: monte_carlo(2, 10, 5, budget=None),  # was AttributeError
+        lambda: exact_census(2, 1, budget=(2, 1)),  # was AttributeError
+        lambda: shifted_eisenstein(IntPoly((5, 4, 1)), None),  # was AttributeError
+        lambda: shifted_eisenstein(IntPoly((2, 2, 1)), None),  # was a YES, by plain witness
+        lambda: decide_certified(IntPoly((5, 4, 1)), 5),  # was AttributeError
+        lambda: eisenstein_primes(IntPoly((6, 6, 1)), None),  # was AttributeError
+        lambda: eisenstein_primes(IntPoly((5, 4, 1)), None),  # was []: coefficient gcd 1
+        lambda: factorize(12, (2, 1)),  # was AttributeError
+        lambda: taylor_shift(IntPoly((5, 4, 1)), True),  # was f(x+1)
+        lambda: taylor_shift(IntPoly((5, 4, 1)), 1.5),  # was refused only by IntPoly
     ],
 )
 def test_non_int_argument_is_a_domain_error(call):

@@ -206,6 +206,29 @@ def test_iroot_matches_the_newton_oracle():
         assert iroot(x, k) == newton_iroot(x, k), (x, k)
 
 
+def _largest_power(m):
+    """(r, k) with m = r^k and k >= 2 largest, or None, trying every k."""
+    for k in range(m.bit_length(), 1, -1):
+        root, exact = newton_iroot(m, k)
+        if exact and root > 1:
+            return root, k
+    return None
+
+
+def test_perfect_power_matches_the_largest_exact_root():
+    # Roots are taken once per prime k, while exact, so powers of powers
+    # (b^e with composite e, or b itself a power) are the cases to cover.
+    cases = list(range(2, 5000)) + [b**e for b in range(2, 60) for e in range(1, 40)]
+    for m in cases:
+        assert primes_module._perfect_power(m) == _largest_power(m), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 2**64) | st.builds(pow, st.integers(2, 10**4), st.integers(2, 24)))
+def test_perfect_power_matches_the_largest_exact_root_on_random_input(m):
+    assert primes_module._perfect_power(m) == _largest_power(m)
+
+
 def test_factorize_complete_small():
     fact = factorize(2**5 * 3**2 * 7)
     assert fact.factors == ((2, 5), (3, 2), (7, 1))

@@ -1,13 +1,15 @@
-"""README's console examples are what the CLI prints, byte for byte, and its
-Library usage block runs."""
+"""README's console examples are what the CLI prints, byte for byte, its
+Command-line usage names each subcommand's options, and its Library usage
+block runs."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from eisenshift.cli import main
+from eisenshift.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,6 +36,45 @@ def test_readme_has_the_console_examples():
 def test_readme_console_example(command, expected, capsys):
     main(shlex.split(command)[1:])
     assert capsys.readouterr().out == expected
+
+
+def _readme_options():
+    """{subcommand: long options} from README's Command-line usage section: the
+    usage block, plus the shared options its prose names."""
+    section = README.read_text().split("## Command-line usage\n", 1)[1].split("\n#", 1)[0]
+    block, prose = re.fullmatch(r"\s*```\n(.*?)```(.*)", section, re.S).groups()
+    options = {}
+    for line in block.splitlines():
+        command = line.split()[1]
+        options[command] = set(re.findall(r"--[a-z-]+", line.partition("#")[0]))
+    prose = " ".join(prose.split())
+    (every,) = re.findall(r"Every subcommand takes `(--[a-z-]+)", prose)
+    factoring, *budget = re.search(
+        r"subcommands that factor integers \((.*?)\) take `(--[a-z-]+)` and `(--[a-z-]+)`", prose
+    ).groups()
+    for command in options:
+        options[command].add(every)
+    for command in re.findall(r"`([a-z]+)`", factoring):
+        options[command].update(budget)
+    return options
+
+
+def _parser_options():
+    """{subcommand: long options} of build_parser(), --help left out."""
+    (subs,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {
+            flag
+            for action in sub._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for command, sub in subs.choices.items()
+    }
+
+
+def test_readme_usage_names_every_option_of_each_subcommand():
+    assert _readme_options() == _parser_options()
 
 
 def test_readme_library_usage_runs():
