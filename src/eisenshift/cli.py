@@ -140,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args: argparse.Namespace) -> FactorBudget:
-    return FactorBudget(
-        trial_bound=args.trial_bound, rho_iterations=args.rho_iterations
-    )
+    return FactorBudget(trial_bound=args.trial_bound, rho_iterations=args.rho_iterations)
 
 
 def _emit(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
@@ -184,10 +182,10 @@ def _write_csv(path: str, report) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    f = parse_poly(args.poly)
+    f, budget = parse_poly(args.poly), _budget(args)
     record = {"poly": str(f), "coeffs": list(f.coeffs)}
     if args.prime is None:
-        witnesses = record["primes"] = eisenstein_primes(f, _budget(args))
+        witnesses = record["primes"] = eisenstein_primes(f, budget)
         where = "p = %s" % ", ".join(str(p) for p in witnesses) if witnesses else "any prime"
     else:
         witnesses = [args.prime] if is_eisenstein_with(f, args.prime) else []

@@ -25,7 +25,6 @@ from .algebra import discriminant
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, _taylor_shift, taylor_shift
 from .primes import (
-    _SIEVE_CACHE_CAP,
     DEFAULT_BUDGET,
     FactorBudget,
     Factorization,
@@ -412,7 +411,7 @@ def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | N
     most four prime factors, none of them once exactly when w is a square or
     a cube (1, p^2, p^3, p^4, p^2*q^2).  Only then are the primes of n tested,
     by `_shift_at`.  G = 0 is a certified NO.  None when G' >= (B+1)^5 (T > B)
-    or b exceeds the sieve's cache cap.
+    or `_prime_product(b)` is None, past the prime table's cap.
     """
     g, h0 = _local_gcd(coeffs)
     if g == 0:
@@ -421,9 +420,9 @@ def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | N
         if h0 is not None:
             g = _strip_primes_of(g, h0 // g)
         bound = min(1 << -(-g.bit_length() // 5), budget.trial_bound)
-        if g >= (budget.trial_bound + 1) ** 5 or bound > _SIEVE_CACHE_CAP:
+        if g >= (budget.trial_bound + 1) ** 5 or (product := _prime_product(bound)) is None:
             return None
-        small = math.gcd(g, _prime_product(bound))
+        small = math.gcd(g, product)
         if math.gcd(g // small, small) != small:
             return Verdict.YES
         g = _strip_primes_of(g, small)

@@ -67,19 +67,48 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if sieve[i]]
 
 
+_SIEVE_CACHE_CAP = 8_000_000  # how far trial division and perfect powers grow the prime table
+_BLOCK = 64
+
+
+def _sieve_table(cover: int) -> tuple[int, list[int], list[int]]:
+    """(cover, the primes up to cover, the product of each block of _BLOCK of them)."""
+    primes = sieve_primes(cover)
+    return cover, primes, [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
+
+
+# The prime table cached across calls; growing it replaces it whole.
+_sieve = _sieve_table(1000)
+_SMALL_PRIMES = _sieve[1]
+
+
+def _primes_up_to(bound: int) -> tuple[int, list[int], list[int]]:
+    """The cached prime table, first grown to cover every prime up to `bound`."""
+    global _sieve
+    if _sieve[0] < bound:
+        _sieve = _sieve_table(bound)
+    return _sieve
+
+
+@functools.lru_cache(maxsize=64)
+def _prime_product(bound: int) -> int | None:
+    """The product of the primes up to `bound`, or None past _SIEVE_CACHE_CAP."""
+    if bound > _SIEVE_CACHE_CAP:
+        return None
+    primes = _primes_up_to(bound)[1]
+    return math.prod(primes[: bisect_right(primes, bound)])
+
+
 def first_primes(count: int) -> list[int]:
     """The first `count` primes, ascending, as a fresh list.  They stay cached
-    in the sieve trial division reads, grown past _SIEVE_CACHE_CAP if need be."""
+    in the prime table trial division reads, grown past _SIEVE_CACHE_CAP if need be."""
     if type(count) is not int or count < 0:
         raise DomainError("first_primes needs an int count >= 0, got %r" % (count,))
     bound = 15  # p_5 = 11
     if count >= 6:
         # p_k < k (ln k + ln ln k) for k >= 6 (Rosser and Schoenfeld 1962, Theorem 3)
         bound = int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    return _primes_up_to(bound)[:count]
-
-
-_SMALL_PRIMES = sieve_primes(1000)
+    return _primes_up_to(bound)[1][:count]
 
 
 def is_prime(n: int) -> bool:
@@ -132,9 +161,9 @@ def is_prime(n: int) -> bool:
 def iroot(x: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of x >= 0 and whether it is exact.
 
-    For k >= 3 and x < 2^1000 the float x**(1/k) is within a relative 10^-13
-    of the root (x and 1/k rounded once, pow within an ulp or two, ln x < 694):
-    off by at most 1 below 2^32, and above the root once raised by 2^-30.
+    For k >= 3 and a root below 2^1000 the float seed x**(1/k) (x < 2^1000, ln x
+    < 694) or 2**(log2(x)/k) (log2 from x's leading 53 bits) is within a relative
+    10^-12 of the root: off by at most 1 below 2^32, above it once raised by 2^-30.
     """
     if type(x) is not int or type(k) is not int or x < 0 or k < 1:
         raise DomainError("iroot needs ints x >= 0 and k >= 1, got %r and %r" % (x, k))
@@ -144,8 +173,8 @@ def iroot(x: int, k: int) -> tuple[int, bool]:
         r = math.isqrt(x)
         return r, r * r == x
     r = 1 << ((x.bit_length() + k - 1) // k)
-    if x.bit_length() <= 1000:
-        r = int(x ** (1 / k))
+    if r.bit_length() <= 1000:
+        r = int(x ** (1 / k) if x.bit_length() <= 1000 else 2 ** (math.log2(x) / k))
         if r < 1 << 32:
             r -= r**k > x
             r += (r + 1) ** k <= x
@@ -165,7 +194,9 @@ class FactorBudget:
     `trial_bound` is the largest trial divisor and `rho_iterations` the number
     of Brent-Pollard rho steps shared by all splits of one factorization.
     Both must be ints >= 0, bools rejected as for IntPoly's coefficients
-    (DomainError).  Perfect powers are always extracted, at no rho cost.
+    (DomainError).  Trial divisors and perfect-power exponents come from one
+    cached prime table grown to 8*10^6 at most (_SIEVE_CACHE_CAP), so a power
+    with a prime exponent up to there is extracted at no rho cost.
     """
 
     trial_bound: int = 100_000
@@ -229,10 +260,12 @@ def _perfect_power(m: int) -> tuple[int, int] | None:
 
     One pass over the primes k up to the base's bit length, taking k-th roots
     while they are exact.  A base with no k-th root never gains one later:
-    if base = r^j and r = s^k, then base = (s^j)^k.
+    if base = r^j and r = s^k, then base = (s^j)^k.  The primes k come from
+    the cached prime table, grown to m's bit length but not past
+    _SIEVE_CACHE_CAP, so a prime exponent above 8*10^6 is not found.
     """
     base, power = m, 1
-    for k in _SMALL_PRIMES:
+    for k in _primes_up_to(min(m.bit_length(), _SIEVE_CACHE_CAP))[1]:
         if k > base.bit_length():
             break
         root, exact = iroot(base, k)
@@ -343,36 +376,6 @@ def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
     return cofactor
 
 
-_SIEVE_CACHE_CAP = 8_000_000
-_BLOCK = 64
-
-
-def _block_products(primes: list[int]) -> list[int]:
-    return [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
-
-
-# The primes up to _sieve_cover, and the product of each block of _BLOCK of them.
-_sieve_cache: list[int] = _SMALL_PRIMES
-_sieve_cover = 1000
-_sieve_products = _block_products(_SMALL_PRIMES)
-
-
-def _primes_up_to(bound: int) -> list[int]:
-    """The cached primes, first grown to cover every prime up to `bound`."""
-    global _sieve_cache, _sieve_cover, _sieve_products
-    if _sieve_cover < bound:
-        _sieve_cache = sieve_primes(bound)
-        _sieve_cover = bound
-        _sieve_products = _block_products(_sieve_cache)
-    return _sieve_cache
-
-
-@functools.lru_cache(maxsize=64)
-def _prime_product(bound: int) -> int:
-    primes = _primes_up_to(bound)
-    return math.prod(primes[: bisect_right(primes, bound)])
-
-
 def _trial_division(m: int, bound: int):
     """Trial-divide m >= 1 by the primes up to `bound`, smallest first.
 
@@ -382,16 +385,14 @@ def _trial_division(m: int, bound: int):
     prime factors all exceed `bound`.  A caller that stops early never pays
     for the larger primes.
 
-    The primes come from the sieve cached across calls, which trial division
-    grows up to 8*10^6; past what it covers every odd number is tried.  Past the first block of 64
+    The primes come from the prime table cached across calls, read once per
+    walk, which trial division grows up to _SIEVE_CACHE_CAP = 8*10^6; past
+    what it covers every odd number is tried.  Past the first block of 64
     cached primes, a block whose cached product is coprime to the rest is
     skipped with one gcd.
     """
-    if bound <= _SIEVE_CACHE_CAP:
-        _primes_up_to(bound)
-    primes = _sieve_cache
-    products = _sieve_products
-    stop = len(primes) if bound >= _sieve_cover else bisect_right(primes, bound)
+    cover, primes, products = _primes_up_to(bound) if bound <= _SIEVE_CACHE_CAP else _sieve
+    stop = len(primes) if bound >= cover else bisect_right(primes, bound)
     i = 0
     while i < stop:
         p = primes[i]
@@ -409,7 +410,7 @@ def _trial_division(m: int, bound: int):
     else:
         # Past the cache cap every odd number is a trial divisor: a composite
         # one never divides what is left, as its prime factors are gone.
-        for p in range(_sieve_cover + 1 + _sieve_cover % 2, bound + 1, 2):
+        for p in range(cover + 1 + cover % 2, bound + 1, 2):
             if p * p > m:
                 break
             if m % p == 0:
@@ -496,8 +497,6 @@ def _pgcd_monic(a: list[int], b: list[int], p: int) -> list[int]:
 def _split_linear(g: list[int], p: int, rng: random.Random) -> list[int]:
     """Roots of a monic product of distinct linear factors over F_p."""
     d = len(g) - 1
-    if d <= 0:
-        return []
     if d == 1:
         return [(-g[0]) % p]
     while True:

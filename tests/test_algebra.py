@@ -245,6 +245,12 @@ def test_discriminant_needs_degree_two():
         discriminant(IntPoly((1, 1)))
 
 
+def test_size_bounds_need_degree_two():
+    for bound in (mahler_bound, max_shift_bound):
+        with pytest.raises(DomainError):
+            bound(IntPoly((1, 1)))
+
+
 def test_mahler_bound_dominates_discriminant():
     rng = random.Random(41)
     for _ in range(1000):

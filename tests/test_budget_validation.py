@@ -43,6 +43,7 @@ def test_zero_budget_is_valid():
          "--trial-bound", "-1", "--rho-iterations", "-1"],
         ["shift", "1,5,1", "--trial-bound", "-7", "--rho-iterations", "-3"],
         ["check", "2,2,1", "--trial-bound", "-1"],
+        ["check", "3,6,1", "--prime", "3", "--trial-bound", "-1"],
     ],
 )
 def test_cli_negative_budget_is_a_usage_error(capsys, args):

@@ -234,16 +234,12 @@ def test_every_density_entry_point_rejects_a_bad_prime_list(primes):
         predicted_eisenstein_count(3, 10, primes)
 
 
-def test_a_wrong_long_prime_list_is_refused_before_any_sieve(monkeypatch):
+def test_a_wrong_long_prime_list_is_refused_before_any_sieve(fresh_sieve):
     # It used to be refused only after sieving, and caching, the first
     # 10^6 primes.  The cache starts over at the primes below 1000.
-    small = primes_module._SMALL_PRIMES
-    monkeypatch.setattr(primes_module, "_sieve_cache", small)
-    monkeypatch.setattr(primes_module, "_sieve_cover", 1000)
-    monkeypatch.setattr(primes_module, "_sieve_products", primes_module._block_products(small))
     with pytest.raises(DomainError):
         density_report(3, list(range(2, 10**6 + 2)))
-    assert primes_module._sieve_cover == 1000
+    assert primes_module._sieve[0] == 1000
 
 
 @pytest.mark.parametrize("n, dps", [(3.0, 50), (True, 50), (1, 50), (3, 1.5), (3, 0)])

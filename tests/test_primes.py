@@ -12,6 +12,7 @@ from eisenshift import (
     BudgetError,
     DomainError,
     FactorBudget,
+    Factorization,
     IntPoly,
     euler_phi,
     factorize,
@@ -53,18 +54,9 @@ def test_first_primes():
         first_primes(-1)
 
 
-def _fresh_sieve_cache(monkeypatch):
-    """Start the shared prime cache over at the primes below 1000."""
-    monkeypatch.setattr(primes_module, "_sieve_cache", primes_module._SMALL_PRIMES)
-    monkeypatch.setattr(primes_module, "_sieve_cover", 1000)
-    small_products = primes_module._block_products(primes_module._SMALL_PRIMES)
-    monkeypatch.setattr(primes_module, "_sieve_products", small_products)
-
-
-def test_first_primes_returns_a_fresh_list(monkeypatch):
+def test_first_primes_returns_a_fresh_list(fresh_sieve):
     # first_primes reads the sieve that trial division keeps; changing its
     # result must reach neither the next call nor a factorization.
-    _fresh_sieve_cache(monkeypatch)
     for count in (5, 200, 10_000):
         primes = first_primes(count)
         primes[0] = 9
@@ -73,12 +65,11 @@ def test_first_primes_returns_a_fresh_list(monkeypatch):
     assert factorize(2 * 3 * 104723) == trial_factorize(2 * 3 * 104723, FactorBudget())
 
 
-def test_factorize_is_unchanged_when_first_primes_grows_the_cache(monkeypatch):
+def test_factorize_is_unchanged_when_first_primes_grows_the_cache(fresh_sieve):
     # The default trial bound of 10^5 sieves to 10^5; first_primes(10^4)
     # then grows the cache to cover p_10000 = 104729, so trial division
     # stops inside the cache.  Without rho iterations, primes just above
     # 10^5 must stay in the cofactor.
-    _fresh_sieve_cache(monkeypatch)
     rng = random.Random(72)
     candidates = sieve_primes(110_000)[-1500:]  # 98 000 < p < 110 000
     numbers = [
@@ -88,9 +79,9 @@ def test_factorize_is_unchanged_when_first_primes_grows_the_cache(monkeypatch):
     ]
     budgets = (FactorBudget(), FactorBudget(trial_bound=100_000, rho_iterations=0))
     before = [factorize(n, budget) for n in numbers for budget in budgets]
-    assert primes_module._sieve_cover == 100_000
+    assert primes_module._sieve[0] == 100_000
     first_primes(10**4)
-    assert primes_module._sieve_cover > 104729
+    assert primes_module._sieve[0] > 104729
     after = [factorize(n, budget) for n in numbers for budget in budgets]
     assert after == before
     assert before == [trial_factorize(n, budget) for n in numbers for budget in budgets]
@@ -202,6 +193,9 @@ def test_iroot_matches_the_newton_oracle():
         for r in roots + [edge + d for d in range(-2, 3)]:
             cases += [(r**k + d, k) for d in (-1, 0, 1)]
         cases += [(2**1000 + d, k) for d in range(-3, 4)]
+    # Past 2^1000 a root below 2^1000 is seeded from log2(x).
+    for k in (1009, 1013):
+        cases += [(r**k + d, k) for r in (2, 3, 1_000_003, 2**32 + 1) for d in (-1, 0, 1)]
     for x, k in cases:
         assert iroot(x, k) == newton_iroot(x, k), (x, k)
 
@@ -217,8 +211,10 @@ def _largest_power(m):
 
 def test_perfect_power_matches_the_largest_exact_root():
     # Roots are taken once per prime k, while exact, so powers of powers
-    # (b^e with composite e, or b itself a power) are the cases to cover.
+    # (b^e with composite e, or b itself a power) are the cases to cover,
+    # and prime exponents past the primes below 1000.
     cases = list(range(2, 5000)) + [b**e for b in range(2, 60) for e in range(1, 40)]
+    cases += [b**e for b in (2, 3, 4, 6, 9) for e in (1009, 1013)]
     for m in cases:
         assert primes_module._perfect_power(m) == _largest_power(m), m
 
@@ -227,6 +223,30 @@ def test_perfect_power_matches_the_largest_exact_root():
 @given(st.integers(2, 2**64) | st.builds(pow, st.integers(2, 10**4), st.integers(2, 24)))
 def test_perfect_power_matches_the_largest_exact_root_on_random_input(m):
     assert primes_module._perfect_power(m) == _largest_power(m)
+
+
+def test_perfect_powers_take_prime_exponents_from_the_grown_table(fresh_sieve):
+    assert factorize(3**1009, FactorBudget(2, 0)) == Factorization(((3, 1009),), 1)
+    # factorize would first spend about 20 s in is_prime on this 20 191-bit power.
+    assert primes_module._perfect_power(1_000_003**1013) == (1_000_003, 1013)
+    assert primes_module._sieve[0] == 20_191
+
+
+def test_perfect_power_grows_the_table_no_further_than_the_cap(monkeypatch, fresh_sieve):
+    monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 1000)
+    assert primes_module._perfect_power(3**1009) is None
+    assert primes_module._perfect_power(3**997) == (3, 997)
+    assert primes_module._sieve[0] == 1000
+
+
+def test_a_trial_division_walk_keeps_the_table_it_started_with(monkeypatch, fresh_sieve):
+    # Past the cap the walk tries odd numbers from the cover it started with,
+    # even if the table grows while the walk is suspended.
+    monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 3000)
+    walk = primes_module._trial_division(2 * 1009 * 1013, 20_000)
+    assert next(walk) == (2, 1)
+    primes_module._primes_up_to(2999)
+    assert list(walk) == [(1009, 1), (1013, 1)]
 
 
 def test_factorize_complete_small():
@@ -267,6 +287,11 @@ def test_factorize_perfect_power_without_rho():
     fact = factorize(p * p, budget)
     assert fact.certified
     assert fact.factors == ((p, 2),)
+
+
+def test_factorize_rho_alone_splits_off_the_factor_two():
+    fact = factorize(2 * 1_000_003 * 1_000_033, FactorBudget(0, 10**4))
+    assert fact == Factorization(((2, 1), (1_000_003, 1), (1_000_033, 1)), 1)
 
 
 def test_factorize_budget_exhaustion_is_honest():
@@ -324,14 +349,13 @@ def test_factorize_matches_trial_division_oracle(n):
         assert factorize(n, budget) == trial_factorize(n, budget), (n, budget)
 
 
-def test_factorize_past_a_small_cache_cap_matches_oracle(monkeypatch):
+def test_factorize_past_a_small_cache_cap_matches_oracle(monkeypatch, fresh_sieve):
     # With the cache cap lowered to 3000, a bound of 20000 walks the cached
     # primes and then every odd number up to the bound; bounds of 2000 and
     # 2999 grow the cache and its block products first.
     candidates = sieve_primes(30_000)
     rng = random.Random(71)
     monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 3000)
-    _fresh_sieve_cache(monkeypatch)
     for bound in (2000, 20_000, 2999, 20_000):
         budget = FactorBudget(trial_bound=bound, rho_iterations=50)
         for _ in range(200):
@@ -339,7 +363,7 @@ def test_factorize_past_a_small_cache_cap_matches_oracle(monkeypatch):
             for _ in range(rng.randrange(1, 5)):
                 n *= rng.choice(candidates) ** rng.randrange(1, 3)
             assert factorize(n, budget) == trial_factorize(n, budget), (n, bound)
-    assert primes_module._sieve_cover == 2999
+    assert primes_module._sieve[0] == 2999
 
 
 def test_factor_budget_scaled():
@@ -412,6 +436,7 @@ def test_roots_mod_p_rejects_bad_inputs():
     with pytest.raises(DomainError):
         roots_mod_p(IntPoly((7, 7, 7)), 7)  # vanishes identically
     assert roots_mod_p(IntPoly((3,)), 5) == []
+    assert roots_mod_p(IntPoly((1, 1009)), 1009) == []  # a nonzero constant mod p > 512
 
 
 def test_euler_phi_omega_mobius_oracles():
@@ -456,8 +481,13 @@ def test_euler_phi_omega_mobius_oracles():
 
 def test_arithmetic_functions_refuse_unfactorable_inputs():
     # These helpers promise exact answers, so they must raise rather than
-    # silently use an incomplete factorization.  (Exercised indirectly: a
-    # full factorization at default budget succeeds for anything this size.)
+    # silently use an incomplete factorization.  A full factorization at the
+    # default budget succeeds for numbers this size:
     assert euler_phi(2**31 - 1) == 2**31 - 2
     assert len(factorize((2**31 - 1) * 6700417).factors) == 2
     assert mobius((2**31 - 1) * 6700417) == 1
+    # but not for two primes near 10^20, where rho spends its 10^6 iterations.
+    n = 100_000_000_000_000_000_039 * 100_000_000_000_000_000_129
+    for function in (mobius, euler_phi):
+        with pytest.raises(BudgetError):
+            function(n)
