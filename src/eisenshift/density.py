@@ -22,16 +22,18 @@ an ordinary double.  The hazard is cancellation.  In floating point,
 local term x_p is floored to F fractional bits, the sums (the pair sum
 behind tau_n included) are then exact, and the product floors once per
 step.  F follows from the requested `dps`, the prime count and the second
-prime, and is proven sufficient; each value becomes an mpf once, at `dps`
-significant digits.
+prime, and is proven sufficient; each value becomes an `mpmath.mpf` once,
+at `dps` significant digits.
+
+mpmath is imported inside the functions that build or format an mpf, not
+with this module, so `import eisenshift` and the CLI subcommands other than
+`density` never load it; the first density call does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-
-from mpmath import ldexp, mp, mpf, sinh, workdps
 
 from .errors import DomainError
 from .primes import first_primes
@@ -137,6 +139,8 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
     otherwise): a gap, a duplicate or a composite would leave p_n off by
     more than p_n_tail.
     """
+    from mpmath import ldexp, mp, mpf, workdps
+
     _check_args(primes, dps, n)
     count = len(primes)
     with workdps(dps):
@@ -169,6 +173,8 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
 
 def predicted_eisenstein_count(n: int, height: int, primes: list[int], dps: int = DEFAULT_DPS):
     """Main-term prediction rho_n * 2^(n+1) * height^(n+1) for #E_n(height)."""
+    from mpmath import mpf, workdps
+
     if type(height) is not int or height < 1:
         raise DomainError("height must be an int >= 1, got %r" % (height,))
     rho = density_report(n, primes, dps).rho
@@ -194,6 +200,8 @@ def sinh_bound_check(primes: list[int], dps: int = DEFAULT_DPS):
     1/B; since 1/B is far above the true tail, it stays an upper bound for
     the sum over all primes.  2*sinh is evaluated by mpmath at `dps` digits.
     """
+    from mpmath import ldexp, mp, mpf, sinh, workdps
+
     _check_args(primes, dps)
     with workdps(dps):
         frac_bits = mp.prec + 8 + len(primes).bit_length()
@@ -206,7 +214,11 @@ def sinh_bound_check(primes: list[int], dps: int = DEFAULT_DPS):
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Density constants for one degree over one truncated prime list."""
+    """Density constants for one degree over one truncated prime list.
+
+    p_n, p_n_tail, rho, tau and gamma are `mpmath.mpf` values; mpmath is
+    imported by `density_report`, which makes them, not with this module.
+    """
 
     n: int
     prime_count: int
@@ -218,6 +230,8 @@ class DensityReport:
     gamma: object
 
     def as_record(self) -> dict:
+        from mpmath import mp
+
         return {
             "n": self.n,
             "prime_count": self.prime_count,

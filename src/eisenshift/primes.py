@@ -359,10 +359,16 @@ def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
         value, mult = pending.pop()
         if value == 1:
             continue
-        if is_prime(value):
+        # Past the proven bounds is_prime runs 25 full Miller-Rabin rounds,
+        # far dearer on a large power than the roots that find it; a perfect
+        # power is never prime, so asking it first splits the same way.
+        large = value >= _MR_PROVEN_BASES[-1][0]
+        power = _perfect_power(value) if large else None
+        if power is None and is_prime(value):
             found[value] = found.get(value, 0) + mult
             continue
-        power = _perfect_power(value)
+        if not large:
+            power = _perfect_power(value)
         if power is not None:
             base, k = power
             pending.append((base, mult * k))

@@ -192,6 +192,34 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
     assert done.stdout == "False\n"
 
 
+def test_only_the_density_subcommand_loads_mpmath():
+    # The decisions are integer arithmetic; only the density constants are mpf.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = """
+import contextlib, io, sys
+import eisenshift, eisenshift.cli
+
+def run(*args, status=0):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert eisenshift.cli.main(list(args)) == status, args
+
+run("check", "5,4,1", status=1)
+run("shift", "2,1,1")
+run("census", "--degree", "2", "--height", "2")
+run("montecarlo", "--degree", "3", "--height", "1000000", "--samples", "256")
+print("mpmath" in sys.modules)
+run("density", "--degree", "3", "--primes", "100")
+print("mpmath" in sys.modules)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nTrue\n"
+
+
 def test_census_cap_error(capsys):
     # 101^3 * 100 = 103 030 100 polynomials, above the fixed cap of 10^8.
     args = ["census", "--degree", "3", "--height", "50"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -227,8 +228,13 @@ def test_perfect_power_matches_the_largest_exact_root_on_random_input(m):
 
 def test_perfect_powers_take_prime_exponents_from_the_grown_table(fresh_sieve):
     assert factorize(3**1009, FactorBudget(2, 0)) == Factorization(((3, 1009),), 1)
-    # factorize would first spend about 20 s in is_prime on this 20 191-bit power.
-    assert primes_module._perfect_power(1_000_003**1013) == (1_000_003, 1013)
+    # Past the proven Miller-Rabin bounds the roots come before is_prime, whose
+    # 25 probable-prime rounds on this 20 191-bit power take about 20 s.
+    start = time.perf_counter()
+    fact = factorize(1_000_003**1013, FactorBudget(2, 0))
+    assert time.perf_counter() - start < 1.0
+    assert fact == Factorization(((1_000_003, 1013),), 1)
+    assert fact.certified
     assert primes_module._sieve[0] == 20_191
 
 
