@@ -347,7 +347,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
 
 
 def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
-    """Split m >= 1 by primality tests, perfect powers and rho into `found`.
+    """Split m >= 1 by perfect powers, primality tests and rho into `found`.
 
     Returns the product of the pieces the budget could not split (1 when
     m is split completely).
@@ -359,19 +359,16 @@ def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
         value, mult = pending.pop()
         if value == 1:
             continue
-        # Past the proven bounds is_prime runs 25 full Miller-Rabin rounds,
-        # far dearer on a large power than the roots that find it; a perfect
-        # power is never prime, so asking it first splits the same way.
-        large = value >= _MR_PROVEN_BASES[-1][0]
-        power = _perfect_power(value) if large else None
-        if power is None and is_prime(value):
-            found[value] = found.get(value, 0) + mult
-            continue
-        if not large:
-            power = _perfect_power(value)
+        # A perfect power is never prime, so asking for one first splits the
+        # same way; on a large power with no prime factor below 1000 the
+        # roots cost far less than is_prime's first Miller-Rabin round.
+        power = _perfect_power(value)
         if power is not None:
             base, k = power
             pending.append((base, mult * k))
+            continue
+        if is_prime(value):
+            found[value] = found.get(value, 0) + mult
             continue
         divisor = _brent_rho(value, rho_left)
         if divisor is None:

@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -226,13 +225,19 @@ def test_perfect_power_matches_the_largest_exact_root_on_random_input(m):
     assert primes_module._perfect_power(m) == _largest_power(m)
 
 
-def test_perfect_powers_take_prime_exponents_from_the_grown_table(fresh_sieve):
+def test_perfect_powers_take_prime_exponents_from_the_grown_table(monkeypatch, fresh_sieve):
     assert factorize(3**1009, FactorBudget(2, 0)) == Factorization(((3, 1009),), 1)
-    # Past the proven Miller-Rabin bounds the roots come before is_prime, whose
-    # 25 probable-prime rounds on this 20 191-bit power take about 20 s.
-    start = time.perf_counter()
-    fact = factorize(1_000_003**1013, FactorBudget(2, 0))
-    assert time.perf_counter() - start < 1.0
+    # The roots come before is_prime, whose first Miller-Rabin round on this
+    # 20 191-bit power, a full modular exponentiation, takes about 20 s.
+    power = 1_000_003**1013
+    is_prime = primes_module.is_prime
+
+    def is_prime_but_not_on_the_power(n):
+        assert n != power, "is_prime ran on the perfect power"
+        return is_prime(n)
+
+    monkeypatch.setattr(primes_module, "is_prime", is_prime_but_not_on_the_power)
+    fact = factorize(power, FactorBudget(2, 0))
     assert fact == Factorization(((1_000_003, 1013),), 1)
     assert fact.certified
     assert primes_module._sieve[0] == 20_191
