@@ -272,9 +272,9 @@ def _candidate_primes(
     """The primes of `small` (ascending, consumed) merged by size with those of target > 1.
 
     Trial division hands out target's primes smallest first.  Only when it
-    ends and leaves a rest does that rest go through perfect powers and rho
-    (`factorize` with a trial bound of 0); that Factorization is appended to
-    `split`, and its primes all exceed those of trial division.
+    ends and leaves a rest does `factorize`, told that the walk is done,
+    split that rest by rho; that Factorization is appended to `split`, and
+    its primes all exceed the trial bound.
     """
     rest = target
     for p, e in _trial_division(target, budget.trial_bound):
@@ -283,17 +283,10 @@ def _candidate_primes(
             yield small.pop(0)
         yield p
     if rest > 1:
-        fact = factorize(rest, _rho_only(budget.rho_iterations))
+        fact = factorize(rest, budget, trial_divided=True)
         split.append(fact)
         small = sorted(small + [p for p, _ in fact.factors])
     yield from small
-
-
-@functools.lru_cache(maxsize=64)
-def _rho_only(rho_iterations: int) -> FactorBudget:
-    # Cached: building a frozen FactorBudget costs about as much as a failed
-    # tiny-budget rho attempt, which escalating census decisions make often.
-    return FactorBudget(0, rho_iterations)
 
 
 def shifted_eisenstein(
@@ -313,8 +306,10 @@ def shifted_eisenstein(
     Candidates are tried in ascending order as they are found: trial
     division hands out the prime factors smallest first, the primes of n are
     merged in by size, and the decision returns at the first prime that
-    works.  Only when trial division ends without a certificate does the
-    rest go through perfect powers and rho.
+    works.  Only when trial division to the trial bound B ends without a
+    certificate does `factorize` split the rest; its primes all exceed B, so
+    a piece below (B+1)^2 is prime untested and one below (B+1)^3 is split
+    by a square root, a primality test and rho.
 
     YES answers always carry a verified certificate with 0 <= shift < prime,
     in canonical order: a shift-0 witness first, then the smallest prime,

@@ -69,12 +69,21 @@ def sieve_primes(limit: int) -> list[int]:
 
 _SIEVE_CACHE_CAP = 8_000_000  # how far trial division and perfect powers grow the prime table
 _BLOCK = 64
+_SUPERBLOCK = 16 * _BLOCK
 
 
-def _sieve_table(cover: int) -> tuple[int, list[int], list[int]]:
-    """(cover, the primes up to cover, the product of each block of _BLOCK of them)."""
+def _sieve_table(cover: int) -> tuple[int, list[int], list[int], list[int]]:
+    """(cover, the primes up to cover, the product of each block of _BLOCK of
+    them, the product of each superblock of _SUPERBLOCK of them).
+
+    Block k holds primes[64*k : 64*k + 64] and superblock k the 16 blocks
+    from 16*k on; the last of either may be short.
+    """
     primes = sieve_primes(cover)
-    return cover, primes, [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
+    blocks = [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
+    per = _SUPERBLOCK // _BLOCK
+    superblocks = [math.prod(blocks[k : k + per]) for k in range(0, len(blocks), per)]
+    return cover, primes, blocks, superblocks
 
 
 # The prime table cached across calls; growing it replaces it whole.
@@ -82,7 +91,7 @@ _sieve = _sieve_table(1000)
 _SMALL_PRIMES = _sieve[1]
 
 
-def _primes_up_to(bound: int) -> tuple[int, list[int], list[int]]:
+def _primes_up_to(bound: int) -> tuple[int, list[int], list[int], list[int]]:
     """The cached prime table, first grown to cover every prime up to `bound`."""
     global _sieve
     if _sieve[0] < bound:
@@ -236,9 +245,11 @@ class Factorization:
 
     `factors` lists (prime, exponent) ascending; `cofactor` multiplies any
     composite part the budget could not split, and `certified` says it is 1.
-    Every listed prime passed `is_prime`, so a certified factorization is
-    proven when all of them lie below 3,317,044,064,679,887,385,961,981; a
-    listed prime above that bound is a strong probable prime to 25 fixed bases.
+    Every listed prime was found by trial division to the trial bound B, or
+    is a piece below (B+1)^2 with no prime factor up to B, or passed
+    `is_prime`.  So a certified factorization is proven when all the primes
+    of the last kind lie below 3,317,044,064,679,887,385,961,981; such a
+    prime above that bound is a strong probable prime to 25 fixed bases.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -322,15 +333,19 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
     return None
 
 
-def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
+def factorize(
+    n: int, budget: FactorBudget = DEFAULT_BUDGET, *, trial_divided: bool = False
+) -> Factorization:
     """Factor |n| under the given budget.
 
-    Trial division up to budget.trial_bound finds the prime factors in
-    ascending order; the rest it leaves unsplit goes through perfect-power
-    extraction and Brent-Pollard rho with a shared iteration budget, and
-    every split piece is retested for primality.  Pieces the budget cannot
-    split end up multiplied into the cofactor and the result is marked
-    uncertified.
+    Trial division up to B = budget.trial_bound finds the prime factors in
+    ascending order.  Every prime factor of the rest it leaves unsplit
+    exceeds B, and `_split_rough` splits that rest with Brent-Pollard rho,
+    sharing budget.rho_iterations among all its splits.  Pieces the budget
+    cannot split end up multiplied into the cofactor and the result is
+    marked uncertified.  `trial_divided=True` says the caller has already
+    divided every prime up to B out of n, which is not checked: the walk is
+    skipped and |n| goes straight to the split.
     """
     if type(n) is not int or n == 0:
         raise DomainError("factorize needs a nonzero int, got %r" % (n,))
@@ -338,31 +353,45 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         raise _budget_error("factorize", budget)
     found: dict[int, int] = {}
     rest = abs(n)
-    if budget.trial_bound >= 2:  # a rho-only split skips starting an empty walk
+    # A rho-only split skips starting an empty walk.
+    if budget.trial_bound >= 2 and not trial_divided:
         for p, e in _trial_division(rest, budget.trial_bound):
             found[p] = e
             rest //= p**e
-    cofactor = _split_rest(rest, budget, found)
+    cofactor = _split_rough(rest, budget.rho_iterations, budget.trial_bound, found)
     return Factorization(tuple(sorted(found.items())), cofactor)
 
 
-def _split_rest(m: int, budget: FactorBudget, found: dict[int, int]) -> int:
-    """Split m >= 1 by perfect powers, primality tests and rho into `found`.
+def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int]) -> int:
+    """Split m >= 1, whose prime factors all exceed `bound`, into `found`.
 
-    Returns the product of the pieces the budget could not split (1 when
-    m is split completely).
+    Returns the product of the pieces that `rho_iterations` Brent-Pollard
+    rho steps, shared by all splits, could not split (1 when m is split
+    completely).  A piece is a divisor of m, so the tests it needs depend on
+    its size against B = bound + 1: below B^2 it is prime; below B^3 it is
+    p, p^2 or p*q, so an exact square root, then `is_prime`, then rho split
+    it into pieces below B^2; from B^3 on it is asked for a perfect power,
+    then tested by `is_prime`, then split by rho.  A perfect power is never
+    prime, so asking for one first splits the same way; on a large power
+    with no prime factor below 1000 the roots cost far less than is_prime's
+    first Miller-Rabin round.
     """
+    square, cube = (bound + 1) ** 2, (bound + 1) ** 3
     cofactor = 1
     pending = [(m, 1)]
-    rho_left = [budget.rho_iterations]
+    rho_left = [rho_iterations]
     while pending:
         value, mult = pending.pop()
         if value == 1:
             continue
-        # A perfect power is never prime, so asking for one first splits the
-        # same way; on a large power with no prime factor below 1000 the
-        # roots cost far less than is_prime's first Miller-Rabin round.
-        power = _perfect_power(value)
+        if value < square:
+            found[value] = found.get(value, 0) + mult
+            continue
+        if value < cube:
+            root = math.isqrt(value)
+            power = (root, 2) if root * root == value else None
+        else:
+            power = _perfect_power(value)
         if power is not None:
             base, k = power
             pending.append((base, mult * k))
@@ -391,10 +420,20 @@ def _trial_division(m: int, bound: int):
     The primes come from the prime table cached across calls, read once per
     walk, which trial division grows up to _SIEVE_CACHE_CAP = 8*10^6; past
     what it covers every odd number is tried.  Past the first block of 64
-    cached primes, a block whose cached product is coprime to the rest is
-    skipped with one gcd.
+    cached primes, one gcd skips a block whose cached product is coprime to
+    the rest, and at a superblock start one gcd skips all 16 blocks of one.
+    No skipped prime divides the rest, but one whose square exceeds the rest
+    is where a walk one prime at a time stops and yields it; this walk stops
+    at the prime after the stretch instead.  So a stretch is skipped only
+    when that prime is at most `bound`, or, for a block, when the last prime
+    up to `bound` squared does not exceed the rest either, and the walk
+    yields what trying the primes one at a time yields.  A skip also needs
+    the stretch's first prime squared (a superblock's: its last block's) not
+    to exceed the rest, so a walk about to stop pays for no large gcd.
     """
-    cover, primes, products = _primes_up_to(bound) if bound <= _SIEVE_CACHE_CAP else _sieve
+    cover, primes, blocks, superblocks = (
+        _primes_up_to(bound) if bound <= _SIEVE_CACHE_CAP else _sieve
+    )
     stop = len(primes) if bound >= cover else bisect_right(primes, bound)
     i = 0
     while i < stop:
@@ -406,10 +445,20 @@ def _trial_division(m: int, bound: int):
             yield p, e
         i += 1
         if i % _BLOCK == 0:
-            # Skip each following block whose product is coprime to m, as
-            # long as its first prime squared does not exceed m.
-            while i < stop and primes[i] ** 2 <= m and math.gcd(products[i // _BLOCK], m) == 1:
-                i += _BLOCK
+            while i < stop and primes[i] ** 2 <= m:
+                if (
+                    i % _SUPERBLOCK == 0
+                    and i + _SUPERBLOCK < stop
+                    and primes[i + _SUPERBLOCK - _BLOCK] ** 2 <= m
+                    and math.gcd(superblocks[i // _SUPERBLOCK], m) == 1
+                ):
+                    i += _SUPERBLOCK
+                elif (i + _BLOCK < stop or primes[stop - 1] ** 2 <= m) and math.gcd(
+                    blocks[i // _BLOCK], m
+                ) == 1:
+                    i += _BLOCK
+                else:
+                    break
     else:
         # Past the cache cap every odd number is a trial divisor: a composite
         # one never divides what is left, as its prime factors are gone.

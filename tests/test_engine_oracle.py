@@ -142,6 +142,37 @@ def test_rest_primes_are_tried_before_larger_primes_of_n(g, tiny_certificate):
     assert factor_first_engine(f, tiny) == shifted_eisenstein(f, tiny)
 
 
+# The smallest odd primes above the trial bounds 2, 1000 and 10^5 of
+# ROUGH_BUDGETS.
+_JUST_ABOVE = ((3, 5, 7), (1009, 1013, 1019), (100_003, 100_019, 100_043))
+ROUGH_BUDGETS = (FactorBudget(2, 1), FactorBudget(1000, 5), DEFAULT_BUDGET)
+
+
+def _quadratic_with_abs_discriminant(k):
+    """x^2 + x + a_0 with |D| = k for an odd k: D = 1 - 4*a_0 is k or -k,
+    whichever is 1 (mod 4).  a_1 = 1, so f has no plain witness."""
+    d = k if k % 4 == 1 else -k
+    return IntPoly(((1 - d) // 4, 1, 1))
+
+
+def test_rough_discriminant_rests_match_factor_first_oracle():
+    # |D| = s^2 * rest with the rest a prime, a square, a semiprime or a
+    # product of three primes just past a trial bound.  No prime of s can
+    # qualify, so every decision reaches the rest, which trial division to
+    # that bound leaves unsplit: verdicts, certificates, reasons and the
+    # cofactors of heuristic NOs must match the factor-first oracle.
+    verdicts = set()
+    for p, q, r in _JUST_ABOVE:
+        for rest in (p, p * p, p * q, p * p * q, p * q * r):
+            for s in (1, 3, 15):
+                f = _quadratic_with_abs_discriminant(s * s * rest)
+                for budget in ROUGH_BUDGETS:
+                    decision = shifted_eisenstein(f, budget)
+                    assert decision == factor_first_engine(f, budget), (f, budget)
+                    verdicts.add(decision.verdict)
+    assert verdicts == set(Verdict)
+
+
 LOCAL_DEGREES = (3, 4, 5, 6, 8)
 
 

@@ -1,7 +1,9 @@
 """Sieving, primality, budgeted factorization, and roots modulo p."""
 
+import itertools
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,124 @@ def test_a_trial_division_walk_keeps_the_table_it_started_with(monkeypatch, fres
     assert list(walk) == [(1009, 1), (1013, 1)]
 
 
+_WALK_PRIMES = sieve_primes(300_000)
+
+
+def _plain_walk(m, bound, cover):
+    """Trial division one divisor at a time, as `_trial_division` describes it.
+
+    The divisors are the primes up to min(bound, cover), then every odd
+    number past `cover` up to `bound`.  Once d^2 exceeds what is left, that
+    rest is yielded unless it is 1; a walk that runs out of divisors yields
+    no rest.
+    """
+    primes = _WALK_PRIMES[: bisect_right(_WALK_PRIMES, min(bound, cover))]
+    for d in itertools.chain(primes, range(cover + 1 + cover % 2, bound + 1, 2)):
+        if d * d > m:
+            if m > 1:
+                yield m, 1
+            return
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            yield d, e
+
+
+def _walk_cases(rng, primes, count):
+    """m built from the primes at block starts (so at superblock starts and
+    at the start of a superblock's last block too) and one prime either
+    side, and m whose square root lies just past such a prime, so that the
+    block and superblock skips meet sqrt(m) and the bound."""
+    starts = range(0, len(primes), 64)
+    edges = [primes[j] for k in starts for j in (k - 1, k, k + 1) if 0 <= j < len(primes)]
+    cases = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            m = rng.randrange(1, 10**4)
+            for _ in range(rng.randrange(1, 4)):
+                m *= rng.choice(edges) ** rng.randrange(1, 3)
+        elif kind == 1:
+            # The first prime above p^2: a prime rest whose square root is just past p.
+            m = rng.choice(edges) ** 2 + 1
+            while not is_prime(m):
+                m += 1
+        else:
+            p = rng.choice(edges)
+            m = p * rng.choice(edges[edges.index(p) :]) * rng.choice((1, 2, 6, 30))
+        cases.append(m)
+    return cases
+
+
+def test_trial_division_yields_what_a_plain_walk_yields(fresh_sieve):
+    # 8161 is the 1024th prime, so that walk stops at the end of the first
+    # superblock; 104729, the 10000th, stops inside block 156; 300 000 walks
+    # 25 997 primes, so superblocks skip whole and the last one is short.
+    cases = _walk_cases(random.Random(74), _WALK_PRIMES, 400)
+    for bound in (2, 8161, 104_729, 300_000):
+        for m in cases:
+            walk = list(primes_module._trial_division(m, bound))
+            assert walk == list(_plain_walk(m, bound, bound)), (m, bound)
+
+
+def test_trial_division_past_the_cap_yields_what_a_plain_walk_yields(monkeypatch, fresh_sieve):
+    # The table holds 2262 primes up to 20 000, two superblocks and a short
+    # third; past the cap the walk goes on with every odd number.
+    monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 20_000)
+    primes_module._primes_up_to(20_000)
+    cases = _walk_cases(random.Random(75), _WALK_PRIMES[: bisect_right(_WALK_PRIMES, 60_000)], 300)
+    for bound in (20_000, 20_011, 50_000):
+        for m in cases:
+            walk = list(primes_module._trial_division(m, bound))
+            assert walk == list(_plain_walk(m, bound, 20_000)), (m, bound)
+    assert primes_module._sieve[0] == 20_000
+
+
+# Trial bounds B with B + 1 prime (1009) and the default 10^5, and the
+# smallest primes above them.
+_ROUGH_BOUNDS = ((1008, (1009, 1013, 1019)), (100_000, (100_003, 100_019, 100_043)))
+
+
+@pytest.mark.parametrize("bound, above", _ROUGH_BOUNDS)
+def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, above):
+    # After trial division to B every prime of the rest exceeds B, so a piece
+    # below (B+1)^2 is prime, and one below (B+1)^3 is p, p^2 or p*q, which
+    # has no perfect power but a square.
+    square, cube = (bound + 1) ** 2, (bound + 1) ** 3
+    is_prime, perfect_power = primes_module.is_prime, primes_module._perfect_power
+
+    def is_prime_from_the_square_on(n):
+        assert n >= square, "is_prime ran on %d, below (B+1)^2" % n
+        return is_prime(n)
+
+    def perfect_power_from_the_cube_on(m):
+        assert m >= cube, "_perfect_power ran on %d, below (B+1)^3" % m
+        return perfect_power(m)
+
+    monkeypatch.setattr(primes_module, "is_prime", is_prime_from_the_square_on)
+    monkeypatch.setattr(primes_module, "_perfect_power", perfect_power_from_the_cube_on)
+    p, q, r = above
+    budget = FactorBudget(bound, 10**6)
+    next_prime = next(n for n in itertools.count(p * p) if is_prime(n))
+    expected = {
+        p * p: ((p, 2),),
+        p * q: ((p, 1), (q, 1)),
+        next_prime: ((next_prime, 1),),
+        6 * p**3: ((2, 1), (3, 1), (p, 3)),
+        p * p * q: ((p, 2), (q, 1)),
+        p * q * r: ((p, 1), (q, 1), (r, 1)),
+        (p * q) ** 2: ((p, 2), (q, 2)),
+    }
+    for n, factors in expected.items():
+        assert factorize(n, budget) == Factorization(factors, 1), n
+    # A rest the caller has trial-divided already goes straight to the split.
+    assert factorize(q, budget, trial_divided=True) == Factorization(((q, 1),), 1)
+    # Without rho steps p*q stays whole, after one is_prime call on it.
+    assert factorize(2 * p * q, FactorBudget(bound, 0)) == Factorization(((2, 1),), p * q)
+
+
 def test_factorize_complete_small():
     fact = factorize(2**5 * 3**2 * 7)
     assert fact.factors == ((2, 5), (3, 2), (7, 1))
@@ -326,23 +446,35 @@ def test_factorize_rho_splits_semiprime():
 
 # Budgets whose trial bounds end at every kind of place in the blocked walk:
 # the default; the prime 2 alone; 25 primes, inside the first block of 64;
-# 168 primes, two blocks and 40 more; and past the sieve cache cap.
+# 168 primes, two blocks and 40 more; and past the sieve cache cap.  The
+# bounds 1000 and 10^5 come with 0, 1 and 10^6 rho steps, for the rests
+# that _JUST_ABOVE leaves them.
 ORACLE_BUDGETS = (
     FactorBudget(),
     FactorBudget(trial_bound=2, rho_iterations=1),
     FactorBudget(trial_bound=100, rho_iterations=0),
     FactorBudget(trial_bound=1000, rho_iterations=200),
     FactorBudget(trial_bound=primes_module._SIEVE_CACHE_CAP + 1000),
+    FactorBudget(trial_bound=1000, rho_iterations=0),
+    FactorBudget(trial_bound=1000, rho_iterations=1),
+    FactorBudget(trial_bound=1000, rho_iterations=10**6),
+    FactorBudget(trial_bound=100_000, rho_iterations=0),
+    FactorBudget(trial_bound=100_000, rho_iterations=1),
 )
 _SMALL = sieve_primes(400)  # 78 primes, past the first block
 _MEDIUM = (1009, 7919, 10007, 65537, 100003, 131071)
 _LARGE = (1_000_003, 15_485_863, 2**31 - 1, 999_999_999_989)
+# The smallest primes above the trial bounds 2, 100, 1000 and 10^5: products
+# of two or three of them leave primes, squares and semiprimes just past a
+# bound as the rest.
+_JUST_ABOVE = (3, 5, 101, 103, 1009, 1013, 100_003, 100_019, 100_043)
 
 
 @st.composite
 def integers_to_factor(draw):
-    """Products of small and medium prime powers, at most one large prime and
-    one arbitrary factor up to 2*10^5, so every walk ends below 10^6."""
+    """Products of small and medium prime powers, at most one large prime,
+    one arbitrary factor up to 2*10^5 and up to three primes just above a
+    trial bound, so every walk ends below 10^6."""
     n = draw(st.sampled_from((1, -1))) * draw(st.integers(1, 200_000))
     for p in draw(st.lists(st.sampled_from(_SMALL), max_size=6)):
         n *= p
@@ -350,6 +482,8 @@ def integers_to_factor(draw):
         n *= p ** draw(st.integers(1, 3))
     if draw(st.booleans()):
         n *= draw(st.sampled_from(_LARGE))
+    for p in draw(st.lists(st.sampled_from(_JUST_ABOVE), max_size=3)):
+        n *= p
     return n
 
 
