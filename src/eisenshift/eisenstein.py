@@ -191,37 +191,58 @@ def _local_gcd(coeffs: tuple[int, ...]) -> tuple[int, int | None]:
     n is odd and c is even, so h_(n-2) = u * (c/2).  So c, halved when u is
     odd, has the valuation of h_(n-2) at every prime not dividing u, and it
     stands in for h_(n-2) in the gcd; at n = 2, c = -D is all there is.  The
-    others follow top-down, each by Horner's rule in t, and the walk returns
-    (1, None) as soon as the gcd reaches 1.  h_0 is None at n = 2.
+    next one is h_(n-3) = a_n * d with
+    d = 2*C(n, 3)*a_(n-1)^3 - (n-2)*n^2*a_n*a_(n-2)*a_(n-1) + n^3*a_n^2*a_(n-3),
+    and d stands in for it the same way, as a_n divides u.  The primes of u
+    are stripped from gcd(c, d) at once (from the rows' gcd when c = d = 0),
+    and only a G that survives both gcds pays for the rest: h_(n-4), ..., h_0
+    follow top-down, each by Horner's rule in t, and the walk stops as soon
+    as the gcd reaches 1.  h_0 comes back only when G != 1 (at n = 3 it is
+    a_n * d): the result is (1, None) whenever G = 1, and h_0 is None at n = 2.
     """
     n = len(coeffs) - 1
-    u = n * coeffs[-1]
-    t = -coeffs[-2]
-    g = 2 * u * coeffs[-3] - (n - 1) * t * t
+    an = coeffs[-1]
+    u = n * an
+    a1, a2 = coeffs[-2], coeffs[-3]
+    square = a1 * a1
+    c = 2 * u * a2 - (n - 1) * square
     if u & 1:
-        g //= 2
-    h = None
-    if n > 2:
+        c //= 2
+    if n == 2:
+        return (_strip_primes_of(abs(c), u) if c else 0), None
+    d = (n * (n - 1) * (n - 2) // 3 * square - (n - 2) * n * u * a2) * a1
+    d += n * u * u * coeffs[-4]
+    g = math.gcd(c, d)
+    if g > 1:
+        g = _strip_primes_of(g, u)
+    h = an * d
+    if n > 3 and g != 1:
         scaled = []  # scaled[i] = a_(n-i) * u^i
         power = 1
-        for c in reversed(coeffs):
-            scaled.append(c * power)
+        for a in reversed(coeffs):
+            scaled.append(a * power)
             power *= u
+        t = -a1
         for row in _binomial_rows(n):
             h = 0
-            for b, c in zip(scaled, row):
-                h = h * t + c * b
+            for b, w in zip(scaled, row):
+                h = h * t + w * b
             g = math.gcd(g, h)
             if g == 1:
-                return 1, None
-    return (_strip_primes_of(abs(g), u) if g else 0), h
+                break
+        if g > 1 and not (c or d):
+            # With c = d = 0 the rows alone made G, so u's primes are still in it.
+            g = _strip_primes_of(g, u)
+    return (1, None) if g == 1 else (g, h)
 
 
 @functools.lru_cache(maxsize=64)
 def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """(C(n, j), C(n-1, j), ..., C(j, j)) for j = n-3, ..., 0: the weights of h_j in `_local_gcd`."""
+    """(C(n, j), C(n-1, j), ..., C(j, j)) for j = n-4, ..., 0: the weights of
+    the h_j that `_local_gcd` builds by Horner's rule, past its closed forms
+    for h_(n-2) and h_(n-3)."""
     return tuple(
-        tuple(math.comb(k, j) for k in range(n, j - 1, -1)) for j in range(n - 3, -1, -1)
+        tuple(math.comb(k, j) for k in range(n, j - 1, -1)) for j in range(n - 4, -1, -1)
     )
 
 

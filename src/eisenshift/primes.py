@@ -77,12 +77,13 @@ def _sieve_table(cover: int) -> tuple[int, list[int], list[int], list[int]]:
     them, the product of each superblock of _SUPERBLOCK of them).
 
     Block k holds primes[64*k : 64*k + 64] and superblock k the 16 blocks
-    from 16*k on; the last of either may be short.
+    from 16*k + 1 on, as `_trial_division` skips from block 1 on; the last
+    of either may be short.
     """
     primes = sieve_primes(cover)
     blocks = [math.prod(primes[i : i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
     per = _SUPERBLOCK // _BLOCK
-    superblocks = [math.prod(blocks[k : k + per]) for k in range(0, len(blocks), per)]
+    superblocks = [math.prod(blocks[k : k + per]) for k in range(1, len(blocks), per)]
     return cover, primes, blocks, superblocks
 
 
@@ -144,6 +145,13 @@ def is_prime(n: int) -> bool:
             return False
         if p * p > n:
             return True
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """`is_prime`'s Miller-Rabin stage alone, which answers as `is_prime` does
+    for n with no prime factor below 1000.  It calls 2 composite: below 2047
+    its one base is 2."""
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -374,8 +382,10 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
     then tested by `is_prime`, then split by rho.  A perfect power is never
     prime, so asking for one first splits the same way; on a large power
     with no prime factor below 1000 the roots cost far less than is_prime's
-    first Miller-Rabin round.
+    first Miller-Rabin round.  When B >= 997, no prime of is_prime's trial
+    loop can divide a piece, so pieces go to its Miller-Rabin stage directly.
     """
+    prime_test = _miller_rabin if bound >= _SMALL_PRIMES[-1] else is_prime
     square, cube = (bound + 1) ** 2, (bound + 1) ** 3
     cofactor = 1
     pending = [(m, 1)]
@@ -396,7 +406,7 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
             base, k = power
             pending.append((base, mult * k))
             continue
-        if is_prime(value):
+        if prime_test(value):
             found[value] = found.get(value, 0) + mult
             continue
         divisor = _brent_rho(value, rho_left)
@@ -421,7 +431,8 @@ def _trial_division(m: int, bound: int):
     walk, which trial division grows up to _SIEVE_CACHE_CAP = 8*10^6; past
     what it covers every odd number is tried.  Past the first block of 64
     cached primes, one gcd skips a block whose cached product is coprime to
-    the rest, and at a superblock start one gcd skips all 16 blocks of one.
+    the rest, and at a superblock start (block 1, 17, 33, ...) one gcd skips
+    all 16 blocks of one.
     No skipped prime divides the rest, but one whose square exceeds the rest
     is where a walk one prime at a time stops and yields it; this walk stops
     at the prime after the stretch instead.  So a stretch is skipped only
@@ -447,7 +458,7 @@ def _trial_division(m: int, bound: int):
         if i % _BLOCK == 0:
             while i < stop and primes[i] ** 2 <= m:
                 if (
-                    i % _SUPERBLOCK == 0
+                    i % _SUPERBLOCK == _BLOCK
                     and i + _SUPERBLOCK < stop
                     and primes[i + _SUPERBLOCK - _BLOCK] ** 2 <= m
                     and math.gcd(superblocks[i // _SUPERBLOCK], m) == 1

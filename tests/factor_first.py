@@ -103,23 +103,27 @@ def factor_first_witnesses(f, budget=DEFAULT_BUDGET):
     return [p for p, _ in fact.factors if is_eisenstein_with(f, p)]
 
 
-def taylor_local_gcd(f):
-    """G of `_local_gcd`, from h(y) = u^n * f((y - a_(n-1))/u) built in full.
+def taylor_h(f):
+    """The coefficients h_0, ..., h_n of h(y) = u^n * f((y - a_(n-1))/u), u = n*a_n.
 
-    Coefficient k of f is scaled by u^(n-k), with u = n*a_n, then the result
-    is shifted by -a_(n-1).  G = gcd(h_0, ..., h_(n-2)) with the primes of u
-    removed.
+    Coefficient k of f is scaled by u^(n-k), then the result is shifted by
+    -a_(n-1).
     """
-    n = f.degree
-    u = n * f.leading
+    u = f.degree * f.leading
     power = 1
     scaled = []
     for c in reversed(f.coeffs):
         scaled.append(c * power)
         power *= u
-    h = taylor_shift(IntPoly(tuple(reversed(scaled))), -f.coeffs[-2]).coeffs
-    g = math.gcd(*h[: n - 1])
-    return _strip_primes_of(g, u) if g else 0
+    return taylor_shift(IntPoly(tuple(reversed(scaled))), -f.coeffs[-2]).coeffs
+
+
+def taylor_local_gcd(f):
+    """G of `_local_gcd`: gcd(h_0, ..., h_(n-2)) of `taylor_h`, with the primes
+    of u = n*a_n removed."""
+    n = f.degree
+    g = math.gcd(*taylor_h(f)[: n - 1])
+    return _strip_primes_of(g, n * f.leading) if g else 0
 
 
 def candidate_shifts(f, p):

@@ -381,6 +381,28 @@ def test_report_records_and_csv_are_pinned():
     assert reports_to_csv(reports) == PINNED_CSV
 
 
+# Reports recorded when `_local_gcd` built every h_j by Horner's rule.  At
+# height 30, G > 1 is common, so these runs take its every exit: gcd(c, d) = 1,
+# the strip of u's primes before the rows, the rows (n >= 5), and h_0 = a_3*d.
+PINNED_LOCAL_GCD_RECORDS = {
+    3: '{"H": 30, "ci_high": 3.3274456222753224, "ci_low": 1.9653325900268395, '
+    '"eisenstein": 131, "f_count": 6, "kind": "montecarlo", "n": 3, "ratio": 2.5572519083969465, '
+    '"samples": 2048, "seed": 1, "shifted": 335, "unresolved": 0}',
+    5: '{"H": 30, "ci_high": 3.960373969848689, "ci_low": 1.1594452366500418, '
+    '"eisenstein": 28, "f_count": 0, "kind": "montecarlo", "n": 5, "ratio": 2.142857142857143, '
+    '"samples": 2048, "seed": 1, "shifted": 60, "unresolved": 0}',
+    6: '{"H": 30, "ci_high": 4.263202576235554, "ci_low": 0.6893351788126958, '
+    '"eisenstein": 14, "f_count": 0, "kind": "montecarlo", "n": 6, "ratio": 1.7142857142857142, '
+    '"samples": 2048, "seed": 1, "shifted": 24, "unresolved": 0}',
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_LOCAL_GCD_RECORDS))
+def test_monte_carlo_records_through_the_local_gcd_are_pinned(n):
+    report = monte_carlo(n, 30, 2048, seed=1)
+    assert json.dumps(report.as_record(), sort_keys=True) == PINNED_LOCAL_GCD_RECORDS[n]
+
+
 def test_report_stores_counts_and_derives_the_ratio():
     assert [f.name for f in fields(ExperimentReport)] == [
         "kind", "n", "height", "samples", "eisenstein", "shifted", "f_count", "unresolved", "seed",

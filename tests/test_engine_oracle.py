@@ -2,6 +2,7 @@
 against the factor-first decision it replaced, and its closed-form local gcd
 against the Taylor-shift definition."""
 
+import math
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from eisenshift import (
 )
 
 from discriminant_engine import discriminant_engine
-from factor_first import factor_first_engine, taylor_local_gcd
+from factor_first import factor_first_engine, taylor_h, taylor_local_gcd
 
 DEGREES = (2, 3, 4, 5, 6, 8)
 HEIGHTS = (10, 10**6)
@@ -203,10 +204,86 @@ def local_polynomials(draw):
 def test_closed_form_local_gcd_matches_taylor_shift_oracle(f):
     g, h0 = eisenstein_module._local_gcd(f.coeffs)
     assert g == taylor_local_gcd(f), f
-    if g > 1:
+    if g == 1:
+        assert h0 is None, f
+    else:
         # h_0 = u^n * f(t/u) with u = n*a_n and t = -a_(n-1).
         n, u, t = f.degree, f.degree * f.leading, -f.coeffs[-2]
         assert h0 == sum(c * u ** (n - k) * t**k for k, c in enumerate(f.coeffs)), f
+
+
+def _closed_forms(coeffs):
+    """(u, c, d) of `_local_gcd`'s docstring: u = n*a_n, h_(n-2) = (u/2)*c
+    and h_(n-3) = a_n*d."""
+    n = len(coeffs) - 1
+    a = coeffs[::-1]  # a[i] = a_(n-i)
+    u = n * a[0]
+    c = 2 * n * a[0] * a[2] - (n - 1) * a[1] ** 2
+    d = (
+        2 * math.comb(n, 3) * a[1] ** 3
+        - (n - 2) * n**2 * a[0] * a[2] * a[1]
+        + n**3 * a[0] ** 2 * a[3]
+    )
+    return u, c, d
+
+
+def _random_local_coeffs(rng, count):
+    for _ in range(count):
+        n = rng.randint(3, 12)
+        height = rng.choice((1, 3, 30, 10**6))
+        body = [rng.randint(-height, height) for _ in range(n)]
+        yield tuple(body) + (rng.choice((-1, 1)) * rng.randint(1, height),)
+
+
+def test_closed_form_d_matches_the_taylor_shift():
+    rng = random.Random(80)
+    for coeffs in _random_local_coeffs(rng, 600):
+        f = IntPoly(coeffs)
+        h = taylor_h(f)
+        u, c, d = _closed_forms(coeffs)
+        n = f.degree
+        assert 2 * h[n - 2] == u * c and h[n - 3] == f.leading * d, f
+        g, h0 = eisenstein_module._local_gcd(coeffs)
+        if n == 3 and g != 1:
+            assert h0 == f.leading * d == h[0], f
+
+
+def test_local_gcd_strips_before_the_rows(monkeypatch):
+    # gcd(c, d) > 1 but made of primes of u alone: G = 1 with no row built.
+    cases = []
+    for coeffs in _random_local_coeffs(random.Random(81), 1500):
+        u, c, d = _closed_forms(coeffs)
+        common = math.gcd(c, d)
+        if common > 1 and eisenstein_module._strip_primes_of(common, u) == 1:
+            cases.append(coeffs)
+    assert len(cases) > 300
+    monkeypatch.setattr(eisenstein_module, "_binomial_rows", _refuse)
+    for coeffs in cases:
+        assert eisenstein_module._local_gcd(coeffs) == (1, None), coeffs
+        assert taylor_local_gcd(IntPoly(coeffs)) == 1, coeffs
+
+
+def test_local_gcd_of_a_perfect_power_is_zero():
+    # f = a*(x - r)^n: every h_j below h_n is 0.
+    for n in (3, 4, 7):
+        for a, r in ((1, 0), (-3, 5), (12, -7)):
+            f = taylor_shift(IntPoly((0,) * n + (a,)), -r)
+            assert eisenstein_module._local_gcd(f.coeffs) == (0, 0), f
+            assert taylor_local_gcd(f) == 0, f
+            assert shifted_eisenstein(f).reason == "discriminant-zero", f
+
+
+@pytest.mark.parametrize("n", (4, 5, 8))
+def test_local_gcd_from_the_rows_alone(n):
+    # a_(n-1) = a_(n-2) = a_(n-3) = 0 gives c = d = 0, so G comes from the
+    # rows h_(n-4), ..., h_0 only, and u's primes are stripped from it there.
+    for low in ((6,), (2,), (5, 7), (0, 0, 15), (9, 0, 3)):
+        for lead in (1, 3, -5):
+            body = (low + (0,) * n)[: n - 3]
+            f = IntPoly(body + (0, 0, 0, lead))
+            g, h0 = eisenstein_module._local_gcd(f.coeffs)
+            assert g == taylor_local_gcd(f), f
+            assert h0 == (None if g == 1 else taylor_h(f)[0]), f
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)

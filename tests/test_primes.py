@@ -314,19 +314,21 @@ def _walk_cases(rng, primes, count):
 
 
 def test_trial_division_yields_what_a_plain_walk_yields(fresh_sieve):
-    # 8161 is the 1024th prime, so that walk stops at the end of the first
-    # superblock; 104729, the 10000th, stops inside block 156; 300 000 walks
-    # 25 997 primes, so superblocks skip whole and the last one is short.
+    # 8161 is the 1024th prime, so that walk stops at the end of block 15,
+    # one block before the end of the first superblock (blocks 1 to 16), and
+    # 8731, the 1088th, stops at its end; 104729, the 10000th, stops inside
+    # block 156; 300 000 walks 25 997 primes, so superblocks skip whole and
+    # the last one is short.
     cases = _walk_cases(random.Random(74), _WALK_PRIMES, 400)
-    for bound in (2, 8161, 104_729, 300_000):
+    for bound in (2, 8161, 8731, 104_729, 300_000):
         for m in cases:
             walk = list(primes_module._trial_division(m, bound))
             assert walk == list(_plain_walk(m, bound, bound)), (m, bound)
 
 
 def test_trial_division_past_the_cap_yields_what_a_plain_walk_yields(monkeypatch, fresh_sieve):
-    # The table holds 2262 primes up to 20 000, two superblocks and a short
-    # third; past the cap the walk goes on with every odd number.
+    # The table holds 2262 primes up to 20 000: block 0, two superblocks and
+    # a short third; past the cap the walk goes on with every odd number.
     monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 20_000)
     primes_module._primes_up_to(20_000)
     cases = _walk_cases(random.Random(75), _WALK_PRIMES[: bisect_right(_WALK_PRIMES, 60_000)], 300)
@@ -347,18 +349,24 @@ def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, abov
     # After trial division to B every prime of the rest exceeds B, so a piece
     # below (B+1)^2 is prime, and one below (B+1)^3 is p, p^2 or p*q, which
     # has no perfect power but a square.
+    # With B >= 997 the pieces skip is_prime's trial loop and go to its
+    # Miller-Rabin stage, which is held to the same rule.
     square, cube = (bound + 1) ** 2, (bound + 1) ** 3
-    is_prime, perfect_power = primes_module.is_prime, primes_module._perfect_power
+    perfect_power = primes_module._perfect_power
 
-    def is_prime_from_the_square_on(n):
-        assert n >= square, "is_prime ran on %d, below (B+1)^2" % n
-        return is_prime(n)
+    def from_the_square_on(test):
+        def checked(n):
+            assert n >= square, "%s ran on %d, below (B+1)^2" % (test.__name__, n)
+            return test(n)
+
+        return checked
 
     def perfect_power_from_the_cube_on(m):
         assert m >= cube, "_perfect_power ran on %d, below (B+1)^3" % m
         return perfect_power(m)
 
-    monkeypatch.setattr(primes_module, "is_prime", is_prime_from_the_square_on)
+    for name in ("is_prime", "_miller_rabin"):
+        monkeypatch.setattr(primes_module, name, from_the_square_on(getattr(primes_module, name)))
     monkeypatch.setattr(primes_module, "_perfect_power", perfect_power_from_the_cube_on)
     p, q, r = above
     budget = FactorBudget(bound, 10**6)
@@ -376,8 +384,31 @@ def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, abov
         assert factorize(n, budget) == Factorization(factors, 1), n
     # A rest the caller has trial-divided already goes straight to the split.
     assert factorize(q, budget, trial_divided=True) == Factorization(((q, 1),), 1)
-    # Without rho steps p*q stays whole, after one is_prime call on it.
+    # Without rho steps p*q stays whole, after one primality test on it.
     assert factorize(2 * p * q, FactorBudget(bound, 0)) == Factorization(((2, 1),), p * q)
+
+
+@pytest.mark.parametrize(
+    "bound, tests", ((996, ["is_prime", "_miller_rabin"]), (997, ["_miller_rabin"]))
+)
+def test_rough_pieces_skip_is_prime_trial_loop_only_past_its_divisors(monkeypatch, bound, tests):
+    # From B = 997 on, no prime below 1000 divides a rough piece, so the
+    # split calls is_prime's Miller-Rabin stage directly.  Below that it
+    # calls is_prime whole: the stage alone misjudges 2, a piece when B < 2.
+    assert not primes_module._miller_rabin(2)
+    ran = []
+
+    def recording(test):
+        def recorded(n):
+            ran.append(test.__name__)
+            return test(n)
+
+        return recorded
+
+    for name in ("is_prime", "_miller_rabin"):
+        monkeypatch.setattr(primes_module, name, recording(getattr(primes_module, name)))
+    assert factorize(1009 * 1013, FactorBudget(bound, 0)) == Factorization((), 1009 * 1013)
+    assert ran == tests
 
 
 def test_factorize_complete_small():
