@@ -457,7 +457,8 @@ def decide_certified(
 
     A heuristic NO is decided again with the budget scaled by 4, 16, 64, ...,
     at most CERTIFY_RETRIES times (the module constant, read at each call);
-    BudgetError if the last decision is still heuristic.  `decide` is the
+    BudgetError if the last decision is still heuristic, or at once if the
+    budget cannot grow (both bounds 0).  `decide` is the
     decision that is repeated, by default `shifted_eisenstein`; a caller may
     pass its own binding of that name so that wrappers installed in its
     namespace (bench/spans.py) see every attempt.
@@ -466,6 +467,10 @@ def decide_certified(
     decision = decide(f, budget)
     step = 0
     while decision.verdict is Verdict.NO_HEURISTIC:
+        if budget.scaled(4) == budget:
+            raise BudgetError(
+                "could not certify the decision for %s: the budget %r cannot grow" % (f, budget)
+            )
         if step == CERTIFY_RETRIES:
             raise BudgetError(
                 "could not certify the decision for %s after %d budget escalations"
@@ -491,6 +496,7 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
             return False
         if not is_prime(p):
             return False
-        return is_eisenstein_with(taylor_shift(f, s), p)
+        shifted = taylor_shift(f, s)
+        return shifted.degree >= 1 and _eisenstein_at(shifted.coeffs, p)
     except AttributeError:
         return False

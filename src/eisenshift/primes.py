@@ -89,7 +89,8 @@ def _sieve_table(cover: int) -> tuple[int, list[int], list[int], list[int]]:
 
 # The prime table cached across calls; growing it replaces it whole.
 _sieve = _sieve_table(1000)
-_SMALL_PRIMES = _sieve[1]
+_SMALL_PRIMES = frozenset(_sieve[1])
+_SMALL_PRODUCT = math.prod(_sieve[1])
 
 
 def _primes_up_to(bound: int) -> tuple[int, list[int], list[int], list[int]]:
@@ -124,39 +125,26 @@ def first_primes(count: int) -> list[int]:
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test on fixed bases.
 
-    Proven correct below 3,317,044,064,679,887,385,961,981: trial division by
-    the primes below 1000, then Miller-Rabin to the shortest prefix of the
+    Proven correct below 3,317,044,064,679,887,385,961,981: n < 1000 is read
+    from the table of primes below 1000, a larger n sharing none of them (one
+    gcd with their product) goes to Miller-Rabin on the shortest prefix of the
     prime bases 2, 3, 5, ..., 41 that no composite of n's size passes (base 2
     below 2047, bases 2..3 below 1,373,653, ..., bases 2..37 below
-    318,665,857,834,031,151,167,461, all 13 bases below the bound; each
-    bound is the smallest strong pseudoprime to the bases before it).  At
-    and above that bound it is a strong probable-prime test to the 25 fixed
-    prime bases 2..97, not a proof: composites that pass every fixed base set
-    can be constructed.  DomainError unless n is an int (a bool is not).
+    318,665,857,834,031,151,167,461, all 13 bases below the bound; each bound
+    is the smallest strong pseudoprime to the bases before it).  At and above
+    it, a strong probable-prime test to the 25 fixed prime bases 2..97, not a
+    proof: composites that pass every fixed base set can be constructed.
+    DomainError unless n is an int (a bool is not).
     """
     if type(n) is not int:
         raise DomainError("is_prime needs an int, got %r" % (n,))
-    if n < 2:
+    if n < 1000:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-        if p * p > n:
-            return True
-    return _miller_rabin(n)
-
-
-def _miller_rabin(n: int) -> bool:
-    """`is_prime`'s Miller-Rabin stage alone, which answers as `is_prime` does
-    for n with no prime factor below 1000.  It calls 2 composite: below 2047
-    its one base is 2."""
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = (d & -d).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d >>= r
     bases = _MR_PROBABLE_BASES
     for bound, proven in _MR_PROVEN_BASES:
         if n < bound:
@@ -274,22 +262,28 @@ class Factorization:
         return out
 
 
-def _perfect_power(m: int) -> tuple[int, int] | None:
-    """Decompose m = base^k with k maximal (k >= 2), or None.
+def _perfect_power(m: int, bound: int) -> tuple[int, int] | None:
+    """Decompose m = base^k with k maximal (k >= 2), or None, given that every
+    prime of m exceeds `bound` (0 promises nothing).
 
-    One pass over the primes k up to the base's bit length, taking k-th roots
-    while they are exact.  A base with no k-th root never gains one later:
+    One pass over the primes k, taking k-th roots while they are exact, up to
+    the first k with (max(bound, 1) + 1)^k above what is left: a root r > 1
+    with only primes above `bound` is at least that, so below (bound + 1)^3
+    one square root is taken.  A base with no k-th root never gains one later:
     if base = r^j and r = s^k, then base = (s^j)^k.  The primes k come from
     the cached prime table, grown to m's bit length but not past
     _SIEVE_CACHE_CAP, so a prime exponent above 8*10^6 is not found.
     """
+    least = max(bound, 1) + 1
     base, power = m, 1
     for k in _primes_up_to(min(m.bit_length(), _SIEVE_CACHE_CAP))[1]:
-        if k > base.bit_length():
+        if least**k > base:
             break
         root, exact = iroot(base, k)
-        while exact and root > 1:
+        while exact:
             base, power = root, power * k
+            if least**k > base:
+                break
             root, exact = iroot(base, k)
     if power >= 2:
         return base, power
@@ -375,18 +369,13 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
 
     Returns the product of the pieces that `rho_iterations` Brent-Pollard
     rho steps, shared by all splits, could not split (1 when m is split
-    completely).  A piece is a divisor of m, so the tests it needs depend on
-    its size against B = bound + 1: below B^2 it is prime; below B^3 it is
-    p, p^2 or p*q, so an exact square root, then `is_prime`, then rho split
-    it into pieces below B^2; from B^3 on it is asked for a perfect power,
-    then tested by `is_prime`, then split by rho.  A perfect power is never
-    prime, so asking for one first splits the same way; on a large power
-    with no prime factor below 1000 the roots cost far less than is_prime's
-    first Miller-Rabin round.  When B >= 997, no prime of is_prime's trial
-    loop can divide a piece, so pieces go to its Miller-Rabin stage directly.
+    completely).  A piece is a divisor of m, so one below (bound + 1)^2 is
+    prime; a larger one is asked for a perfect power, then tested by
+    `is_prime`, then split by rho.  A perfect power is never prime, so
+    asking for one first splits the same way, and on a large power the
+    roots cost far less than is_prime's first Miller-Rabin round.
     """
-    prime_test = _miller_rabin if bound >= _SMALL_PRIMES[-1] else is_prime
-    square, cube = (bound + 1) ** 2, (bound + 1) ** 3
+    square = (bound + 1) ** 2
     cofactor = 1
     pending = [(m, 1)]
     rho_left = [rho_iterations]
@@ -397,16 +386,12 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
         if value < square:
             found[value] = found.get(value, 0) + mult
             continue
-        if value < cube:
-            root = math.isqrt(value)
-            power = (root, 2) if root * root == value else None
-        else:
-            power = _perfect_power(value)
+        power = _perfect_power(value, bound)
         if power is not None:
             base, k = power
             pending.append((base, mult * k))
             continue
-        if prime_test(value):
+        if is_prime(value):
             found[value] = found.get(value, 0) + mult
             continue
         divisor = _brent_rho(value, rho_left)

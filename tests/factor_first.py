@@ -79,7 +79,7 @@ def trial_factorize(n, budget=DEFAULT_BUDGET):
             if is_prime(value):
                 found[value] = found.get(value, 0) + mult
                 continue
-            power = _perfect_power(value)
+            power = _perfect_power(value, 0)
             if power is not None:
                 base, k = power
                 pending.append((base, mult * k))

@@ -79,6 +79,16 @@ def test_shift_heuristic_no_and_certified_escalation(capsys):
     assert "YES" in out
 
 
+def test_census_refuses_to_escalate_a_budget_that_cannot_grow(capsys):
+    # The first heuristic NO of the box is -2,-1,-2; with both bounds 0 the
+    # budget stays the same however often it is scaled.
+    args = ["census", "--degree", "2", "--height", "2", "--trial-bound", "0"]
+    assert main(args + ["--rho-iterations", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "could not certify the decision for -2,-1,-2: the budget" in err
+    assert "cannot grow" in err
+
+
 def test_shift_has_no_oracle_switch(capsys):
     # The brute-force scan is the tests' naive_shift_scan, not a CLI mode.
     assert main(["shift", "2,1,1", "--oracle"]) == 2

@@ -206,6 +206,25 @@ def test_verify_certificate_catches_only_malformed_objects(monkeypatch):
         verify_certificate(f, good)
 
 
+def test_verify_certificate_tests_the_prime_once(monkeypatch):
+    # |D| = 100003 * 100019; the certificate prime is 100003.
+    f = IntPoly((-2500550014, 1, 1))
+    good = shifted_eisenstein(f).certificate
+    assert good.prime == 100003
+    tested = []
+    is_prime = eisenshift.eisenstein.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr("eisenshift.eisenstein.is_prime", counting)
+    assert verify_certificate(f, good)
+    assert tested == [100003]
+    assert not verify_certificate(f, ShiftCertificate(good.shift + 1, good.prime))
+    assert tested == [100003, 100003]
+
+
 def test_naive_scan_certificates_verify():
     rng = random.Random(63)
     for _ in range(200):
@@ -331,3 +350,17 @@ def test_decide_certified_escalates_and_gives_up(monkeypatch):
 
     assert decide_certified(f, TINY, decide=counting).verdict is Verdict.YES
     assert seen == [2, 8]
+
+
+def test_decide_certified_does_not_escalate_a_budget_that_cannot_grow():
+    # FactorBudget(0, 0).scaled(4) is itself: the first heuristic NO is final.
+    f = IntPoly((1, 5, 1))
+    calls = []
+
+    def counting(g, budget):
+        calls.append(budget)
+        return shifted_eisenstein(g, budget)
+
+    with pytest.raises(BudgetError, match="cannot grow"):
+        decide_certified(f, FactorBudget(0, 0), decide=counting)
+    assert calls == [FactorBudget(0, 0)]

@@ -162,6 +162,24 @@ def test_is_prime_against_sieve_around_base_set_switches():
             assert is_prime(n) == (n in table), n
 
 
+def test_is_prime_screen_against_a_sieve():
+    # Below 1000 is_prime reads the prime table; above it one gcd with the
+    # product of those primes screens n, and 1009^2 is the first composite
+    # the screen passes to Miller-Rabin.
+    lo, hi = 10**6 - 2000, 1009**2 + 2000
+    table = _primes_between(lo, hi)
+    for n in range(lo, hi):
+        assert is_prime(n) == (n in table), n
+
+
+def test_is_prime_screen_at_the_primes_below_1000():
+    below = sieve_primes(999)
+    assert len(below) == 168
+    assert all(is_prime(p) for p in below)
+    assert not any(is_prime(p * (2**61 - 1)) for p in below)
+    assert not any(is_prime(n) for n in (-(2**61 - 1), -7, -2, -1, 0, 1))
+
+
 def test_iroot():
     rng = random.Random(50)
     for _ in range(500):
@@ -218,13 +236,31 @@ def test_perfect_power_matches_the_largest_exact_root():
     cases = list(range(2, 5000)) + [b**e for b in range(2, 60) for e in range(1, 40)]
     cases += [b**e for b in (2, 3, 4, 6, 9) for e in (1009, 1013)]
     for m in cases:
-        assert primes_module._perfect_power(m) == _largest_power(m), m
+        assert primes_module._perfect_power(m, 0) == _largest_power(m), m
+
+
+_PRIMES_BELOW_2000 = sieve_primes(2000)
+
+
+@st.composite
+def _rough_powers(draw):
+    """(B, m): a bound B and m >= 2 whose primes all exceed B, often a power."""
+    bound = draw(st.sampled_from((0, 1, 2, 3, 10, 100, 996, 997, 1000)))
+    above = _PRIMES_BELOW_2000[bisect_right(_PRIMES_BELOW_2000, bound) :]
+    base = math.prod(draw(st.lists(st.sampled_from(above), min_size=1, max_size=3)))
+    return bound, base ** draw(st.integers(1, 12)) * draw(st.sampled_from((1, 1, above[0])))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 2**64) | st.builds(pow, st.integers(2, 10**4), st.integers(2, 24)))
-def test_perfect_power_matches_the_largest_exact_root_on_random_input(m):
-    assert primes_module._perfect_power(m) == _largest_power(m)
+@given(
+    st.tuples(st.just(0), st.integers(2, 2**64))
+    | st.tuples(st.just(0), st.builds(pow, st.integers(2, 10**4), st.integers(2, 24)))
+    | _rough_powers()
+)
+def test_perfect_power_matches_the_largest_exact_root_on_random_input(bound_and_m):
+    # `bound` promises that every prime of m exceeds it; 0 promises nothing.
+    bound, m = bound_and_m
+    assert primes_module._perfect_power(m, bound) == _largest_power(m)
 
 
 def test_perfect_powers_take_prime_exponents_from_the_grown_table(monkeypatch, fresh_sieve):
@@ -247,8 +283,8 @@ def test_perfect_powers_take_prime_exponents_from_the_grown_table(monkeypatch, f
 
 def test_perfect_power_grows_the_table_no_further_than_the_cap(monkeypatch, fresh_sieve):
     monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 1000)
-    assert primes_module._perfect_power(3**1009) is None
-    assert primes_module._perfect_power(3**997) == (3, 997)
+    assert primes_module._perfect_power(3**1009, 0) is None
+    assert primes_module._perfect_power(3**997, 0) == (3, 997)
     assert primes_module._sieve[0] == 1000
 
 
@@ -347,27 +383,24 @@ _ROUGH_BOUNDS = ((1008, (1009, 1013, 1019)), (100_000, (100_003, 100_019, 100_04
 @pytest.mark.parametrize("bound, above", _ROUGH_BOUNDS)
 def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, above):
     # After trial division to B every prime of the rest exceeds B, so a piece
-    # below (B+1)^2 is prime, and one below (B+1)^3 is p, p^2 or p*q, which
-    # has no perfect power but a square.
-    # With B >= 997 the pieces skip is_prime's trial loop and go to its
-    # Miller-Rabin stage, which is held to the same rule.
-    square, cube = (bound + 1) ** 2, (bound + 1) ** 3
-    perfect_power = primes_module._perfect_power
+    # below (B+1)^2 is prime, and a k-th root r > 1 of a piece has r >= B+1:
+    # no root is taken with (B+1)^k above what is left, so below (B+1)^3 a
+    # piece (p, p^2 or p*q) is asked for a square root alone.
+    square = (bound + 1) ** 2
+    is_prime, iroot = primes_module.is_prime, primes_module.iroot
+    orders = set()
 
-    def from_the_square_on(test):
-        def checked(n):
-            assert n >= square, "%s ran on %d, below (B+1)^2" % (test.__name__, n)
-            return test(n)
+    def is_prime_from_the_square_on(n):
+        assert n >= square, "is_prime ran on %d, below (B+1)^2" % n
+        return is_prime(n)
 
-        return checked
+    def iroot_only_where_it_can_be_exact(x, k):
+        assert (bound + 1) ** k <= x, "a %d-th root of %d, below (B+1)^%d" % (k, x, k)
+        orders.add(k)
+        return iroot(x, k)
 
-    def perfect_power_from_the_cube_on(m):
-        assert m >= cube, "_perfect_power ran on %d, below (B+1)^3" % m
-        return perfect_power(m)
-
-    for name in ("is_prime", "_miller_rabin"):
-        monkeypatch.setattr(primes_module, name, from_the_square_on(getattr(primes_module, name)))
-    monkeypatch.setattr(primes_module, "_perfect_power", perfect_power_from_the_cube_on)
+    monkeypatch.setattr(primes_module, "is_prime", is_prime_from_the_square_on)
+    monkeypatch.setattr(primes_module, "iroot", iroot_only_where_it_can_be_exact)
     p, q, r = above
     budget = FactorBudget(bound, 10**6)
     next_prime = next(n for n in itertools.count(p * p) if is_prime(n))
@@ -382,33 +415,27 @@ def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, abov
     }
     for n, factors in expected.items():
         assert factorize(n, budget) == Factorization(factors, 1), n
+    assert orders == {2, 3}  # (B+1)^5 exceeds every piece here
     # A rest the caller has trial-divided already goes straight to the split.
     assert factorize(q, budget, trial_divided=True) == Factorization(((q, 1),), 1)
     # Without rho steps p*q stays whole, after one primality test on it.
     assert factorize(2 * p * q, FactorBudget(bound, 0)) == Factorization(((2, 1),), p * q)
 
 
-@pytest.mark.parametrize(
-    "bound, tests", ((996, ["is_prime", "_miller_rabin"]), (997, ["_miller_rabin"]))
-)
-def test_rough_pieces_skip_is_prime_trial_loop_only_past_its_divisors(monkeypatch, bound, tests):
-    # From B = 997 on, no prime below 1000 divides a rough piece, so the
-    # split calls is_prime's Miller-Rabin stage directly.  Below that it
-    # calls is_prime whole: the stage alone misjudges 2, a piece when B < 2.
-    assert not primes_module._miller_rabin(2)
+@pytest.mark.parametrize("bound", (996, 997))
+def test_rough_pieces_take_one_primality_test(monkeypatch, bound):
+    # With or without primes below 1000 left to divide a piece, p*q is asked
+    # once whether it is prime, and rho has no steps to split it.
     ran = []
+    is_prime = primes_module.is_prime
 
-    def recording(test):
-        def recorded(n):
-            ran.append(test.__name__)
-            return test(n)
+    def recorded(n):
+        ran.append(n)
+        return is_prime(n)
 
-        return recorded
-
-    for name in ("is_prime", "_miller_rabin"):
-        monkeypatch.setattr(primes_module, name, recording(getattr(primes_module, name)))
+    monkeypatch.setattr(primes_module, "is_prime", recorded)
     assert factorize(1009 * 1013, FactorBudget(bound, 0)) == Factorization((), 1009 * 1013)
-    assert ran == tests
+    assert ran == [1009 * 1013]
 
 
 def test_factorize_complete_small():
