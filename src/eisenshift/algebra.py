@@ -1,10 +1,10 @@
-"""Exact resultants, discriminants, and size bounds for integer polynomials.
+"""Exact discriminants, subresultants, and size bounds for integer polynomials.
 
-The resultant and every principal subresultant coefficient are determinants
-of (sub)matrices of the Sylvester matrix, computed by fraction-free Bareiss
-elimination, so all of them are exact over the integers.  The test suite
-checks them against products over the roots of polynomials built from
-integer roots.
+Every principal subresultant coefficient, the resultant (j = 0) among them,
+is the determinant of a submatrix of the Sylvester matrix, computed by
+fraction-free Bareiss elimination, so all of them are exact over the
+integers.  The test suite checks them against products over the roots of
+polynomials built from integer roots.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from .intpoly import IntPoly, derivative, length
 from .primes import iroot
 
 __all__ = [
-    "sylvester_matrix",
     "bareiss_determinant",
-    "resultant",
     "principal_subresultant",
     "discriminant",
     "mahler_bound",
@@ -40,11 +38,6 @@ def _sylvester_rows(f: IntPoly, g: IntPoly, j: int) -> list[list[int]]:
     rows = [([0] * i + fd + [0] * width)[:width] for i in range(n - j)]
     rows += [([0] * i + gd + [0] * width)[:width] for i in range(m - j)]
     return rows
-
-
-def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
-    """Sylvester matrix of f and g, size (deg f + deg g), descending coefficients."""
-    return _sylvester_rows(f, g, 0)
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -83,11 +76,6 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
     return sign * m[size - 1][size - 1]
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of f and g: the Bareiss determinant of their Sylvester matrix."""
-    return principal_subresultant(f, g, 0)
-
-
 def principal_subresultant(f: IntPoly, g: IntPoly, j: int) -> int:
     """j-th principal subresultant coefficient of (f, g).
 
@@ -102,7 +90,7 @@ def discriminant(f: IntPoly) -> int:
     n = f.degree
     if n < 2:
         raise DomainError("discriminant needs degree >= 2")
-    res = resultant(f, derivative(f))
+    res = principal_subresultant(f, derivative(f), 0)
     q, rem = divmod(res, f.leading)
     assert rem == 0, "Res(f, f') must be divisible by the leading coefficient"
     if (n * (n - 1) // 2) % 2:

@@ -39,7 +39,7 @@ from .eisenstein import (
 )
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, taylor_shift
-from .primes import DEFAULT_BUDGET, FactorBudget, _budget_error, euler_phi, mobius
+from .primes import DEFAULT_BUDGET, FactorBudget, _budget_error
 
 __all__ = [
     "DEFAULT_SEED",
@@ -47,8 +47,6 @@ __all__ = [
     "CSV_COLUMNS",
     "wilson_interval",
     "exact_census",
-    "census_h_subset",
-    "h_subset_main_term",
     "monte_carlo",
     "reports_to_csv",
 ]
@@ -191,38 +189,6 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
 
     counts = _count(box, decide)
     return ExperimentReport("census", n, height, total, *counts, None)
-
-
-def census_h_subset(n: int, d: int, height: int) -> int:
-    """Exact count of the height-<=H box slice used for the d-local census.
-
-    Counts degree-n vectors with d | a_i for all i < n, gcd(a_0/d, d) = 1,
-    and gcd(a_n, d) = 1.  The three conditions are coordinatewise, so the
-    count is a product of one-dimensional counts.  d must be squarefree.
-    """
-    _check_box("census_h_subset", n, height, d=d)
-    if d < 1 or mobius(d) == 0:
-        raise DomainError("census_h_subset needs squarefree d >= 1")
-    mult = height // d
-    const_count = 0
-    for m in range(-mult, mult + 1):
-        if math.gcd(m, d) == 1:
-            const_count += 1
-    middle_count = 2 * mult + 1
-    lead_count = 0
-    for a in range(-height, height + 1):
-        if a != 0 and math.gcd(a, d) == 1:
-            lead_count += 1
-    return const_count * middle_count ** (n - 1) * lead_count
-
-
-def h_subset_main_term(n: int, d: int, height: int) -> float:
-    """Main term 2^(n+1) H^(n+1) phi(d)^2 / d^(n+2) for census_h_subset."""
-    _check_box("h_subset_main_term", n, height, d=d)
-    if d < 1 or mobius(d) == 0:
-        raise DomainError("h_subset_main_term needs squarefree d >= 1")
-    phi = euler_phi(d)
-    return 2 ** (n + 1) * height ** (n + 1) * phi * phi / d ** (n + 2)
 
 
 def _mix64(seed: int, chunk_index: int) -> int:

@@ -161,8 +161,11 @@ def _check_csv(path: str) -> None:
         raise DomainError("directory %s of the CSV file does not exist" % parent)
     if os.path.exists(path) and os.path.getsize(path) > 0:
         header = reports_to_csv([]).rstrip("\n")
-        with open(path, encoding="utf-8", newline="") as handle:
-            first = handle.readline().rstrip("\r\n")
+        try:
+            with open(path, encoding="utf-8", newline="") as handle:
+                first = handle.readline().rstrip("\r\n")
+        except OSError as exc:
+            raise DomainError("cannot read %s: %s" % (path, exc)) from None
         if first != header:
             raise DomainError(
                 "%s does not start with the CSV header %s" % (path, header)

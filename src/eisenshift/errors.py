@@ -12,6 +12,5 @@ class BudgetError(RuntimeError):
 
     Raised when the plain-witness walk cannot split the coefficient gcd, when
     `decide_certified` exhausts its escalations or holds a budget that cannot
-    grow, when a census box exceeds the enumeration cap, and when `euler_phi`
-    or `mobius` cannot factor their argument.
+    grow, and when a census box exceeds the enumeration cap.
     """

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .intpoly import IntPoly
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "Factorization",
     "factorize",
     "roots_mod_p",
-    "euler_phi",
-    "mobius",
 ]
 
 # Miller-Rabin to the first k prime bases is proven correct below the
@@ -254,12 +252,6 @@ class Factorization:
     @property
     def certified(self) -> bool:
         return self.cofactor == 1
-
-    def reconstruct(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
 
 def _perfect_power(m: int, bound: int) -> tuple[int, int] | None:
@@ -591,30 +583,3 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
         return []
     return sorted(_split_linear(g, p, random.Random(p)))
 
-
-def _certified_factors(d: int, what: str) -> Factorization:
-    fact = factorize(d)
-    if not fact.certified:
-        raise BudgetError("%s(%d) needs a complete factorization" % (what, d))
-    return fact
-
-
-def euler_phi(d: int) -> int:
-    """Euler totient of d >= 1."""
-    if type(d) is not int or d < 1:
-        raise DomainError("euler_phi needs an int d >= 1, got %r" % (d,))
-    out = d
-    for p, _ in _certified_factors(d, "euler_phi").factors:
-        out -= out // p
-    return out
-
-
-def mobius(d: int) -> int:
-    """Mobius function of d >= 1."""
-    if type(d) is not int or d < 1:
-        raise DomainError("mobius needs an int d >= 1, got %r" % (d,))
-    fact = _certified_factors(d, "mobius")
-    for _, e in fact.factors:
-        if e > 1:
-            return 0
-    return -1 if len(fact.factors) % 2 else 1

@@ -18,7 +18,6 @@ from mpmath import mpf, workdps
 from eisenshift import (
     IntPoly,
     Verdict,
-    census_h_subset,
     density_report,
     discriminant,
     evaluate,
@@ -35,6 +34,7 @@ from eisenshift import (
     verify_certificate,
 )
 
+from d_local import census_h_subset
 from shift_scan import naive_shift_scan
 
 import random

@@ -11,11 +11,9 @@ from eisenshift import (
     mahler_bound,
     max_shift_bound,
     principal_subresultant,
-    resultant,
-    sylvester_matrix,
     taylor_shift,
 )
-from eisenshift.algebra import bareiss_determinant
+from eisenshift.algebra import _sylvester_rows, bareiss_determinant
 from eisenshift.intpoly import derivative, length
 
 
@@ -39,17 +37,17 @@ def _mul(f: IntPoly, g: IntPoly) -> IntPoly:
 def test_sylvester_matrix_shape_and_linear_case():
     f = IntPoly((3, 2))  # 2x + 3
     g = IntPoly((-1, 5))  # 5x - 1
-    m = sylvester_matrix(f, g)
+    m = _sylvester_rows(f, g, 0)
     assert m == [[2, 3], [5, -1]]
     # res(a1 x + a0, b1 x + b0) = a1*b0 - a0*b1
-    assert resultant(f, g) == 2 * (-1) - 3 * 5
+    assert principal_subresultant(f, g, 0) == 2 * (-1) - 3 * 5
 
 
 def test_sylvester_matrix_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        sylvester_matrix(IntPoly((0,)), IntPoly((1, 1)))
+        _sylvester_rows(IntPoly((0,)), IntPoly((1, 1)), 0)
     with pytest.raises(DomainError):
-        sylvester_matrix(IntPoly((2,)), IntPoly((3,)))
+        _sylvester_rows(IntPoly((2,)), IntPoly((3,)), 0)
 
 
 def test_bareiss_determinant_known_values():
@@ -114,7 +112,7 @@ def test_resultant_matches_root_product():
         for r in rs:
             for s in ss:
                 expected *= r - s
-        assert resultant(_from_roots(a, rs), _from_roots(b, ss)) == expected
+        assert principal_subresultant(_from_roots(a, rs), _from_roots(b, ss), 0) == expected
 
 
 def test_discriminant_matches_root_product():
@@ -139,7 +137,7 @@ def test_resultant_swap_sign():
         g = _random_poly(rng, max_deg=5, bound=20)
         m, n = f.degree, g.degree
         sign = -1 if (m * n) % 2 else 1
-        assert resultant(g, f) == sign * resultant(f, g)
+        assert principal_subresultant(g, f, 0) == sign * principal_subresultant(f, g, 0)
 
 
 def test_resultant_multiplicative_in_second_argument():
@@ -148,7 +146,8 @@ def test_resultant_multiplicative_in_second_argument():
         f = _random_poly(rng, max_deg=4, bound=12)
         g = _random_poly(rng, max_deg=3, bound=12)
         h = _random_poly(rng, max_deg=3, bound=12)
-        assert resultant(f, _mul(g, h)) == resultant(f, g) * resultant(f, h)
+        product = principal_subresultant(f, g, 0) * principal_subresultant(f, h, 0)
+        assert principal_subresultant(f, _mul(g, h), 0) == product
 
 
 def test_resultant_zero_iff_common_root():
@@ -158,26 +157,16 @@ def test_resultant_zero_iff_common_root():
         common = IntPoly((-root, 1))
         f = _mul(common, _random_poly(rng, max_deg=3, bound=10))
         g = _mul(common, _random_poly(rng, max_deg=3, bound=10))
-        assert resultant(f, g) == 0
+        assert principal_subresultant(f, g, 0) == 0
 
 
 def test_resultant_constant_cases():
     f = IntPoly((3,))
     g = IntPoly((1, 0, 2))  # 2x^2 + 1
-    assert resultant(f, g) == 3**2
-    assert resultant(g, f) == 3**2
+    assert principal_subresultant(f, g, 0) == 3**2
+    assert principal_subresultant(g, f, 0) == 3**2
     with pytest.raises(DomainError):
-        resultant(IntPoly((0,)), g)
-
-
-def test_principal_subresultant_j0_equals_resultant():
-    rng = random.Random(35)
-    for _ in range(300):
-        f = _random_poly(rng, max_deg=5, bound=15)
-        g = _random_poly(rng, max_deg=5, bound=15)
-        if f.degree + g.degree < 1:
-            continue
-        assert principal_subresultant(f, g, 0) == resultant(f, g)
+        principal_subresultant(IntPoly((0,)), g, 0)
 
 
 def test_principal_subresultant_detects_gcd_degree():

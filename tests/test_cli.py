@@ -167,6 +167,20 @@ def test_csv_unusable_path_is_refused_first(capsys, tmp_path, monkeypatch, where
         assert list(tmp_path.iterdir()) == []
 
 
+def test_csv_unreadable_file_is_refused_first(capsys, tmp_path, monkeypatch):
+    # A mode-000 file, simulated: a root run reads it whatever its mode.
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "exact_census", _must_not_run)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    csv_path = tmp_path / "locked.csv"
+    csv_path.write_text("kind\n")
+    assert main(["census", "--degree", "2", "--height", "1", "--csv", str(csv_path)]) == 2
+    assert "error: cannot read %s" % csv_path in capsys.readouterr().err
+    assert csv_path.read_text() == "kind\n"
+
+
 def test_csv_append_failure_is_a_usage_error(capsys, tmp_path, monkeypatch):
     # A path that passes the early check can still fail at the append.
     monkeypatch.setattr(cli, "_check_csv", lambda path: None)

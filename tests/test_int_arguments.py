@@ -9,14 +9,12 @@ from eisenshift import (
     decide_certified,
     density_report,
     eisenstein_primes,
-    euler_phi,
     exact_census,
     factorize,
     first_primes,
     is_eisenstein_with,
     is_prime,
     iroot,
-    mobius,
     monte_carlo,
     predicted_eisenstein_count,
     shifted_eisenstein,
@@ -34,8 +32,6 @@ from eisenshift import (
         lambda: is_prime(2**61 - 1.0),  # was False
         lambda: is_prime(True),
         lambda: is_eisenstein_with(IntPoly((2, 2, 1)), 2.0),  # was True
-        lambda: euler_phi(2.0),  # was 1.0
-        lambda: mobius(6.0),
         lambda: iroot(8.0, 3),
         lambda: iroot(8, 3.0),
         lambda: first_primes(2.5),

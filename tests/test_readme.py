@@ -1,14 +1,19 @@
 """README's console examples are what the CLI prints, byte for byte, its
-Command-line usage names each subcommand's options, and its Library usage
-block runs."""
+Command-line usage names each subcommand's options, its Library usage
+block runs, and its module tour names each module's public names."""
 
 import argparse
+import builtins
+import dataclasses
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import eisenshift
 from eisenshift.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -80,3 +85,37 @@ def test_readme_usage_names_every_option_of_each_subcommand():
 def test_readme_library_usage_runs():
     (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def _module_tour():
+    """{module: identifiers} of README's module tour: each whole backticked
+    identifier in the contents cell of the module's row."""
+    rows = re.findall(r"^\| `(eisenshift\.\w+)` \| (.*) \|$", README.read_text(), re.M)
+    assert len(rows) == len(dict(rows)), "a module has two rows"
+    return {
+        module: {span for span in re.findall(r"`([^`]*)`", cell) if span.isidentifier()}
+        for module, cell in rows
+    }
+
+
+def _names_of(module) -> set[str]:
+    """The module's attributes, and the attributes and fields of the classes it exports."""
+    names = set(dir(module))
+    for name in module.__all__:
+        value = getattr(module, name)
+        if isinstance(value, type):
+            names.update(dir(value))
+            if dataclasses.is_dataclass(value):
+                names.update(field.name for field in dataclasses.fields(value))
+    return names
+
+
+def test_readme_module_tour_matches_each_modules_all():
+    tour = _module_tour()
+    modules = {"eisenshift." + info.name for info in pkgutil.iter_modules(eisenshift.__path__)}
+    assert set(tour) == modules
+    for module_name, identifiers in tour.items():
+        module = importlib.import_module(module_name)
+        assert set(module.__all__) <= identifiers, (module_name, set(module.__all__) - identifiers)
+        known = _names_of(module) | set(dir(builtins)) | {"eisenshift"}
+        assert identifiers <= known, (module_name, identifiers - known)
