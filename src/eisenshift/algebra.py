@@ -1,7 +1,8 @@
 """Exact discriminants, subresultants, and size bounds for integer polynomials.
 
-Every principal subresultant coefficient, the resultant (j = 0) among them,
-is the determinant of a submatrix of the Sylvester matrix, computed by
+`principal_subresultant` is the one determinant entry: every principal
+subresultant coefficient, the resultant (j = 0) among them, is the
+determinant of a square submatrix of the Sylvester matrix, computed by
 fraction-free Bareiss elimination, so all of them are exact over the
 integers.  The test suite checks them against products over the roots of
 polynomials built from integer roots.
@@ -14,7 +15,6 @@ from .intpoly import IntPoly, derivative, length
 from .primes import iroot
 
 __all__ = [
-    "bareiss_determinant",
     "principal_subresultant",
     "discriminant",
     "mahler_bound",
@@ -28,11 +28,11 @@ def _sylvester_rows(f: IntPoly, g: IntPoly, j: int) -> list[list[int]]:
     if f.is_zero or g.is_zero:
         raise DomainError("the Sylvester matrix needs nonzero polynomials")
     m, n = f.degree, g.degree
-    width = m + n - 2 * j
-    if j < 0 or j > min(m, n) or width < 1:
+    if type(j) is not int or not 0 <= j <= min(m, n) or m + n - 2 * j < 1:
         raise DomainError(
-            "no Sylvester submatrix of index %d for degrees %d and %d" % (j, m, n)
+            "no Sylvester submatrix of index %r for degrees %d and %d" % (j, m, n)
         )
+    width = m + n - 2 * j
     fd = list(reversed(f.coeffs))
     gd = list(reversed(g.coeffs))
     rows = [([0] * i + fd + [0] * width)[:width] for i in range(n - j)]
@@ -40,15 +40,14 @@ def _sylvester_rows(f: IntPoly, g: IntPoly, j: int) -> list[list[int]]:
     return rows
 
 
-def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix by Bareiss elimination.
+def _bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Exact determinant of a nonempty square integer matrix by Bareiss
+    elimination, which its one caller, `principal_subresultant`, passes.
 
     Every intermediate entry is an integer minor of the input, so there is no
     fraction growth; each division below is exact by Sylvester's identity.
     """
     size = len(matrix)
-    if size == 0 or any(len(row) != size for row in matrix):
-        raise DomainError("bareiss_determinant needs a nonempty square matrix")
     m = [list(row) for row in matrix]
     sign = 1
     prev = 1
@@ -81,8 +80,10 @@ def principal_subresultant(f: IntPoly, g: IntPoly, j: int) -> int:
 
     Determinant of the Sylvester matrix with the last j rows of each
     coefficient block and the last 2j columns removed; j = 0 is the resultant.
+    DomainError unless f and g are nonzero and j is an int (a bool is not)
+    with 0 <= j <= min(deg f, deg g), other than j = deg f = deg g.
     """
-    return bareiss_determinant(_sylvester_rows(f, g, j))
+    return _bareiss_determinant(_sylvester_rows(f, g, j))
 
 
 def discriminant(f: IntPoly) -> int:

@@ -347,8 +347,7 @@ def factorize(
         raise _budget_error("factorize", budget)
     found: dict[int, int] = {}
     rest = abs(n)
-    # A rho-only split skips starting an empty walk.
-    if budget.trial_bound >= 2 and not trial_divided:
+    if not trial_divided:
         for p, e in _trial_division(rest, budget.trial_bound):
             found[p] = e
             rest //= p**e
@@ -474,10 +473,6 @@ def _divide_out(m: int, p: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over F_p (dense ascending lists), used for root finding.
 
-# Up to this prime, trying every residue is faster than gcd(x^p - x, f) and
-# splitting; for degrees 2..12 the two cost the same near p = 509.
-_SCAN_LIMIT = 512
-
 
 def _ptrim(a: list[int]) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
@@ -553,33 +548,24 @@ def _split_linear(g: list[int], p: int, rng: random.Random) -> list[int]:
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """All residues s with f(s) = 0 (mod p), ascending, each once.
 
-    For p <= 512 every residue is tried.  Above that the roots come from
-    gcd(x^p - x, f) over F_p followed by randomized splitting of that
-    product of linear factors; the splitter is seeded from p, and the sorted
-    roots do not depend on its draws.
+    The roots are those of g = gcd(x^p - x, f) over F_p, a product of
+    distinct linear factors.  A g of degree p is x^p - x, so every residue
+    is a root; any other g is split by randomized splitting seeded from p,
+    and the sorted roots do not depend on its draws.
     """
     if not is_prime(p):
         raise DomainError("roots_mod_p needs a prime modulus")
     fbar = _ptrim([c % p for c in f.coeffs])
     if fbar == [0]:
         raise DomainError("polynomial vanishes identically modulo p")
-    if p <= _SCAN_LIMIT:
-        out = []
-        for s in range(p):
-            acc = 0
-            for c in reversed(fbar):
-                acc = (acc * s + c) % p
-            if acc == 0:
-                out.append(s)
-        return out
     inv = pow(fbar[-1], -1, p)
     monic = [(c * inv) % p for c in fbar]
-    if len(monic) == 1:
-        return []
     xp = _ppowmod([0, 1], p, monic, p) + [0, 0]
     xp[1] = (xp[1] - 1) % p  # x^p - x
     g = _pgcd_monic(monic, xp, p)
     if g == [1]:
         return []
+    if len(g) - 1 == p:
+        return list(range(p))
     return sorted(_split_linear(g, p, random.Random(p)))
 

@@ -13,7 +13,7 @@ from eisenshift import (
     principal_subresultant,
     taylor_shift,
 )
-from eisenshift.algebra import _sylvester_rows, bareiss_determinant
+from eisenshift.algebra import _bareiss_determinant, _sylvester_rows
 from eisenshift.intpoly import derivative, length
 
 
@@ -51,17 +51,13 @@ def test_sylvester_matrix_rejects_bad_inputs():
 
 
 def test_bareiss_determinant_known_values():
-    assert bareiss_determinant([[5]]) == 5
-    assert bareiss_determinant([[1, 2], [3, 4]]) == -2
-    assert bareiss_determinant([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
+    assert _bareiss_determinant([[5]]) == 5
+    assert _bareiss_determinant([[1, 2], [3, 4]]) == -2
+    assert _bareiss_determinant([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
     # singular
-    assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+    assert _bareiss_determinant([[1, 2], [2, 4]]) == 0
     # needs a pivot swap
-    assert bareiss_determinant([[0, 1], [1, 0]]) == -1
-    with pytest.raises(DomainError):
-        bareiss_determinant([])
-    with pytest.raises(DomainError):
-        bareiss_determinant([[1, 2]])
+    assert _bareiss_determinant([[0, 1], [1, 0]]) == -1
 
 
 def test_bareiss_determinant_random_vs_expansion():
@@ -80,7 +76,7 @@ def test_bareiss_determinant_random_vs_expansion():
     for _ in range(200):
         size = rng.randrange(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-        assert bareiss_determinant(m) == minor_det(m)
+        assert _bareiss_determinant(m) == minor_det(m)
 
 
 def _from_roots(lead, roots):

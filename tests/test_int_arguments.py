@@ -8,6 +8,7 @@ from eisenshift import (
     IntPoly,
     decide_certified,
     density_report,
+    derivative,
     eisenstein_primes,
     exact_census,
     factorize,
@@ -17,6 +18,7 @@ from eisenshift import (
     iroot,
     monte_carlo,
     predicted_eisenstein_count,
+    principal_subresultant,
     shifted_eisenstein,
     sieve_primes,
     taylor_shift,
@@ -52,6 +54,12 @@ from eisenshift import (
         lambda: factorize(12, (2, 1)),  # was AttributeError
         lambda: taylor_shift(IntPoly((5, 4, 1)), True),  # was f(x+1)
         lambda: taylor_shift(IntPoly((5, 4, 1)), 1.5),  # was refused only by IntPoly
+        lambda: principal_subresultant(
+            IntPoly((1, 2, 1)), derivative(IntPoly((1, 2, 1))), 1.0
+        ),  # was TypeError
+        lambda: principal_subresultant(
+            IntPoly((1, 2, 1)), derivative(IntPoly((1, 2, 1))), True
+        ),  # was 2, as j = 1
     ],
 )
 def test_non_int_argument_is_a_domain_error(call):

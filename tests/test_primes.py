@@ -586,7 +586,9 @@ def _brute_roots(f: IntPoly, p: int) -> list[int]:
 
 
 def test_roots_mod_p_scan_matches_brute_force():
-    # Up to 512 roots_mod_p tries every residue.
+    # Small primes; then multiples of x^p - x, where gcd(x^p - x, f) is x^p - x
+    # and every residue is a root, found without the splitter, whose exponent
+    # (p - 1) / 2 is 0 at p = 2.
     rng = random.Random(53)
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7, 11, 13, 97, 509])
@@ -594,10 +596,20 @@ def test_roots_mod_p_scan_matches_brute_force():
         coeffs = [rng.randrange(-30, 31) for _ in range(deg)] + [1]
         f = IntPoly(tuple(coeffs))
         assert roots_mod_p(f, p) == _brute_roots(f, p)
+    for p in (2, 3, 5, 7):
+        for _ in range(10):
+            h = [rng.randrange(-30, 31) for _ in range(rng.randrange(0, 4))] + [1]
+            coeffs = [0] * (p + len(h))  # (x^p - x) h = x^p h - x h
+            for i, c in enumerate(h):
+                coeffs[i + p] += c
+                coeffs[i + 1] -= c
+            f = IntPoly(tuple(coeffs))
+            assert roots_mod_p(f, p) == _brute_roots(f, p) == list(range(p))
+    assert roots_mod_p(IntPoly((0, 1, 1)), 2) == [0, 1]  # x^2 + x
 
 
 def test_roots_mod_p_splitting_matches_scan():
-    # Above 512 roots_mod_p splits gcd(x^p - x, f).
+    # Larger primes, where splitting gcd(x^p - x, f) has more roots to separate.
     rng = random.Random(54)
     for _ in range(150):
         p = rng.choice([521, 1009, 4099])
@@ -637,7 +649,7 @@ def test_roots_mod_p_rejects_bad_inputs():
     with pytest.raises(DomainError):
         roots_mod_p(IntPoly((7, 7, 7)), 7)  # vanishes identically
     assert roots_mod_p(IntPoly((3,)), 5) == []
-    assert roots_mod_p(IntPoly((1, 1009)), 1009) == []  # a nonzero constant mod p > 512
+    assert roots_mod_p(IntPoly((1, 1009)), 1009) == []  # a nonzero constant mod p
 
 
 def test_euler_phi_omega_mobius_oracles():

@@ -24,8 +24,8 @@ def test_each_name_is_the_defining_module_object():
 
 
 def test_names_the_module_tour_promises_are_importable():
-    from eisenshift import bareiss_determinant, derivative, iroot
+    from eisenshift import derivative, discriminant, iroot
 
     assert derivative is intpoly.derivative
-    assert bareiss_determinant is algebra.bareiss_determinant
+    assert discriminant is algebra.discriminant
     assert iroot is primes.iroot
