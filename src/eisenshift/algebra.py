@@ -11,7 +11,7 @@ polynomials built from integer roots.
 from __future__ import annotations
 
 from .errors import DomainError
-from .intpoly import IntPoly, derivative, length
+from .intpoly import IntPoly, _check_poly, derivative, length
 from .primes import iroot
 
 __all__ = [
@@ -83,11 +83,14 @@ def principal_subresultant(f: IntPoly, g: IntPoly, j: int) -> int:
     DomainError unless f and g are nonzero and j is an int (a bool is not)
     with 0 <= j <= min(deg f, deg g), other than j = deg f = deg g.
     """
+    _check_poly("principal_subresultant", f)
+    _check_poly("principal_subresultant", g)
     return _bareiss_determinant(_sylvester_rows(f, g, j))
 
 
 def discriminant(f: IntPoly) -> int:
     """Discriminant (-1)^(n(n-1)/2) * Res(f, f') / lc(f), exact."""
+    _check_poly("discriminant", f)
     n = f.degree
     if n < 2:
         raise DomainError("discriminant needs degree >= 2")
@@ -101,6 +104,7 @@ def discriminant(f: IntPoly) -> int:
 
 def mahler_bound(f: IntPoly) -> int:
     """Bound n^n * L(f)^(2n-2) on |discriminant(f)|."""
+    _check_poly("mahler_bound", f)
     n = f.degree
     if n < 2:
         raise DomainError("mahler_bound needs degree >= 2")
@@ -109,6 +113,7 @@ def mahler_bound(f: IntPoly) -> int:
 
 def max_shift_bound(f: IntPoly) -> int:
     """Scan bound ceil(n^(n/(n-1))) * L(f)^2 covering every possible shift."""
+    _check_poly("max_shift_bound", f)
     n = f.degree
     if n < 2:
         raise DomainError("max_shift_bound needs degree >= 2")

@@ -3,16 +3,53 @@
 The sample space for degree n and height H is the box of integer coefficient
 vectors (a_0, ..., a_n) with |a_i| <= H and a_n != 0.  Reports count three
 nested classes: Eisenstein polynomials, shifted-Eisenstein polynomials, and
-Eisenstein polynomials that stay Eisenstein after the shift x -> x+1.  Each
-polynomial gets one shifted decision, whose plain-witness step runs first and
-under a fixed budget, so the Eisenstein column does not depend on the budget
-the run uses.  A census decides with `decide_certified`, which escalates the
-budget until the decision is certified.  Monte Carlo counts verdicts only,
-by one rule for every degree (README, "Counting verdicts"): a prime p not
-dividing u = n*a_n qualifies when it divides once the local gcd G stripped
-of the primes of h_0/G, h_0 = u^n * f(-a_(n-1)/u); for n = 2, h_0 = -a_2*D
-shares G's valuations and nothing is stripped.  Past the rule's trial
-bound, the certificate search of `shifted_eisenstein` decides.
+Eisenstein polynomials that stay Eisenstein after the shift x -> x+1.
+
+A census of degree 2 gives each polynomial one shifted decision, whose
+plain-witness step runs first and under a fixed budget, so the Eisenstein
+column does not depend on the budget the run uses; it decides with
+`decide_certified`, which escalates the budget until the decision is
+certified.  A census of degree n >= 3 counts instead.  It fixes
+(a_1, ..., a_n) with a_n > 0 and counts each class over the column
+a_0 in [-H, H] as a union of residue classes of a_0; f -> -f keeps all three
+classes, so the counts are doubled.  With u = n*a_n and t = -a_(n-1), the
+coefficients h_j of h(y) = u^n * f((y + t)/u) are those of
+sum_k a_k*u^(n-k)*(x + t)^k, so h_1, ..., h_(n-2) do not involve a_0 and
+h_0 = h_0' + u^n*a_0.  Per column:
+
+- Eisenstein at p: p divides g = gcd(a_1, ..., a_(n-1)), p does not divide
+  a_n, and a_0 = 0 (mod p) but not (mod p^2).
+- Shifted at p: by the local criterion, f(x+s) is Eisenstein at p exactly
+  when f = a_n*(x-s)^n (mod p), p does not divide a_n, and p^2 does not
+  divide f(s).  For p not dividing u, the congruence holds exactly when p
+  divides h_0, ..., h_(n-2), and then p^2 divides f(s) exactly when it
+  divides h_0 (see `eisenstein._local_verdict`).  So p divides
+  G_1 = gcd(h_1, ..., h_(n-2)) stripped of u's primes, and
+  a_0 = -h_0'/u^n (mod p) but not (mod p^2).  For p dividing n but not a_n,
+  f(x+s) depends on a_0 only modulo p^2, and s only modulo p, so
+  `eisenstein._shift_at` decides one a_0 of each class mod p^2.  A prime
+  dividing a_n never works, and plain witnesses are the shift s = 0.
+- f: the coefficients b_1, ..., b_(n-1) of f(x+1) do not involve a_0, and
+  b_0 = f(1) = a_0 + sigma with sigma = a_1 + ... + a_n.  So f(x+1) is
+  Eisenstein at q exactly when q divides gcd(b_1, ..., b_(n-1)), q does not
+  divide a_n, and a_0 = -sigma (mod q) but not (mod q^2); the column counts
+  the a_0 for which both f and f(x+1) are Eisenstein.
+
+A column with G_1 = 0, where f - a_0 = a_n*((x - r)^n - (-r)^n) for
+r = t/u and h_0 alone decides for every prime not dividing u, is decided one
+polynomial at a time as at degree 2, and only it uses the budget.  These
+columns include every one with g = 0 and every one with
+b_1 = ... = b_(n-1) = 0, so the census counts only where g and
+gcd(b_1, ..., b_(n-1)) are nonzero.  g <= H, |b_j| < 2^(n+1)*H, and G_1
+divides c = 2n*a_n*a_(n-2) - (n-1)*a_(n-1)^2 when c != 0, so trial division
+factors all three.
+
+Monte Carlo counts verdicts only, by one rule for every degree (README,
+"Counting verdicts"): a prime p not dividing u = n*a_n qualifies when it
+divides once the local gcd G stripped of the primes of h_0/G,
+h_0 = u^n * f(-a_(n-1)/u); for n = 2, h_0 = -a_2*D shares G's valuations
+and nothing is stripped.  Past the rule's trial bound, the certificate
+search of `shifted_eisenstein` decides.
 
 Monte Carlo runs are deterministic for a given seed and independent of the
 worker count: samples are generated in chunks of CHUNK_SIZE, each chunk from
@@ -32,13 +69,15 @@ from itertools import chain, islice, product
 
 from .eisenstein import (
     Verdict,
+    _shift_at,
     _shifted_verdict,
+    _strip_primes_of,
     decide_certified,
     is_eisenstein,
     shifted_eisenstein,
 )
 from .errors import BudgetError, DomainError
-from .intpoly import IntPoly, taylor_shift
+from .intpoly import IntPoly, _taylor_shift, taylor_shift
 from .primes import DEFAULT_BUDGET, FactorBudget, _budget_error
 
 __all__ = [
@@ -166,8 +205,13 @@ def _count(polys, decide) -> tuple[int, int, int, int]:
 
 
 def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> ExperimentReport:
-    """Exact counts over the whole box, every decision certified; a box of
-    more than 10^8 polynomials is refused with BudgetError."""
+    """Exact counts over the whole box; a box of more than 10^8 polynomials
+    is refused with BudgetError.
+
+    Degree 2 takes a certified decision for every polynomial, and degree
+    n >= 3 counts residue classes of a_0 (see the module docstring), with
+    certified decisions only in the columns with G_1 = 0.
+    """
     _check_box("exact_census", n, height)
     if type(budget) is not FactorBudget:
         raise _budget_error("exact_census", budget)
@@ -175,9 +219,6 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
     total = side**n * (side - 1)
     if total > _ENUMERATION_CAP:
         raise BudgetError("box size %d exceeds enumeration cap %d" % (total, _ENUMERATION_CAP))
-    lows = range(-height, height + 1)
-    leads = [a for a in lows if a != 0]
-    box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
 
     def decide(f):
         # This module's binding of shifted_eisenstein, so wrappers installed
@@ -187,8 +228,96 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
         plain = certificate is not None and certificate.shift == 0
         return decision.verdict, f if plain else None
 
-    counts = _count(box, decide)
+    if n == 2:
+        lows = range(-height, height + 1)
+        leads = [a for a in lows if a != 0]
+        box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
+        counts = _count(box, decide)
+    else:
+        counts = _count_columns(n, height, decide)
     return ExperimentReport("census", n, height, total, *counts, None)
+
+
+def _count_columns(n: int, height: int, decide) -> tuple[int, ...]:
+    """`_count` over the box of degree n >= 3, a column of a_0 at a time.
+
+    Each column fixes (a_1, ..., a_n) with a_n > 0, and the counts are
+    doubled for a_n < 0.  A class within a column is a bitmask, bit a_0 + H
+    for a_0 in [-H, H], built from residue classes as the module docstring
+    sets out.  The columns with G_1 = 0 go to `_count` and `decide` whole.
+    """
+    lows = range(-height, height + 1)
+    width = len(lows)
+    full = (1 << width) - 1
+    repunits = {}
+
+    def residues(r: int, m: int) -> int:
+        """The a_0 = r (mod m)."""
+        rep = repunits.get(m)
+        if rep is None:
+            rep = repunits[m] = ((1 << m * -(-width // m)) - 1) // ((1 << m) - 1)
+        return (rep << (r + height) % m) & full
+
+    def once(r: int, p: int) -> int:
+        """The a_0 = r (mod p) but not (mod p^2)."""
+        return residues(r, p) ^ residues(r, p * p)
+
+    primes_of_n = _prime_factors(n)
+    eis = shifted = f_count = 0
+    powers = []  # the (a_1, ..., a_n) of the columns with G_1 = 0
+    for middle in product(lows, repeat=n - 1):
+        g = math.gcd(*middle)
+        for an in range(1, height + 1):
+            rest = middle + (an,)
+            u = n * an
+            scaled = [0]  # a_k * u^(n-k), with a_0 left out
+            for k, a in enumerate(rest, 1):
+                scaled.append(a * u ** (n - k))
+            h = _taylor_shift(scaled, -middle[-1])
+            local = math.gcd(*h[1 : n - 1])
+            if local == 0:
+                powers.append(rest)
+                continue
+            plain = 0
+            for p in _prime_factors(g):
+                if an % p:
+                    plain |= once(0, p)
+            found = plain
+            for p in _prime_factors(_strip_primes_of(local, u)):
+                square = p * p
+                found |= once(-h[0] * pow(u, -n, square) % square, p)
+            for p in primes_of_n:
+                if an % p:
+                    for a0 in lows[: p * p]:  # one a_0 of each class mod p^2
+                        if _shift_at((a0,) + rest, p) is not None:
+                            found |= residues(a0, p * p)
+            eis += plain.bit_count()
+            shifted += found.bit_count()
+            if not plain:
+                continue
+            b = _taylor_shift((0,) + rest, 1)
+            moved = 0
+            for q in _prime_factors(math.gcd(*b[1:n])):
+                if an % q:
+                    moved |= once(-b[0], q)
+            f_count += (plain & moved).bit_count()
+    decided = _count((IntPoly((a0,) + rest) for rest in powers for a0 in lows), decide)
+    return tuple(2 * (x + y) for x, y in zip((eis, shifted, f_count, 0), decided))
+
+
+def _prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of m >= 1, ascending, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        primes.append(m)
+    return primes
 
 
 def _mix64(seed: int, chunk_index: int) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import discriminant
 from .errors import BudgetError, DomainError
-from .intpoly import IntPoly, _taylor_shift, taylor_shift
+from .intpoly import IntPoly, _check_poly, _taylor_shift, taylor_shift
 from .primes import (
     DEFAULT_BUDGET,
     FactorBudget,
@@ -126,6 +126,7 @@ def _walk_witnesses(g: int, a0: int, an: int, budget: FactorBudget):
 
 def eisenstein_primes(f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET) -> list[int]:
     """All primes with respect to which f is Eisenstein, ascending."""
+    _check_poly("eisenstein_primes", f)
     if type(budget) is not FactorBudget:
         raise _budget_error("eisenstein_primes", budget)
     return list(_witness_primes(f.coeffs, budget))
@@ -144,11 +145,13 @@ def _smallest_witness(coeffs: tuple[int, ...]) -> int | None:
 
 def is_eisenstein(f: IntPoly) -> bool:
     """True iff f is Eisenstein with respect to some prime."""
+    _check_poly("is_eisenstein", f)
     return _smallest_witness(f.coeffs) is not None
 
 
 def is_eisenstein_with(f: IntPoly, p: int) -> bool:
     """Check the three Eisenstein conditions for one specific prime p."""
+    _check_poly("is_eisenstein_with", f)
     if not is_prime(p):  # DomainError from is_prime for a non-int p
         raise DomainError("is_eisenstein_with needs a prime, got %r" % (p,))
     return f.degree >= 1 and _eisenstein_at(f.coeffs, p)
@@ -343,6 +346,7 @@ def shifted_eisenstein(
     when the discriminant of f is 0; otherwise the verdict is heuristic and
     carries the unsplit cofactor.
     """
+    _check_poly("shifted_eisenstein", f)
     if type(budget) is not FactorBudget:
         raise _budget_error("shifted_eisenstein", budget)
     n = f.degree
@@ -463,6 +467,7 @@ def decide_certified(
     pass its own binding of that name so that wrappers installed in its
     namespace (bench/spans.py) see every attempt.
     """
+    _check_poly("decide_certified", f)
     decide = decide or shifted_eisenstein
     decision = decide(f, budget)
     step = 0
@@ -484,8 +489,9 @@ def decide_certified(
 def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
     """Recheck a certificate from scratch; False on a malformed certificate.
 
-    A certificate or polynomial object without the expected attributes counts
-    as malformed; any other error propagates.
+    A certificate without the expected attributes, or a polynomial that is
+    not an IntPoly (which `taylor_shift` refuses), counts as malformed; any
+    other error propagates.
     """
     try:
         s = certificate.shift
@@ -498,5 +504,5 @@ def verify_certificate(f: IntPoly, certificate: ShiftCertificate) -> bool:
             return False
         shifted = taylor_shift(f, s)
         return shifted.degree >= 1 and _eisenstein_at(shifted.coeffs, p)
-    except AttributeError:
+    except (AttributeError, DomainError):
         return False

@@ -59,6 +59,12 @@ class IntPoly:
         return format_poly(self)
 
 
+def _check_poly(caller: str, f) -> None:
+    """DomainError unless f is an IntPoly: the one check of a polynomial argument."""
+    if not isinstance(f, IntPoly):
+        raise DomainError("%s needs an IntPoly, got %r" % (caller, f))
+
+
 def parse_poly(text: str) -> IntPoly:
     """Parse the comma-separated ascending coefficient form, e.g. ``"5,4,1"``."""
     parts = text.split(",")
@@ -71,11 +77,13 @@ def parse_poly(text: str) -> IntPoly:
 
 def format_poly(f: IntPoly) -> str:
     """Serialize to the comma-separated ascending coefficient form."""
+    _check_poly("format_poly", f)
     return ",".join(str(c) for c in f.coeffs)
 
 
 def height(f: IntPoly) -> int:
     """Max absolute coefficient H(f).  The zero polynomial has no height."""
+    _check_poly("height", f)
     if f.is_zero:
         raise DomainError("height of the zero polynomial is undefined")
     return max(abs(c) for c in f.coeffs)
@@ -83,6 +91,7 @@ def height(f: IntPoly) -> int:
 
 def length(f: IntPoly) -> int:
     """Sum of absolute coefficients L(f).  The zero polynomial has no length."""
+    _check_poly("length", f)
     if f.is_zero:
         raise DomainError("length of the zero polynomial is undefined")
     return sum(abs(c) for c in f.coeffs)
@@ -90,6 +99,7 @@ def length(f: IntPoly) -> int:
 
 def evaluate(f: IntPoly, x: int) -> int:
     """Exact value f(x) by Horner's rule."""
+    _check_poly("evaluate", f)
     acc = 0
     for c in reversed(f.coeffs):
         acc = acc * x + c
@@ -98,6 +108,7 @@ def evaluate(f: IntPoly, x: int) -> int:
 
 def derivative(f: IntPoly) -> IntPoly:
     """Formal derivative; defined for degree >= 1."""
+    _check_poly("derivative", f)
     if f.degree < 1:
         raise DomainError("derivative needs degree >= 1")
     return IntPoly(tuple(i * c for i, c in enumerate(f.coeffs) if i >= 1))
@@ -105,6 +116,7 @@ def derivative(f: IntPoly) -> IntPoly:
 
 def taylor_shift(f: IntPoly, s: int) -> IntPoly:
     """f(x+s), by `_taylor_shift` on the coefficients; s must be an int, not a bool."""
+    _check_poly("taylor_shift", f)
     if type(s) is not int:
         raise DomainError("taylor_shift needs an int shift, got %r" % (s,))
     return IntPoly(_taylor_shift(f.coeffs, s))

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _check_poly
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -553,6 +553,7 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     is a root; any other g is split by randomized splitting seeded from p,
     and the sorted roots do not depend on its draws.
     """
+    _check_poly("roots_mod_p", f)
     if not is_prime(p):
         raise DomainError("roots_mod_p needs a prime modulus")
     fbar = _ptrim([c % p for c in f.coeffs])

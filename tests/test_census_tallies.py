@@ -1,13 +1,18 @@
 """Census and Monte Carlo tallies against a per-polynomial tally, and the work behind them.
 
-Both experiments make one shifted decision per polynomial and read the
-Eisenstein and f columns from it; the tally here asks `is_eisenstein` and the
-shifted decision separately for every polynomial the experiment built.  The
+Monte Carlo and the degree-2 census make one shifted decision per polynomial
+and read the Eisenstein and f columns from it; the tally here asks
+`is_eisenstein` and the shifted decision separately for every polynomial the
+experiment built.  A census of degree n >= 3 counts residue classes of a_0
+instead, and is checked against the same tally over its whole box.  The
 Monte Carlo sample stream itself is pinned against the documented scheme.
 """
 
 import concurrent.futures
 import random
+from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -15,6 +20,7 @@ import eisenshift.census as census_module
 import eisenshift.eisenstein as eisenstein_module
 from eisenshift import (
     DEFAULT_BUDGET,
+    BudgetError,
     FactorBudget,
     IntPoly,
     Verdict,
@@ -181,10 +187,95 @@ def test_exact_census_matches_per_polynomial_tally(monkeypatch, budget):
     report, built, (verdicts, decisions) = _run_recorded(
         monkeypatch, lambda: exact_census(2, 3, budget)
     )
-    # The census keeps certified, escalated decisions.
+    # The degree-2 census keeps certified, escalated decisions.
     assert len(built) == report.samples <= decisions and verdicts == 0
     expected = _tally(built, lambda f: decide_certified(f, budget))
     assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
+
+
+def _box(n, height):
+    lows = range(-height, height + 1)
+    return [IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in lows if lead]
+
+
+def _tails(n, height):
+    """The (a_1, ..., a_n) with a_n > 0 of the box."""
+    lows = range(-height, height + 1)
+    return [middle + (an,) for middle in product(lows, repeat=n - 1) for an in range(1, height + 1)]
+
+
+def _is_power_plus_constant(tail):
+    """Whether f - a_0 = a_n*((x - r)^n - (-r)^n) over Q, for r = -a_(n-1)/(n*a_n):
+    every h_1, ..., h_(n-2) of the census is 0."""
+    n, an = len(tail), tail[-1]
+    r = Fraction(-tail[-2], n * an)
+    return all(tail[k - 1] == an * comb(n, k) * (-r) ** (n - k) for k in range(1, n))
+
+
+def _shift_keeps_only_the_ends(tail):
+    """Whether f(x+1) - f(1) = a_n*x^n: every b_1, ..., b_(n-1) of the census is 0."""
+    return taylor_shift(IntPoly((0,) + tail), 1).coeffs[1:-1] == (0,) * (len(tail) - 1)
+
+
+COUNTING_BOXES = [(3, 2), (3, 3), (4, 2), (5, 2), (6, 1)]
+
+
+@pytest.mark.parametrize("n, height", COUNTING_BOXES)
+def test_counting_census_matches_per_polynomial_tally(n, height):
+    report = exact_census(n, height)
+    expected = _tally(_box(n, height), decide_certified)
+    assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
+
+
+def test_counting_boxes_reach_every_per_polynomial_fallback():
+    # A column with G_1 = 0 is decided one polynomial at a time, among them
+    # those with a_1 = ... = a_(n-1) = 0, whose Eisenstein primes are not
+    # bounded by a coefficient gcd; a column whose f(x+1) keeps only its
+    # ends tests f(x+1) per polynomial.
+    tails = [t for n, height in COUNTING_BOXES for t in _tails(n, height)]
+    assert any(_is_power_plus_constant(t) and any(t[:-1]) for t in tails)
+    bare = [t for t in tails if not any(t[:-1])]
+    assert bare and all(map(_is_power_plus_constant, bare))
+    # ... with an Eisenstein a_0, so that its f(x+1) is tested: x^3 - 3x^2 + 3x + 3.
+    assert (3, -3, 1) in tails and _shift_keeps_only_the_ends((3, -3, 1))
+
+
+def test_counting_census_decides_only_the_power_columns(monkeypatch):
+    decisions = _Counting(shifted_eisenstein)
+    monkeypatch.setattr(census_module, "shifted_eisenstein", decisions)
+    report = exact_census(4, 2)
+    power_columns = sum(map(_is_power_plus_constant, _tails(4, 2)))
+    assert power_columns > 0
+    # One decision per a_0 of a G_1 = 0 column with a_n > 0, no escalation.
+    assert decisions.calls == 5 * power_columns < report.samples == 2500
+
+
+def test_counting_census_needs_the_budget_only_in_power_columns():
+    # FactorBudget(0, 0) cannot grow, so a decision it leaves heuristic
+    # raises BudgetError, as it does for a polynomial of the (4, 3) box that
+    # a decision per polynomial used to end on.  Counting never decides it.
+    stuck = FactorBudget(0, 0)
+    with pytest.raises(BudgetError, match="cannot grow"):
+        decide_certified(IntPoly((-2, -2, 3, -2, -2)), stuck)
+    assert exact_census(4, 3, stuck) == exact_census(4, 3)
+
+
+@pytest.mark.parametrize(
+    "n, height, counts",
+    [
+        (3, 4, (308, 960, 12)),
+        (3, 5, (588, 2132, 42)),
+        (4, 3, (432, 934, 8)),
+        (4, 4, (1324, 3458, 12)),
+        (5, 2, (324, 564, 2)),
+        (6, 2, (972, 1220, 2)),
+        (3, 12, (22156, 64752, 770)),
+    ],
+)
+def test_counting_census_keeps_the_per_polynomial_counts(n, height, counts):
+    # The counts of the per-polynomial census these boxes were first run with.
+    report = exact_census(n, height)
+    assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == counts + (0,)
 
 
 class _InlineExecutor:

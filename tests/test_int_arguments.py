@@ -1,5 +1,6 @@
-"""Integer arguments refuse floats and bools, and budget arguments anything but a
-FactorBudget, with DomainError, never a result or a traceback."""
+"""Integer arguments refuse floats and bools, budget arguments anything but a
+FactorBudget, and polynomial arguments anything but an IntPoly, with
+DomainError, never a result or a traceback."""
 
 import pytest
 
@@ -9,16 +10,25 @@ from eisenshift import (
     decide_certified,
     density_report,
     derivative,
+    discriminant,
     eisenstein_primes,
+    evaluate,
     exact_census,
     factorize,
     first_primes,
+    format_poly,
+    height,
+    is_eisenstein,
     is_eisenstein_with,
     is_prime,
     iroot,
+    length,
+    mahler_bound,
+    max_shift_bound,
     monte_carlo,
     predicted_eisenstein_count,
     principal_subresultant,
+    roots_mod_p,
     shifted_eisenstein,
     sieve_primes,
     taylor_shift,
@@ -64,4 +74,37 @@ from eisenshift import (
 )
 def test_non_int_argument_is_a_domain_error(call):
     with pytest.raises(DomainError):
+        call()
+
+
+# A coefficient tuple where a polynomial belongs; each call below ended in an
+# AttributeError traceback.
+_TUPLE = (1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: discriminant(_TUPLE),
+        lambda: principal_subresultant(_TUPLE, IntPoly((2, 1)), 0),
+        lambda: principal_subresultant(IntPoly(_TUPLE), (2, 1), 0),
+        lambda: mahler_bound(_TUPLE),
+        lambda: max_shift_bound(_TUPLE),
+        lambda: taylor_shift(_TUPLE, 1),
+        lambda: derivative(_TUPLE),
+        lambda: height(_TUPLE),
+        lambda: length(_TUPLE),
+        lambda: evaluate(_TUPLE, 2),
+        lambda: format_poly(_TUPLE),
+        lambda: roots_mod_p(_TUPLE, 3),
+        lambda: is_eisenstein(_TUPLE),
+        lambda: is_eisenstein_with(_TUPLE, 2),
+        lambda: eisenstein_primes(_TUPLE),
+        lambda: shifted_eisenstein(_TUPLE),
+        lambda: decide_certified(_TUPLE),
+        lambda: decide_certified([1, 2, 1]),
+    ],
+)
+def test_non_poly_argument_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="needs an IntPoly"):
         call()
