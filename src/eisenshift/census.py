@@ -37,7 +37,10 @@ h_0 = h_0' + u^n*a_0.  Per column:
 
 A column with G_1 = 0, where f - a_0 = a_n*((x - r)^n - (-r)^n) for
 r = t/u and h_0 alone decides for every prime not dividing u, is decided one
-polynomial at a time as at degree 2, and only it uses the budget.  These
+polynomial at a time by Monte Carlo's verdict rule under DEFAULT_BUDGET.
+Its G' <= |h_0| <= H^(n+1)*(n^(n+1) - 1)/(n - 1) < 2*10^19 on every box the
+cap admits, below the (B+1)^5 > 10^25 where the rule gives up, so a census
+of degree n >= 3 always answers and ignores its budget.  These
 columns include every one with g = 0 and every one with
 b_1 = ... = b_(n-1) = 0, so the census counts only where g and
 gcd(b_1, ..., b_(n-1)) are nonzero.  g <= H, |b_j| < 2^(n+1)*H, and G_1
@@ -69,6 +72,7 @@ from itertools import chain, islice, product
 
 from .eisenstein import (
     Verdict,
+    _prime_divisors,
     _shift_at,
     _shifted_verdict,
     _strip_primes_of,
@@ -204,13 +208,23 @@ def _count(polys, decide) -> tuple[int, int, int, int]:
     return eis, shifted, f_count, unresolved
 
 
+def _verdicts(budget: FactorBudget):
+    """`_count`'s `decide` on coefficient tuples: the verdict rule under `budget`."""
+
+    def decide(coeffs):
+        verdict, plain = _shifted_verdict(coeffs, budget)
+        return verdict, IntPoly(coeffs) if plain else None
+
+    return decide
+
+
 def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> ExperimentReport:
     """Exact counts over the whole box; a box of more than 10^8 polynomials
     is refused with BudgetError.
 
-    Degree 2 takes a certified decision for every polynomial, and degree
-    n >= 3 counts residue classes of a_0 (see the module docstring), with
-    certified decisions only in the columns with G_1 = 0.
+    Degree 2 takes a certified decision under `budget` for every polynomial.
+    Degree n >= 3 counts residue classes of a_0 (see the module docstring),
+    with verdicts only in the columns with G_1 = 0, and ignores `budget`.
     """
     _check_box("exact_census", n, height)
     if type(budget) is not FactorBudget:
@@ -234,17 +248,17 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
         box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
         counts = _count(box, decide)
     else:
-        counts = _count_columns(n, height, decide)
+        counts = _count_columns(n, height)
     return ExperimentReport("census", n, height, total, *counts, None)
 
 
-def _count_columns(n: int, height: int, decide) -> tuple[int, ...]:
+def _count_columns(n: int, height: int) -> tuple[int, ...]:
     """`_count` over the box of degree n >= 3, a column of a_0 at a time.
 
     Each column fixes (a_1, ..., a_n) with a_n > 0, and the counts are
     doubled for a_n < 0.  A class within a column is a bitmask, bit a_0 + H
     for a_0 in [-H, H], built from residue classes as the module docstring
-    sets out.  The columns with G_1 = 0 go to `_count` and `decide` whole.
+    sets out.  The columns with G_1 = 0 go to `_count` and `_verdicts` whole.
     """
     lows = range(-height, height + 1)
     width = len(lows)
@@ -262,7 +276,7 @@ def _count_columns(n: int, height: int, decide) -> tuple[int, ...]:
         """The a_0 = r (mod p) but not (mod p^2)."""
         return residues(r, p) ^ residues(r, p * p)
 
-    primes_of_n = _prime_factors(n)
+    primes_of_n = _prime_divisors(n)
     eis = shifted = f_count = 0
     powers = []  # the (a_1, ..., a_n) of the columns with G_1 = 0
     for middle in product(lows, repeat=n - 1):
@@ -279,11 +293,11 @@ def _count_columns(n: int, height: int, decide) -> tuple[int, ...]:
                 powers.append(rest)
                 continue
             plain = 0
-            for p in _prime_factors(g):
+            for p in _prime_divisors(g):
                 if an % p:
                     plain |= once(0, p)
             found = plain
-            for p in _prime_factors(_strip_primes_of(local, u)):
+            for p in _prime_divisors(_strip_primes_of(local, u)):
                 square = p * p
                 found |= once(-h[0] * pow(u, -n, square) % square, p)
             for p in primes_of_n:
@@ -297,27 +311,12 @@ def _count_columns(n: int, height: int, decide) -> tuple[int, ...]:
                 continue
             b = _taylor_shift((0,) + rest, 1)
             moved = 0
-            for q in _prime_factors(math.gcd(*b[1:n])):
+            for q in _prime_divisors(math.gcd(*b[1:n])):
                 if an % q:
                     moved |= once(-b[0], q)
             f_count += (plain & moved).bit_count()
-    decided = _count((IntPoly((a0,) + rest) for rest in powers for a0 in lows), decide)
+    decided = _count(((a0,) + rest for rest in powers for a0 in lows), _verdicts(DEFAULT_BUDGET))
     return tuple(2 * (x + y) for x, y in zip((eis, shifted, f_count, 0), decided))
-
-
-def _prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of m >= 1, ascending, by trial division."""
-    primes = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        primes.append(m)
-    return primes
 
 
 def _mix64(seed: int, chunk_index: int) -> int:
@@ -386,12 +385,7 @@ def _mc_chunk(args) -> tuple[int, int, int, int]:
     """
     n, height, seed, chunk_index, count, budget = args
     rng = random.Random(_mix64(seed, chunk_index))
-
-    def decide(coeffs):
-        verdict, plain = _shifted_verdict(coeffs, budget)
-        return verdict, IntPoly(coeffs) if plain else None
-
-    return _count(_samples(n, height, rng, count), decide)
+    return _count(_samples(n, height, rng, count), _verdicts(budget))
 
 
 def monte_carlo(

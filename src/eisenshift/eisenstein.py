@@ -251,8 +251,11 @@ def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=64)
 def _prime_divisors(m: int) -> tuple[int, ...]:
-    """Distinct prime factors of a small m >= 1, ascending."""
-    return tuple(p for p, _ in _trial_division(m, m))
+    """Distinct prime factors of a small m >= 1, ascending.  Trial division
+    stops at isqrt(m), so the prime table never grows past it."""
+    found = dict(_trial_division(m, math.isqrt(m)))
+    rest = m // math.prod(p**e for p, e in found.items())
+    return (*found, rest) if rest > 1 else tuple(found)
 
 
 def _shift_at(coeffs: tuple[int, ...], p: int) -> int | None:

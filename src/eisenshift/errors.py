@@ -12,5 +12,7 @@ class BudgetError(RuntimeError):
 
     Raised when the plain-witness walk cannot split the coefficient gcd, when
     `decide_certified` exhausts its escalations or holds a budget that cannot
-    grow, and when a census box exceeds the enumeration cap.
+    grow, when a census box exceeds the enumeration cap of 10^8 polynomials,
+    and when a prime sieve would run past 10^8 (`sieve_primes`, which
+    `first_primes` uses).
     """

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, _check_poly
 
 __all__ = [
@@ -51,10 +51,19 @@ _MR_PROBABLE_BASES = (
 )
 
 
+_SIEVE_LIMIT_CAP = 100_000_000  # sieve_primes refuses larger limits
+
+
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending (empty for limit < 2)."""
+    """All primes <= limit, ascending (empty for limit < 2).
+
+    BudgetError, before anything is allocated, when limit exceeds 10^8
+    (_SIEVE_LIMIT_CAP): the sieve takes a byte per number.
+    """
     if type(limit) is not int:
         raise DomainError("sieve_primes needs an int limit, got %r" % (limit,))
+    if limit > _SIEVE_LIMIT_CAP:
+        raise BudgetError("sieve limit %d exceeds the sieve cap %d" % (limit, _SIEVE_LIMIT_CAP))
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -110,7 +119,8 @@ def _prime_product(bound: int) -> int | None:
 
 def first_primes(count: int) -> list[int]:
     """The first `count` primes, ascending, as a fresh list.  They stay cached
-    in the prime table trial division reads, grown past _SIEVE_CACHE_CAP if need be."""
+    in the prime table trial division reads, grown past _SIEVE_CACHE_CAP if need be.
+    BudgetError when they would need a sieve past 10^8 (`sieve_primes`)."""
     if type(count) is not int or count < 0:
         raise DomainError("first_primes needs an int count >= 0, got %r" % (count,))
     bound = 15  # p_5 = 11

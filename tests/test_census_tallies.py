@@ -9,6 +9,7 @@ Monte Carlo sample stream itself is pinned against the documented scheme.
 """
 
 import concurrent.futures
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,7 @@ import pytest
 
 import eisenshift.census as census_module
 import eisenshift.eisenstein as eisenstein_module
+import eisenshift.primes as primes_module
 from eisenshift import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -241,23 +243,99 @@ def test_counting_boxes_reach_every_per_polynomial_fallback():
 
 
 def test_counting_census_decides_only_the_power_columns(monkeypatch):
-    decisions = _Counting(shifted_eisenstein)
-    monkeypatch.setattr(census_module, "shifted_eisenstein", decisions)
+    verdicts = _Counting(census_module._shifted_verdict)
+    monkeypatch.setattr(census_module, "_shifted_verdict", verdicts)
+    avoided = {}
+    for module, name in (
+        (census_module, "decide_certified"),
+        (census_module, "shifted_eisenstein"),
+        (eisenstein_module, "_certificate_search"),
+        (eisenstein_module, "factorize"),
+        (eisenstein_module, "discriminant"),
+    ):
+        avoided[name] = _Counting(getattr(module, name))
+        monkeypatch.setattr(module, name, avoided[name])
     report = exact_census(4, 2)
     power_columns = sum(map(_is_power_plus_constant, _tails(4, 2)))
     assert power_columns > 0
-    # One decision per a_0 of a G_1 = 0 column with a_n > 0, no escalation.
-    assert decisions.calls == 5 * power_columns < report.samples == 2500
+    # One verdict per a_0 of a G_1 = 0 column with a_n > 0, and none of
+    # them needs the certificate search.
+    assert verdicts.calls == 5 * power_columns < report.samples == 2500
+    assert {name: f.calls for name, f in avoided.items()} == dict.fromkeys(avoided, 0)
+    assert report.unresolved == 0
 
 
-def test_counting_census_needs_the_budget_only_in_power_columns():
+def test_counting_census_needs_no_budget():
     # FactorBudget(0, 0) cannot grow, so a decision it leaves heuristic
-    # raises BudgetError, as it does for a polynomial of the (4, 3) box that
-    # a decision per polynomial used to end on.  Counting never decides it.
+    # raises BudgetError, as it does for polynomials of the (4, 3), (3, 4)
+    # and (3, 5) boxes that a decision per polynomial used to end on.  A
+    # census of degree >= 3 ignores its budget.
     stuck = FactorBudget(0, 0)
-    with pytest.raises(BudgetError, match="cannot grow"):
-        decide_certified(IntPoly((-2, -2, 3, -2, -2)), stuck)
-    assert exact_census(4, 3, stuck) == exact_census(4, 3)
+    for f in (IntPoly((-2, -2, 3, -2, -2)), IntPoly((-4, 1, -3, 3))):
+        with pytest.raises(BudgetError, match="cannot grow"):
+            decide_certified(f, stuck)
+    for n, height in ((4, 3), (3, 4), (3, 5)):
+        assert exact_census(n, height, stuck) == exact_census(n, height)
+
+
+def test_the_enumeration_cap_keeps_power_columns_within_the_verdict_rule():
+    # In a G_1 = 0 column the verdict rule's G' is at most
+    # |h_0| = |sum_k a_k*u^(n-k)*t^k| <= H^(n+1) * (n^(n+1) - 1)/(n - 1),
+    # and the rule gives up only at G' >= (B+1)^5 for the trial bound B.
+    cap = census_module._ENUMERATION_CAP
+    limit = (DEFAULT_BUDGET.trial_bound + 1) ** 5
+    bounds = {}
+    n = 3
+    while 3**n * 2 <= cap:
+        height = 1  # the largest height whose box the cap admits
+        while (2 * height + 3) ** n * (2 * height + 2) <= cap:
+            height += 1
+        bounds[n, height] = height ** (n + 1) * (n ** (n + 1) - 1) // (n - 1)
+        n += 1
+    assert (3, 49) in bounds and (16, 1) in bounds and n == 17
+    assert max(bounds.values()) == bounds[16, 1] < 2 * 10**19 < limit
+
+
+def _distinct_primes(top):
+    """The distinct prime factors of each m <= top, from a smallest-prime-factor sieve."""
+    spf = list(range(top + 1))
+    for p in range(2, math.isqrt(top) + 1):
+        if spf[p] == p:
+            for k in range(p * p, top + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    factors = [()] * (top + 1)
+    for m in range(2, top + 1):
+        p = spf[m]
+        rest = factors[m // p]
+        factors[m] = rest if rest[:1] == (p,) else (p,) + rest
+    return factors
+
+
+def test_prime_divisors_match_brute_force(fresh_sieve):
+    prime_divisors = eisenstein_module._prime_divisors
+    for m, expected in enumerate(_distinct_primes(3 * 10**4)):
+        if m:
+            assert prime_divisors(m) == expected, m
+    # Trial division runs to isqrt(m) only, so the prime table does not grow
+    # to the prime rest of 2 * 999983.  The m ascend by isqrt(m).
+    for m, expected in (
+        (2 * 999983, (2, 999983)),
+        (3 * 5 * 7 * 1009 * 1013, (3, 5, 7, 1009, 1013)),
+        (999983 * 1000003, (999983, 1000003)),
+        (1000003**2, (1000003,)),
+    ):
+        assert prime_divisors(m) == expected, m
+        assert primes_module._sieve[0] <= max(1000, math.isqrt(m)), m
+
+
+def test_counting_census_leaves_the_prime_table_as_it_was(monkeypatch):
+    # The plain-witness walk of a power column sieves to the default trial
+    # bound; the census's own factoring stays below it.
+    table = primes_module._sieve_table(DEFAULT_BUDGET.trial_bound)
+    monkeypatch.setattr(primes_module, "_sieve", table)
+    exact_census(3, 12)
+    assert primes_module._sieve is table
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import eisenshift.primes as primes_module
 from eisenshift import DEFAULT_SEED, cli
 from eisenshift.cli import main
 
@@ -107,6 +108,19 @@ def test_density_text_and_json(capsys):
     assert 0.45 < record["sum_inv_p2"] < 0.46
     assert record["union_bound"] < 1
     assert float(record["rho"]) > 0
+
+
+def test_density_refuses_a_sieve_past_its_cap(capsys, monkeypatch):
+    # 10^9 primes need a sieve to 2.4*10^10: exit code 2 and one error line,
+    # before the sieve allocates anything.
+    def allocate(*args):
+        raise AssertionError("the sieve allocated")
+
+    monkeypatch.setattr(primes_module, "bytearray", allocate, raising=False)
+    assert main(["density", "--degree", "2", "--primes", "1000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the sieve cap" in err
 
 
 def test_density_rejects_degree_one(capsys):

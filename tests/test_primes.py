@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import eisenshift.primes as primes_module
 from eisenshift import (
+    BudgetError,
     DomainError,
     FactorBudget,
     Factorization,
@@ -41,6 +42,24 @@ def test_sieve_primes_small():
 
 def test_sieve_primes_pi_of_million():
     assert len(sieve_primes(10**6)) == 78498
+
+
+def test_sieve_refuses_a_limit_past_its_cap_before_allocating(monkeypatch, fresh_sieve):
+    # The sieve takes a byte per number; first_primes(10^9) would sieve to
+    # 23 754 522 869.
+    def allocate(*args):
+        raise AssertionError("the sieve allocated")
+
+    monkeypatch.setattr(primes_module, "bytearray", allocate, raising=False)
+    for call in (lambda: sieve_primes(10**8 + 1), lambda: first_primes(10**9)):
+        with pytest.raises(BudgetError, match="exceeds the sieve cap 100000000"):
+            call()
+    assert primes_module._sieve[0] == 1000
+
+
+def test_prime_products_stop_at_the_cache_cap(fresh_sieve):
+    assert primes_module._prime_product(primes_module._SIEVE_CACHE_CAP + 1) is None
+    assert primes_module._sieve[0] == 1000
 
 
 def test_first_primes():

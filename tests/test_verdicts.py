@@ -5,6 +5,8 @@ and the bound on the shift a YES needs."""
 
 from itertools import product
 
+import eisenshift.primes as primes_module
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +159,17 @@ def test_local_verdict_gives_up_exactly_at_the_fifth_power_of_the_bound():
     for f in (IntPoly((61, 1, 1)), IntPoly((243, 243, 243, 0, 1))):
         assert _local_verdict(f.coeffs, FactorBudget(3, 0)) is Verdict.NO_CERTIFIED, f
         assert decide_certified(f).verdict is Verdict.NO_CERTIFIED, f
+
+
+def test_local_verdict_gives_up_past_the_prime_table_cap():
+    # x^2 + x + 2^116 has G' = -D = 2^118 - 1, below (B+1)^5 for B = 2^24,
+    # but its 118 bits ask for the primes up to b = 2^ceil(118/5) = 2^24,
+    # whose product lies past the prime table's cap.
+    f = IntPoly((2**116, 1, 1))
+    g = 2**118 - 1
+    assert _local_gcd(f.coeffs) == (g, None)
+    assert g < (2**24 + 1) ** 5 and 2**24 > primes_module._SIEVE_CACHE_CAP
+    assert _local_verdict(f.coeffs, FactorBudget(2**24, 0)) is None
 
 
 @st.composite
