@@ -225,6 +225,9 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
     Degree 2 takes a certified decision under `budget` for every polynomial.
     Degree n >= 3 counts residue classes of a_0 (see the module docstring),
     with verdicts only in the columns with G_1 = 0, and ignores `budget`.
+    Every degree-2 box within the cap has H <= 231, so |D| <= 5H^2 < (10^5 + 1)^2
+    and the default budget's trial division factors every discriminant whole:
+    only a smaller `budget` ever escalates.
     """
     _check_box("exact_census", n, height)
     if type(budget) is not FactorBudget:

@@ -15,10 +15,8 @@ __all__ = [
     "IntPoly",
     "parse_poly",
     "format_poly",
-    "evaluate",
     "derivative",
     "taylor_shift",
-    "height",
     "length",
 ]
 
@@ -33,7 +31,10 @@ class IntPoly:
     degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw = tuple(self.coeffs)
+        try:
+            raw = tuple(self.coeffs)
+        except TypeError:
+            raise DomainError("coefficients must be ints, got %r" % (self.coeffs,)) from None
         if not raw:
             raise DomainError("a polynomial needs at least one coefficient")
         for c in raw:
@@ -67,6 +68,8 @@ def _check_poly(caller: str, f) -> None:
 
 def parse_poly(text: str) -> IntPoly:
     """Parse the comma-separated ascending coefficient form, e.g. ``"5,4,1"``."""
+    if type(text) is not str:
+        raise DomainError("parse_poly needs a str, got %r" % (text,))
     parts = text.split(",")
     try:
         coeffs = tuple(int(part.strip()) for part in parts)
@@ -81,29 +84,12 @@ def format_poly(f: IntPoly) -> str:
     return ",".join(str(c) for c in f.coeffs)
 
 
-def height(f: IntPoly) -> int:
-    """Max absolute coefficient H(f).  The zero polynomial has no height."""
-    _check_poly("height", f)
-    if f.is_zero:
-        raise DomainError("height of the zero polynomial is undefined")
-    return max(abs(c) for c in f.coeffs)
-
-
 def length(f: IntPoly) -> int:
     """Sum of absolute coefficients L(f).  The zero polynomial has no length."""
     _check_poly("length", f)
     if f.is_zero:
         raise DomainError("length of the zero polynomial is undefined")
     return sum(abs(c) for c in f.coeffs)
-
-
-def evaluate(f: IntPoly, x: int) -> int:
-    """Exact value f(x) by Horner's rule."""
-    _check_poly("evaluate", f)
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(f: IntPoly) -> IntPoly:

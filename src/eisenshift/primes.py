@@ -414,7 +414,10 @@ def _trial_division(m: int, bound: int):
     for the larger primes.
 
     The primes come from the prime table cached across calls, read once per
-    walk, which trial division grows up to _SIEVE_CACHE_CAP = 8*10^6; past
+    walk.  A walk grows it only when m exceeds its cover squared, to isqrt(m)
+    or twice its cover if larger, and never past `bound` or _SIEVE_CACHE_CAP
+    = 8*10^6: so the table grows only as far as some walk can reach, and a
+    scan of ascending m rebuilds it a logarithmic number of times.  Past
     what it covers every odd number is tried.  Past the first block of 64
     cached primes, one gcd skips a block whose cached product is coprime to
     the rest, and at a superblock start (block 1, 17, 33, ...) one gcd skips
@@ -428,9 +431,10 @@ def _trial_division(m: int, bound: int):
     the stretch's first prime squared (a superblock's: its last block's) not
     to exceed the rest, so a walk about to stop pays for no large gcd.
     """
-    cover, primes, blocks, superblocks = (
-        _primes_up_to(bound) if bound <= _SIEVE_CACHE_CAP else _sieve
-    )
+    table = _sieve
+    if table[0] < bound <= _SIEVE_CACHE_CAP and m > table[0] ** 2:
+        table = _primes_up_to(min(bound, max(math.isqrt(m), 2 * table[0])))
+    cover, primes, blocks, superblocks = table
     stop = len(primes) if bound >= cover else bisect_right(primes, bound)
     i = 0
     while i < stop:
@@ -457,7 +461,7 @@ def _trial_division(m: int, bound: int):
                 else:
                     break
     else:
-        # Past the cache cap every odd number is a trial divisor: a composite
+        # Past the table every odd number is a trial divisor: a composite
         # one never divides what is left, as its prime factors are gone.
         for p in range(cover + 1 + cover % 2, bound + 1, 2):
             if p * p > m:

@@ -15,6 +15,7 @@ exactly dividing f(s) for a prime p dividing n.  They share the prime sieve,
 `is_prime` and the rho helpers with the package, so they check the blocked
 walk, the cached block products, the early exits, the closed-form local gcd,
 the engine's one shift per prime and the order in which candidates are tried.
+`evaluate` is f(x) by Horner's rule, for the tests' checks of shifts.
 """
 
 import math
@@ -29,7 +30,6 @@ from eisenshift import (
     ShiftedDecision,
     Verdict,
     discriminant,
-    evaluate,
     is_eisenstein_with,
     is_prime,
     sieve_primes,
@@ -37,6 +37,15 @@ from eisenshift import (
 )
 from eisenshift.eisenstein import _prime_divisors, _strip_primes_of
 from eisenshift.primes import _brent_rho, _perfect_power
+
+
+def evaluate(f, x):
+    """f(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
 
 _SIEVED_TO = 2_000_000
 _SIEVED = sieve_primes(_SIEVED_TO)

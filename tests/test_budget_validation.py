@@ -38,7 +38,6 @@ def test_zero_budget_is_valid():
 @pytest.mark.parametrize(
     "args",
     [
-        ["census", "--degree", "2", "--height", "2", "--trial-bound", "-7", "--rho-iterations", "-3"],
         ["montecarlo", "--degree", "2", "--height", "10", "--samples", "50", "--seed", "1",
          "--trial-bound", "-1", "--rho-iterations", "-1"],
         ["shift", "1,5,1", "--trial-bound", "-7", "--rho-iterations", "-3"],

@@ -330,9 +330,9 @@ def test_prime_divisors_match_brute_force(fresh_sieve):
 
 
 def test_counting_census_leaves_the_prime_table_as_it_was(monkeypatch):
-    # The plain-witness walk of a power column sieves to the default trial
-    # bound; the census's own factoring stays below it.
-    table = primes_module._sieve_table(DEFAULT_BUDGET.trial_bound)
+    # From the table built at import: neither the plain-witness walks of the
+    # power columns nor the census's own factoring reach past it.
+    table = primes_module._sieve_table(1000)
     monkeypatch.setattr(primes_module, "_sieve", table)
     exact_census(3, 12)
     assert primes_module._sieve is table

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import eisenshift.census as census_module
 import eisenshift.primes as primes_module
-from eisenshift import DEFAULT_SEED, cli
+from eisenshift import DEFAULT_BUDGET, DEFAULT_SEED, cli
 from eisenshift.cli import main
 
 
@@ -80,14 +81,43 @@ def test_shift_heuristic_no_and_certified_escalation(capsys):
     assert "YES" in out
 
 
-def test_census_refuses_to_escalate_a_budget_that_cannot_grow(capsys):
-    # The first heuristic NO of the box is -2,-1,-2; with both bounds 0 the
-    # budget stays the same however often it is scaled.
-    args = ["census", "--degree", "2", "--height", "2", "--trial-bound", "0"]
-    assert main(args + ["--rho-iterations", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "could not certify the decision for -2,-1,-2: the budget" in err
-    assert "cannot grow" in err
+@pytest.mark.parametrize("option", ["--trial-bound", "--rho-iterations"])
+def test_census_takes_no_budget(capsys, option):
+    assert main(["census", "--degree", "2", "--height", "2", option, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage = [line for line in captured.err.splitlines() if line.startswith("usage:")]
+    assert len(usage) == 1
+    assert "unrecognized arguments: %s 0" % option in captured.err
+
+
+def test_the_default_trial_bound_factors_every_degree_2_census_discriminant():
+    # The largest height whose degree-2 box (2H+1)^2 * 2H the cap admits;
+    # there |D| = |a_1^2 - 4 a_0 a_2| <= 5H^2, below (B+1)^2 for the default
+    # trial bound B, so trial division leaves no rest and the census needs no
+    # budget option.
+    height = 1
+    while (2 * height + 3) ** 2 * (2 * height + 2) <= census_module._ENUMERATION_CAP:
+        height += 1
+    assert height == 231
+    assert 5 * height**2 < (DEFAULT_BUDGET.trial_bound + 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["shift", "2,1,1"],
+        ["check", "6,6,1"],
+        ["census", "--degree", "2", "--height", "2"],
+        ["census", "--degree", "3", "--height", "2"],
+        ["montecarlo", "--degree", "3", "--height", "1000000", "--samples", "256", "--seed", "1"],
+    ],
+)
+def test_a_first_command_sieves_no_further_than_its_walks_reach(capsys, fresh_sieve, args):
+    # The default trial bound is 10^5, but no number these commands factor
+    # needs a prime past the 1000 the table starts with.
+    assert main(args) == 0
+    assert primes_module._sieve[0] == 1000
 
 
 def test_shift_has_no_oracle_switch(capsys):

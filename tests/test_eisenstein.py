@@ -14,7 +14,6 @@ from eisenshift import (
     Verdict,
     decide_certified,
     eisenstein_primes,
-    evaluate,
     is_eisenstein,
     is_eisenstein_with,
     parse_poly,
@@ -23,6 +22,7 @@ from eisenshift import (
     verify_certificate,
 )
 
+from factor_first import evaluate
 from shift_scan import naive_shift_scan
 
 TINY = FactorBudget(trial_bound=2, rho_iterations=0)

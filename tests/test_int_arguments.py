@@ -1,5 +1,6 @@
 """Integer arguments refuse floats and bools, budget arguments anything but a
-FactorBudget, and polynomial arguments anything but an IntPoly, with
+FactorBudget, polynomial arguments anything but an IntPoly, and the
+polynomial constructors anything but coefficients or their text, with
 DomainError, never a result or a traceback."""
 
 import pytest
@@ -12,12 +13,10 @@ from eisenshift import (
     derivative,
     discriminant,
     eisenstein_primes,
-    evaluate,
     exact_census,
     factorize,
     first_primes,
     format_poly,
-    height,
     is_eisenstein,
     is_eisenstein_with,
     is_prime,
@@ -26,6 +25,7 @@ from eisenshift import (
     mahler_bound,
     max_shift_bound,
     monte_carlo,
+    parse_poly,
     predicted_eisenstein_count,
     principal_subresultant,
     roots_mod_p,
@@ -92,9 +92,7 @@ _TUPLE = (1, 2, 1)
         lambda: max_shift_bound(_TUPLE),
         lambda: taylor_shift(_TUPLE, 1),
         lambda: derivative(_TUPLE),
-        lambda: height(_TUPLE),
         lambda: length(_TUPLE),
-        lambda: evaluate(_TUPLE, 2),
         lambda: format_poly(_TUPLE),
         lambda: roots_mod_p(_TUPLE, 3),
         lambda: is_eisenstein(_TUPLE),
@@ -107,4 +105,18 @@ _TUPLE = (1, 2, 1)
 )
 def test_non_poly_argument_is_a_domain_error(call):
     with pytest.raises(DomainError, match="needs an IntPoly"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_poly(5),  # was AttributeError
+        lambda: parse_poly(None),  # was AttributeError
+        lambda: IntPoly(5),  # was TypeError
+        lambda: IntPoly(None),  # was TypeError
+    ],
+)
+def test_a_polynomial_from_neither_coefficients_nor_text_is_a_domain_error(call):
+    with pytest.raises(DomainError):
         call()

@@ -20,6 +20,7 @@ from eisenshift import (
     first_primes,
     is_prime,
     roots_mod_p,
+    shifted_eisenstein,
     sieve_primes,
 )
 from eisenshift.primes import iroot
@@ -313,6 +314,25 @@ def test_a_trial_division_walk_keeps_the_table_it_started_with(monkeypatch, fres
     assert next(walk) == (2, 1)
     primes_module._primes_up_to(2999)
     assert list(walk) == [(1009, 1), (1013, 1)]
+
+
+def test_a_sparse_ascending_scan_rebuilds_the_table_a_few_times(monkeypatch, fresh_sieve):
+    # Discriminants 4*10^5*j + 5 rise to 1.6*10^9, whose square root is
+    # 40 000.  Each walk that outgrows the table grows it to at least twice
+    # its cover, so it is rebuilt at most log2(10^5/10^3) + 1 times, not once
+    # per new square root, and no further than twice that root, not to the
+    # trial bound 10^5.
+    table, built = primes_module._sieve_table, []
+
+    def counted(cover):
+        built.append(cover)
+        return table(cover)
+
+    monkeypatch.setattr(primes_module, "_sieve_table", counted)
+    for j in range(1, 4001):
+        shifted_eisenstein(IntPoly((-(10**5 * j + 1), 1, 1)))
+    assert len(built) <= math.ceil(math.log2(10**5 / 10**3)) + 1, built
+    assert max(built) <= 2 * math.isqrt(4 * 10**5 * 4000 + 5), built
 
 
 _WALK_PRIMES = sieve_primes(300_000)

@@ -17,7 +17,6 @@ from eisenshift import (
     Verdict,
     decide_certified,
     discriminant,
-    evaluate,
     iroot,
     is_eisenstein,
     is_eisenstein_with,
@@ -33,6 +32,7 @@ from eisenshift.eisenstein import (
     _shifted_verdict,
     _strip_primes_of,
 )
+from factor_first import evaluate
 from local_rule import trial_local_verdict
 
 HEIGHTS = (3, 30, 10**6)
