@@ -5,17 +5,12 @@ vectors (a_0, ..., a_n) with |a_i| <= H and a_n != 0.  Reports count three
 nested classes: Eisenstein polynomials, shifted-Eisenstein polynomials, and
 Eisenstein polynomials that stay Eisenstein after the shift x -> x+1.
 
-A census of degree 2 gives each polynomial one shifted decision, whose
-plain-witness step runs first and under a fixed budget, so the Eisenstein
-column does not depend on the budget the run uses; it decides with
-`decide_certified`, which escalates the budget until the decision is
-certified.  A census of degree n >= 3 counts instead.  It fixes
-(a_1, ..., a_n) with a_n > 0 and counts each class over the column
-a_0 in [-H, H] as a union of residue classes of a_0; f -> -f keeps all three
-classes, so the counts are doubled.  With u = n*a_n and t = -a_(n-1), the
-coefficients h_j of h(y) = u^n * f((y + t)/u) are those of
-sum_k a_k*u^(n-k)*(x + t)^k, so h_1, ..., h_(n-2) do not involve a_0 and
-h_0 = h_0' + u^n*a_0.  Per column:
+A census counts.  It fixes (a_1, ..., a_n) with a_n > 0 and counts each
+class over the column a_0 in [-H, H] as a union of residue classes of a_0;
+f -> -f keeps all three classes, so the counts are doubled.  With u = n*a_n
+and t = -a_(n-1), the coefficients h_j of h(y) = u^n * f((y + t)/u) are
+those of sum_k a_k*u^(n-k)*(x + t)^k, so h_1, ..., h_(n-2) do not involve
+a_0 and h_0 = h_0' + u^n*a_0.  Per column:
 
 - Eisenstein at p: p divides g = gcd(a_1, ..., a_(n-1)), p does not divide
   a_n, and a_0 = 0 (mod p) but not (mod p^2).
@@ -35,7 +30,7 @@ h_0 = h_0' + u^n*a_0.  Per column:
   divide a_n, and a_0 = -sigma (mod q) but not (mod q^2); the column counts
   the a_0 for which both f and f(x+1) are Eisenstein.
 
-A column with G_1 = 0, where f - a_0 = a_n*((x - r)^n - (-r)^n) for
+At n >= 3, a column with G_1 = 0, where f - a_0 = a_n*((x - r)^n - (-r)^n) for
 r = t/u and h_0 alone decides for every prime not dividing u, is decided one
 polynomial at a time by Monte Carlo's verdict rule under DEFAULT_BUDGET.
 Its G' <= |h_0| <= H^(n+1)*(n^(n+1) - 1)/(n - 1) < 2*10^19 on every box the
@@ -46,6 +41,28 @@ b_1 = ... = b_(n-1) = 0, so the census counts only where g and
 gcd(b_1, ..., b_(n-1)) are nonzero.  g <= H, |b_j| < 2^(n+1)*H, and G_1
 divides c = 2n*a_n*a_(n-2) - (n-1)*a_(n-1)^2 when c != 0, so trial division
 factors all three.
+
+At n = 2 there is no h_1, ..., h_(n-2): G_1 is the empty gcd, 0, and the
+shifted class is counted from D = a_1^2 - 4*a_0*a_2 instead, as
+h_0 = -a_2*D and u = 2*a_2.  A prime p not dividing u qualifies exactly when
+p divides D once.  |D| <= 5H^2 <= Y^3 for Y = ceil((5H^2)^(1/3)).  For each
+odd p <= Y not dividing a_2, that is a_0 = a_1^2 * (4*a_2)^(-1) (mod p) but
+not (mod p^2); p = 2 is the shift test of the primes of n.  For each a_0 not
+found so far, the rest w of |D| without the primes up to Y and those of u
+has primes above Y only and w <= Y^3, so w is 1, p, p^2 or p*q, and a prime
+divides D once exactly when w > 1 is not a square; D = 0 is a NO.  The
+columns with a_1 = 0 (g = 0) or b_1 = a_1 + 2*a_2 = 0 are decided one
+polynomial at a time by the verdict rule, whose G' <= |D| <= 5H^2 there.
+
+That count is the report a certified decision per polynomial gives when no
+decision can escalate: with (B+1)^2 > 5H^2 for the trial bound B, trial
+division to B leaves a prime rest of every |D|.  `exact_census` counts a
+degree-2 box exactly then, which the default budget meets on every box the
+cap admits (H <= 231, 5H^2 < (10^5 + 1)^2).  Under a smaller trial bound it
+gives each polynomial one shifted decision with `decide_certified`, which
+escalates the budget until the decision is certified; its plain-witness step
+runs first and under a fixed budget, so the Eisenstein column does not
+depend on the budget.
 
 Monte Carlo counts verdicts only, by one rule for every degree (README,
 "Counting verdicts"): a prime p not dividing u = n*a_n qualifies when it
@@ -82,7 +99,7 @@ from .eisenstein import (
 )
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, _taylor_shift, taylor_shift
-from .primes import DEFAULT_BUDGET, FactorBudget, _budget_error
+from .primes import DEFAULT_BUDGET, FactorBudget, _budget_error, _primes_up_to, iroot
 
 __all__ = [
     "DEFAULT_SEED",
@@ -222,12 +239,12 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
     """Exact counts over the whole box; a box of more than 10^8 polynomials
     is refused with BudgetError.
 
-    Degree 2 takes a certified decision under `budget` for every polynomial.
-    Degree n >= 3 counts residue classes of a_0 (see the module docstring),
-    with verdicts only in the columns with G_1 = 0, and ignores `budget`.
-    Every degree-2 box within the cap has H <= 231, so |D| <= 5H^2 < (10^5 + 1)^2
-    and the default budget's trial division factors every discriminant whole:
-    only a smaller `budget` ever escalates.
+    The census counts residue classes of a_0 (see the module docstring), with
+    verdicts only in the columns it leaves over, and ignores `budget`, except
+    at degree 2 with (B+1)^2 <= 5H^2 for B = budget.trial_bound: there a
+    decision could escalate, and each polynomial takes a certified decision
+    under `budget`.  Every degree-2 box within the cap has H <= 231, so the
+    default budget always counts.
     """
     _check_box("exact_census", n, height)
     if type(budget) is not FactorBudget:
@@ -245,23 +262,25 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
         plain = certificate is not None and certificate.shift == 0
         return decision.verdict, f if plain else None
 
-    if n == 2:
+    if n > 2 or (budget.trial_bound + 1) ** 2 > 5 * height * height:
+        counts = _count_columns(n, height)
+    else:
         lows = range(-height, height + 1)
         leads = [a for a in lows if a != 0]
         box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
         counts = _count(box, decide)
-    else:
-        counts = _count_columns(n, height)
     return ExperimentReport("census", n, height, total, *counts, None)
 
 
 def _count_columns(n: int, height: int) -> tuple[int, ...]:
-    """`_count` over the box of degree n >= 3, a column of a_0 at a time.
+    """`_count` over the box of degree n, a column of a_0 at a time.
 
     Each column fixes (a_1, ..., a_n) with a_n > 0, and the counts are
     doubled for a_n < 0.  A class within a column is a bitmask, bit a_0 + H
     for a_0 in [-H, H], built from residue classes as the module docstring
-    sets out.  The columns with G_1 = 0 go to `_count` and `_verdicts` whole.
+    sets out, and at n = 2 from the rest of D for the a_0 they leave.  The
+    columns with G_1 = 0, at n = 2 those with a_1 = 0 or a_1 + 2*a_2 = 0, go
+    to `_count` and `_verdicts` whole.
     """
     lows = range(-height, height + 1)
     width = len(lows)
@@ -280,8 +299,14 @@ def _count_columns(n: int, height: int) -> tuple[int, ...]:
         return residues(r, p) ^ residues(r, p * p)
 
     primes_of_n = _prime_divisors(n)
+    if n == 2:
+        # Y = ceil((5H^2)^(1/3)): the primes above Y of a |D| <= 5H^2 number two at most.
+        root, exact = iroot(5 * height * height, 3)
+        top = root + (not exact)
+        small = [p for p in _primes_up_to(top)[1] if p <= top]
+        small_product = math.prod(small)
     eis = shifted = f_count = 0
-    powers = []  # the (a_1, ..., a_n) of the columns with G_1 = 0
+    powers = []  # the (a_1, ..., a_n) of the columns decided one a_0 at a time
     for middle in product(lows, repeat=n - 1):
         g = math.gcd(*middle)
         for an in range(1, height + 1):
@@ -291,16 +316,23 @@ def _count_columns(n: int, height: int) -> tuple[int, ...]:
             for k, a in enumerate(rest, 1):
                 scaled.append(a * u ** (n - k))
             h = _taylor_shift(scaled, -middle[-1])
-            local = math.gcd(*h[1 : n - 1])
-            if local == 0:
-                powers.append(rest)
-                continue
+            if n == 2:
+                if not (g and middle[0] + u):  # a_1 = 0 or b_1 = a_1 + 2*a_2 = 0
+                    powers.append(rest)
+                    continue
+                candidates = [p for p in small if u % p]
+            else:
+                local = math.gcd(*h[1 : n - 1])
+                if local == 0:
+                    powers.append(rest)
+                    continue
+                candidates = _prime_divisors(_strip_primes_of(local, u))
             plain = 0
             for p in _prime_divisors(g):
                 if an % p:
                     plain |= once(0, p)
             found = plain
-            for p in _prime_divisors(_strip_primes_of(local, u)):
+            for p in candidates:
                 square = p * p
                 found |= once(-h[0] * pow(u, -n, square) % square, p)
             for p in primes_of_n:
@@ -308,6 +340,18 @@ def _count_columns(n: int, height: int) -> tuple[int, ...]:
                     for a0 in lows[: p * p]:  # one a_0 of each class mod p^2
                         if _shift_at((a0,) + rest, p) is not None:
                             found |= residues(a0, p * p)
+            if n == 2:
+                # The rest w of |D| = |a_1^2 - 2u*a_0| without the primes up
+                # to Y and those of u has primes above Y only and w <= Y^3, so
+                # w is 1, p, p^2 or p*q: some prime divides D once exactly
+                # when w > 1 is not a square.  D = 0 is a NO.
+                strip = u * small_product
+                a1_squared = middle[0] * middle[0]
+                for i, a0 in enumerate(lows):
+                    if not found >> i & 1 and (d := abs(a1_squared - 2 * u * a0)):
+                        w = _strip_primes_of(d, strip)
+                        if w > 1 and math.isqrt(w) ** 2 != w:
+                            found |= 1 << i
             eis += plain.bit_count()
             shifted += found.bit_count()
             if not plain:

@@ -41,6 +41,17 @@ from . import __version__
 __all__ = ["build_parser", "main", "entry"]
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses an argument it does not know with
+    its own usage line, instead of passing it up to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
+
+
 def _add_shared_args(sub: argparse.ArgumentParser, handler, factors: bool = True) -> None:
     """Give a subcommand its handler and the options it shares with the others:
     the factoring budget if it `factors` integers, and --format.  Called after
@@ -75,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version="%(prog)s " + __version__
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     check = subs.add_parser(
         "check", help="test the Eisenstein criterion for a polynomial"

@@ -1,11 +1,12 @@
 """Census and Monte Carlo tallies against a per-polynomial tally, and the work behind them.
 
-Monte Carlo and the degree-2 census make one shifted decision per polynomial
-and read the Eisenstein and f columns from it; the tally here asks
-`is_eisenstein` and the shifted decision separately for every polynomial the
-experiment built.  A census of degree n >= 3 counts residue classes of a_0
-instead, and is checked against the same tally over its whole box.  The
-Monte Carlo sample stream itself is pinned against the documented scheme.
+Monte Carlo, and the degree-2 census under a budget that may escalate, make
+one shifted decision per polynomial and read the Eisenstein and f columns
+from it; the tally here asks `is_eisenstein` and the shifted decision
+separately for every polynomial the experiment built.  Every other census
+counts residue classes of a_0 instead, and is checked against the same tally
+over its whole box.  The Monte Carlo sample stream itself is pinned against
+the documented scheme.
 """
 
 import concurrent.futures
@@ -186,11 +187,20 @@ def test_samples_refill_their_bulk_draw(n):
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_exact_census_matches_per_polynomial_tally(monkeypatch, budget):
-    report, built, (verdicts, decisions) = _run_recorded(
-        monkeypatch, lambda: exact_census(2, 3, budget)
-    )
-    # The degree-2 census keeps certified, escalated decisions.
-    assert len(built) == report.samples <= decisions and verdicts == 0
+    if budget is DEFAULT_BUDGET:
+        # (B+1)^2 > 5H^2 for the trial bound B: the census counts, and takes
+        # no decision per polynomial.
+        decisions = _Counting(shifted_eisenstein)
+        monkeypatch.setattr(census_module, "shifted_eisenstein", decisions)
+        report = exact_census(2, 3, budget)
+        built = _box(2, 3)
+        assert decisions.calls == 0
+    else:
+        report, built, (verdicts, decisions) = _run_recorded(
+            monkeypatch, lambda: exact_census(2, 3, budget)
+        )
+        # Below that bound it keeps certified, escalated decisions.
+        assert len(built) == report.samples <= decisions and verdicts == 0
     expected = _tally(built, lambda f: decide_certified(f, budget))
     assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
 
@@ -222,7 +232,7 @@ def _shift_keeps_only_the_ends(tail):
 COUNTING_BOXES = [(3, 2), (3, 3), (4, 2), (5, 2), (6, 1)]
 
 
-@pytest.mark.parametrize("n, height", COUNTING_BOXES)
+@pytest.mark.parametrize("n, height", COUNTING_BOXES + [(2, height) for height in range(1, 9)])
 def test_counting_census_matches_per_polynomial_tally(n, height):
     report = exact_census(n, height)
     expected = _tally(_box(n, height), decide_certified)
@@ -242,9 +252,8 @@ def test_counting_boxes_reach_every_per_polynomial_fallback():
     assert (3, -3, 1) in tails and _shift_keeps_only_the_ends((3, -3, 1))
 
 
-def test_counting_census_decides_only_the_power_columns(monkeypatch):
-    verdicts = _Counting(census_module._shifted_verdict)
-    monkeypatch.setattr(census_module, "_shifted_verdict", verdicts)
+def _count_avoided(monkeypatch):
+    """Count the calls of the decisions a counting census does without."""
     avoided = {}
     for module, name in (
         (census_module, "decide_certified"),
@@ -255,6 +264,13 @@ def test_counting_census_decides_only_the_power_columns(monkeypatch):
     ):
         avoided[name] = _Counting(getattr(module, name))
         monkeypatch.setattr(module, name, avoided[name])
+    return avoided
+
+
+def test_counting_census_decides_only_the_power_columns(monkeypatch):
+    verdicts = _Counting(census_module._shifted_verdict)
+    monkeypatch.setattr(census_module, "_shifted_verdict", verdicts)
+    avoided = _count_avoided(monkeypatch)
     report = exact_census(4, 2)
     power_columns = sum(map(_is_power_plus_constant, _tails(4, 2)))
     assert power_columns > 0
@@ -263,6 +279,29 @@ def test_counting_census_decides_only_the_power_columns(monkeypatch):
     assert verdicts.calls == 5 * power_columns < report.samples == 2500
     assert {name: f.calls for name, f in avoided.items()} == dict.fromkeys(avoided, 0)
     assert report.unresolved == 0
+
+
+def test_degree_2_count_matches_the_verdict_rule():
+    # Past the boxes a certified decision per polynomial can afford: every
+    # polynomial of (2, 25) through Monte Carlo's verdict rule.
+    height = 25
+    report = exact_census(2, height)
+    lows = range(-height, height + 1)
+    box = (body + (lead,) for body in product(lows, repeat=2) for lead in lows if lead)
+    expected = census_module._count(box, census_module._verdicts(DEFAULT_BUDGET))
+    assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
+
+
+def test_degree_2_census_counts_exactly_when_no_decision_can_escalate(monkeypatch):
+    # |D| <= 5H^2 = 180 at H = 6: with (B+1)^2 > 180 a rest left by trial
+    # division to B is prime, no decision escalates and the census counts;
+    # B = 13 is the least such bound, and B = 12 decides each polynomial.
+    avoided = _count_avoided(monkeypatch)
+    counted = exact_census(2, 6, FactorBudget(13, 0))
+    assert {name: f.calls for name, f in avoided.items()} == dict.fromkeys(avoided, 0)
+    decided = exact_census(2, 6, FactorBudget(12, 0))
+    assert avoided["shifted_eisenstein"].calls >= decided.samples == 13**2 * 12
+    assert counted == decided == exact_census(2, 6)
 
 
 def test_counting_census_needs_no_budget():
@@ -348,6 +387,9 @@ def test_counting_census_leaves_the_prime_table_as_it_was(monkeypatch):
         (5, 2, (324, 564, 2)),
         (6, 2, (972, 1220, 2)),
         (3, 12, (22156, 64752, 770)),
+        (2, 10, (1396, 6804, 184)),
+        (2, 20, (10452, 57350, 1386)),
+        (2, 30, (37360, 198608, 4764)),
     ],
 )
 def test_counting_census_keeps_the_per_polynomial_counts(n, height, counts):

@@ -91,11 +91,33 @@ def test_census_takes_no_budget(capsys, option):
     assert "unrecognized arguments: %s 0" % option in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, prog, unknown",
+    [
+        (
+            ["census", "--degree", "2", "--height", "2", "--trial-bound", "0"],
+            "eisenshift census",
+            "--trial-bound 0",
+        ),
+        (["shift", "2,1,1", "extra"], "eisenshift shift", "extra"),
+        (["density", "--degree", "2", "--bogus"], "eisenshift density", "--bogus"),
+        (["--bogus", "shift", "2,1,1"], "eisenshift", "--bogus"),
+    ],
+)
+def test_an_unknown_argument_is_refused_with_its_parsers_usage(capsys, args, prog, unknown):
+    # An argument after the subcommand is the subcommand's to refuse, with
+    # its own usage line; one before it is the top-level parser's.
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: %s [-h]" % prog)
+    assert err[-1] == "%s: error: unrecognized arguments: %s" % (prog, unknown)
+
+
 def test_the_default_trial_bound_factors_every_degree_2_census_discriminant():
     # The largest height whose degree-2 box (2H+1)^2 * 2H the cap admits;
     # there |D| = |a_1^2 - 4 a_0 a_2| <= 5H^2, below (B+1)^2 for the default
-    # trial bound B, so trial division leaves no rest and the census needs no
-    # budget option.
+    # trial bound B, so no decision could escalate, the census counts and it
+    # needs no budget option.
     height = 1
     while (2 * height + 3) ** 2 * (2 * height + 2) <= census_module._ENUMERATION_CAP:
         height += 1
