@@ -51,8 +51,9 @@ not (mod p^2); p = 2 is the shift test of the primes of n.  For each a_0 not
 found so far, the rest w of |D| without the primes up to Y and those of u
 has primes above Y only and w <= Y^3, so w is 1, p, p^2 or p*q, and a prime
 divides D once exactly when w > 1 is not a square; D = 0 is a NO.  The
-columns with a_1 = 0 (g = 0) or b_1 = a_1 + 2*a_2 = 0 are decided one
-polynomial at a time by the verdict rule, whose G' <= |D| <= 5H^2 there.
+columns with a_1 = 0 (g = 0) are decided one polynomial at a time by the
+verdict rule, whose G' <= |D| <= 5H^2 there.  Where b_1 = a_1 + 2*a_2 = 0,
+f(x+1) = b_0 + a_2*x^2 takes the plain test for each Eisenstein a_0.
 
 That count is the report a certified decision per polynomial gives when no
 decision can escalate: with (B+1)^2 > 5H^2 for the trial bound B, trial
@@ -64,12 +65,14 @@ escalates the budget until the decision is certified; its plain-witness step
 runs first and under a fixed budget, so the Eisenstein column does not
 depend on the budget.
 
-Monte Carlo counts verdicts only, by one rule for every degree (README,
-"Counting verdicts"): a prime p not dividing u = n*a_n qualifies when it
-divides once the local gcd G stripped of the primes of h_0/G,
-h_0 = u^n * f(-a_(n-1)/u); for n = 2, h_0 = -a_2*D shares G's valuations
-and nothing is stripped.  Past the rule's trial bound, the certificate
-search of `shifted_eisenstein` decides.
+Monte Carlo counts verdicts only, on coefficient tuples, by one rule for
+every degree (README, "Counting verdicts"): a prime p not dividing
+u = n*a_n qualifies when it divides once the local gcd G stripped of the
+primes of h_0/G, h_0 = u^n * f(-a_(n-1)/u); for n = 2, h_0 = -a_2*D shares
+G's valuations and nothing is stripped.  Past the rule's trial bound, the
+certificate search of `shifted_eisenstein` decides.  f is Eisenstein when
+some prime divides once g_2: g without the primes of a_n, then without
+those of a_0 over what is left; the same test on f(x+1) gives the f column.
 
 Monte Carlo runs are deterministic for a given seed and independent of the
 worker count: samples are generated in chunks of CHUNK_SIZE, each chunk from
@@ -89,16 +92,17 @@ from itertools import chain, islice, product
 
 from .eisenstein import (
     Verdict,
+    _is_plain,
     _prime_divisors,
     _shift_at,
     _shifted_verdict,
     _strip_primes_of,
     decide_certified,
-    is_eisenstein,
+    is_eisenstein,  # noqa: F401  unused, as is taylor_shift; bench/spans.py traces both here
     shifted_eisenstein,
 )
 from .errors import BudgetError, DomainError
-from .intpoly import IntPoly, _taylor_shift, taylor_shift
+from .intpoly import IntPoly, _taylor_shift, taylor_shift  # noqa: F401
 from .primes import DEFAULT_BUDGET, FactorBudget, _budget_error, _primes_up_to, iroot
 
 __all__ = [
@@ -204,35 +208,36 @@ def _check_box(caller: str, n: int, height: int, **more: int) -> None:
         raise DomainError("%s needs height >= 1" % caller)
 
 
-def _count(polys, decide) -> tuple[int, int, int, int]:
+def _count(polys, decide, budget: FactorBudget) -> tuple[int, int, int, int]:
     """Counts (eisenstein, shifted, f, unresolved) from one decision per polynomial.
 
-    `polys` holds IntPolys or coefficient tuples, whichever `decide` takes.
-    `decide(f)` gives the verdict and, when f is Eisenstein, f as an IntPoly
-    (None otherwise).  A YES counts as shifted, and also as Eisenstein when
-    f is; only then is f(x+1) tested for the f column.
+    `polys` holds coefficient tuples, and `decide(coeffs, budget)` gives the
+    verdict and whether f is Eisenstein.  A YES counts as shifted, and also
+    as Eisenstein when f is; only then is f(x+1) tested for the f column,
+    by the same plain test.
     """
     eis = shifted = f_count = unresolved = 0
-    for f in polys:
-        verdict, eisenstein = decide(f)
+    for coeffs in polys:
+        verdict, plain = decide(coeffs, budget)
         if verdict is Verdict.YES:
             shifted += 1
-            if eisenstein is not None:
+            if plain:
                 eis += 1
-                f_count += is_eisenstein(taylor_shift(eisenstein, 1))
+                f_count += _is_plain(_taylor_shift(coeffs, 1))
         elif verdict is Verdict.NO_HEURISTIC:
             unresolved += 1
     return eis, shifted, f_count, unresolved
 
 
-def _verdicts(budget: FactorBudget):
-    """`_count`'s `decide` on coefficient tuples: the verdict rule under `budget`."""
-
-    def decide(coeffs):
-        verdict, plain = _shifted_verdict(coeffs, budget)
-        return verdict, IntPoly(coeffs) if plain else None
-
-    return decide
+def _certified_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> tuple[Verdict, bool]:
+    """`_count`'s `decide` for a census that may escalate: one IntPoly per
+    polynomial and its certified decision, whose shift-0 certificate says
+    that f is Eisenstein."""
+    # This module's binding of shifted_eisenstein, so wrappers installed on
+    # it see every escalated attempt.
+    decision = decide_certified(IntPoly(coeffs), budget, decide=shifted_eisenstein)
+    certificate = decision.certificate
+    return decision.verdict, certificate is not None and certificate.shift == 0
 
 
 def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> ExperimentReport:
@@ -254,21 +259,13 @@ def exact_census(n: int, height: int, budget: FactorBudget = DEFAULT_BUDGET) -> 
     if total > _ENUMERATION_CAP:
         raise BudgetError("box size %d exceeds enumeration cap %d" % (total, _ENUMERATION_CAP))
 
-    def decide(f):
-        # This module's binding of shifted_eisenstein, so wrappers installed
-        # on it see every escalated attempt.
-        decision = decide_certified(f, budget, decide=shifted_eisenstein)
-        certificate = decision.certificate
-        plain = certificate is not None and certificate.shift == 0
-        return decision.verdict, f if plain else None
-
     if n > 2 or (budget.trial_bound + 1) ** 2 > 5 * height * height:
         counts = _count_columns(n, height)
     else:
         lows = range(-height, height + 1)
         leads = [a for a in lows if a != 0]
-        box = (IntPoly(body + (lead,)) for body in product(lows, repeat=n) for lead in leads)
-        counts = _count(box, decide)
+        box = (body + (lead,) for body in product(lows, repeat=n) for lead in leads)
+        counts = _count(box, _certified_verdict, budget)
     return ExperimentReport("census", n, height, total, *counts, None)
 
 
@@ -279,8 +276,7 @@ def _count_columns(n: int, height: int) -> tuple[int, ...]:
     doubled for a_n < 0.  A class within a column is a bitmask, bit a_0 + H
     for a_0 in [-H, H], built from residue classes as the module docstring
     sets out, and at n = 2 from the rest of D for the a_0 they leave.  The
-    columns with G_1 = 0, at n = 2 those with a_1 = 0 or a_1 + 2*a_2 = 0, go
-    to `_count` and `_verdicts` whole.
+    columns with G_1 = 0, at n = 2 those with a_1 = 0, go to `_count` whole.
     """
     lows = range(-height, height + 1)
     width = len(lows)
@@ -317,7 +313,7 @@ def _count_columns(n: int, height: int) -> tuple[int, ...]:
                 scaled.append(a * u ** (n - k))
             h = _taylor_shift(scaled, -middle[-1])
             if n == 2:
-                if not (g and middle[0] + u):  # a_1 = 0 or b_1 = a_1 + 2*a_2 = 0
+                if not g:  # a_1 = 0
                     powers.append(rest)
                     continue
                 candidates = [p for p in small if u % p]
@@ -357,12 +353,17 @@ def _count_columns(n: int, height: int) -> tuple[int, ...]:
             if not plain:
                 continue
             b = _taylor_shift((0,) + rest, 1)
+            common = math.gcd(*b[1:n])
+            if not common:  # n = 2, b_1 = 0: test f(x+1) = b_0 + a_0 + a_2*x^2 per a_0
+                eisenstein = (a0 for i, a0 in enumerate(lows) if plain >> i & 1)
+                f_count += sum(_is_plain((b[0] + a0, 0, an)) for a0 in eisenstein)
+                continue
             moved = 0
-            for q in _prime_divisors(math.gcd(*b[1:n])):
+            for q in _prime_divisors(common):
                 if an % q:
                     moved |= once(-b[0], q)
             f_count += (plain & moved).bit_count()
-    decided = _count(((a0,) + rest for rest in powers for a0 in lows), _verdicts(DEFAULT_BUDGET))
+    decided = _count(((a0,) + r for r in powers for a0 in lows), _shifted_verdict, DEFAULT_BUDGET)
     return tuple(2 * (x + y) for x, y in zip((eis, shifted, f_count, 0), decided))
 
 
@@ -425,14 +426,11 @@ def _uniform(rng: random.Random, height: int, count: int):
 
 
 def _mc_chunk(args) -> tuple[int, int, int, int]:
-    """Counts (eisenstein, shifted, f, unresolved) for one sample chunk.
-
-    The samples stay coefficient tuples; only an Eisenstein one becomes an
-    IntPoly, for its f(x+1) check.
-    """
+    """Counts (eisenstein, shifted, f, unresolved) for one sample chunk; the
+    samples stay coefficient tuples."""
     n, height, seed, chunk_index, count, budget = args
     rng = random.Random(_mix64(seed, chunk_index))
-    return _count(_samples(n, height, rng, count), _verdicts(budget))
+    return _count(_samples(n, height, rng, count), _shifted_verdict, budget)
 
 
 def monte_carlo(

@@ -406,17 +406,36 @@ def _certificate_search(
 def _shifted_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> tuple[Verdict, bool]:
     """The shifted verdict for f under `budget` and whether f is Eisenstein.
 
-    f is given by its coefficients, of degree n >= 2.  The plain-witness walk
-    runs once, then `_local_verdict`, then, past its trial bound, the search
-    of `shifted_eisenstein(f, budget)`.  So the verdict is certified wherever
-    the search's is, and equal to it there.
+    f is given by its coefficients, of degree n >= 2.  The plain test
+    `_is_plain` runs once, then `_local_verdict`, then, past its trial bound,
+    the search of `shifted_eisenstein(f, budget)`.  So the verdict is
+    certified wherever the search's is, and equal to it there.
     """
-    if _smallest_witness(coeffs) is not None:
+    if _is_plain(coeffs):
         return Verdict.YES, True
     verdict = _local_verdict(coeffs, budget)
     if verdict is None:
         verdict = _certificate_search(coeffs, len(coeffs) - 1, budget).verdict
     return verdict, False
+
+
+def _is_plain(coeffs: tuple[int, ...]) -> bool:
+    """Whether f, of degree >= 1 and given by its coefficients, is Eisenstein.
+
+    Let g_1 be g = gcd(a_0, ..., a_(n-1)) without the primes of a_n, and g_2
+    be g_1 without those of a_0/g_1.  For p | g_1,
+    v_p(a_0) = v_p(g_1) + v_p(a_0/g_1), so the witnesses are exactly the
+    primes dividing g_2 once, and `_divides_once` looks for one under
+    DEFAULT_BUDGET.  Past its reach the walk of `_smallest_witness` decides,
+    so the answer is its answer wherever that walk gives one.
+    """
+    a0 = coeffs[0]
+    g = math.gcd(*coeffs[:-1])
+    if a0 == 0 or g == 1:
+        return False
+    g = _strip_primes_of(g, coeffs[-1])
+    once = g > 1 and _divides_once(_strip_primes_of(g, a0 // g), DEFAULT_BUDGET)
+    return _smallest_witness(coeffs) is not None if once is None else once
 
 
 def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | None:
@@ -427,14 +446,10 @@ def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | N
     shift s = t/u (mod p) has f'(s) = 0 (mod p), so f(s) = f(t/u) (mod p^2).
     G divides h_0, so these are the primes dividing once the G' left by
     stripping from G the primes of h_0/G (all of them when h_0 = 0).  At
-    n = 2, h_0 = -a_2*D, so G' = G with no strip.  For a bound b from
-    T = floor(G'^(1/5)) to the trial bound B, P = gcd(G', product of the
-    primes up to b) differs from gcd(G'/P, P) exactly when one of them
-    divides G' once.  The rest w has primes above T and w < (T+1)^5, so at
-    most four prime factors, none of them once exactly when w is a square or
-    a cube (1, p^2, p^3, p^4, p^2*q^2).  Only then are the primes of n tested,
-    by `_shift_at`.  G = 0 is a certified NO.  None when G' >= (B+1)^5 (T > B)
-    or `_prime_product(b)` is None, past the prime table's cap.
+    n = 2, h_0 = -a_2*D, so G' = G with no strip.  `_divides_once` tells
+    whether there is one; only when there is none are the primes of n
+    tested, by `_shift_at`.  G = 0 is a certified NO.  None where
+    `_divides_once` gives None.
     """
     g, h0 = _local_gcd(coeffs)
     if g == 0:
@@ -442,19 +457,45 @@ def _local_verdict(coeffs: tuple[int, ...], budget: FactorBudget) -> Verdict | N
     if g > 1:
         if h0 is not None:
             g = _strip_primes_of(g, h0 // g)
-        bound = min(1 << -(-g.bit_length() // 5), budget.trial_bound)
-        if g >= (budget.trial_bound + 1) ** 5 or (product := _prime_product(bound)) is None:
+        if (once := _divides_once(g, budget)) is None:
             return None
-        small = math.gcd(g, product)
-        if math.gcd(g // small, small) != small:
-            return Verdict.YES
-        g = _strip_primes_of(g, small)
-        if not (iroot(g, 2)[1] or iroot(g, 3)[1]):
+        if once:
             return Verdict.YES
     for p in _prime_divisors(len(coeffs) - 1):
         if _shift_at(coeffs, p) is not None:
             return Verdict.YES
     return Verdict.NO_CERTIFIED
+
+
+# The 45 cubes modulo 819 = 7 * 9 * 13.  A g whose residue is not one of
+# them is no cube, so most g in `_divides_once` need no cube root.
+_CUBES_MOD_819 = frozenset(x**3 % 819 for x in range(819))
+
+
+def _divides_once(g: int, budget: FactorBudget) -> bool | None:
+    """Whether some prime divides g >= 1 exactly once, or None past the budget.
+
+    For a bound b from T = floor(g^(1/5)) to the trial bound B,
+    P = gcd(g, product of the primes up to b) differs from gcd(g/P, P)
+    exactly when one of them divides g once.  The rest w has primes above T
+    and w < (T+1)^5, so at most four prime factors, none of them once
+    exactly when w is a square or a cube (1, p^2, p^3, p^4, p^2*q^2).
+    None when g >= (B+1)^5 (T > B) or `_prime_product(b)` is None, past the
+    prime table's cap.
+    """
+    bound = min(1 << -(-g.bit_length() // 5), budget.trial_bound)
+    if g >= _fifth_power(budget.trial_bound + 1) or (product := _prime_product(bound)) is None:
+        return None
+    small = math.gcd(g, product)
+    if math.gcd(g // small, small) != small:
+        return True
+    g = _strip_primes_of(g, small)
+    return not (math.isqrt(g) ** 2 == g or g % 819 in _CUBES_MOD_819 and iroot(g, 3)[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _fifth_power(m: int) -> int:
+    return m**5  # for m = B + 1, the g from which `_divides_once` gives up
 
 
 def decide_certified(

@@ -2,12 +2,13 @@
 shortcuts, kept as oracles.
 
 `trial_local_verdict` is `eisenstein._local_verdict` when it trial-divided
-G' to T = floor(G'^(1/5)) and stopped at the first prime dividing G' once;
-`_local_verdict` now finds no prime, only whether one exists, from one gcd
-with a cached product of primes.  `newton_iroot` is `iroot` when every root
-ran Newton's iteration from 2^ceil(bits/k); `iroot` now takes `math.isqrt`
-for square roots and a float seed below 2^1000.  Both oracles share
-`_local_gcd`, the h_0 strip, trial division and `_shift_at` with the
+G' to T = floor(G'^(1/5)) and stopped at the first prime dividing G' once,
+and `trial_divides_once` is that trial division alone; the rule's
+`eisenstein._divides_once` now finds no prime, only whether one exists, from
+one gcd with a cached product of primes.  `newton_iroot` is `iroot` when
+every root ran Newton's iteration from 2^ceil(bits/k); `iroot` now takes
+`math.isqrt` for square roots and a float seed below 2^1000.  The oracles
+share `_local_gcd`, the h_0 strip, trial division and `_shift_at` with the
 package, so they check only what changed.
 """
 
@@ -36,6 +37,22 @@ def newton_iroot(x, k):
     return r, r**k == x
 
 
+def trial_divides_once(g, budget):
+    """`_divides_once` by trial division of g >= 1 to T = floor(g^(1/5)),
+    stopping at the first prime dividing g once; None when T exceeds the
+    trial bound."""
+    bound = newton_iroot(g, 5)[0]
+    if bound > budget.trial_bound:
+        return None
+    # A prime rest yielded once p^2 exceeds what is left divides g exactly
+    # once too, although it exceeds the bound.
+    for p, e in _trial_division(g, bound):
+        if e == 1:
+            return True
+        g //= p**e
+    return not (newton_iroot(g, 2)[1] or newton_iroot(g, 3)[1])
+
+
 def trial_local_verdict(coeffs, budget):
     """`_local_verdict` by trial division of G' to floor(G'^(1/5))."""
     g, h0 = _local_gcd(coeffs)
@@ -44,16 +61,10 @@ def trial_local_verdict(coeffs, budget):
     if g > 1:
         if h0 is not None:
             g = _strip_primes_of(g, h0 // g)
-        bound = newton_iroot(g, 5)[0]
-        if bound > budget.trial_bound:
+        once = trial_divides_once(g, budget)
+        if once is None:
             return None
-        # A prime rest yielded once p^2 exceeds what is left divides G'
-        # exactly once too, although it exceeds the bound.
-        for p, e in _trial_division(g, bound):
-            if e == 1:
-                return Verdict.YES
-            g //= p**e
-        if not (newton_iroot(g, 2)[1] or newton_iroot(g, 3)[1]):
+        if once:
             return Verdict.YES
     for p in _prime_divisors(len(coeffs) - 1):
         if _shift_at(coeffs, p) is not None:

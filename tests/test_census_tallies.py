@@ -75,19 +75,23 @@ def _run_recorded(monkeypatch, experiment):
     monkeypatch.setattr(census_module, "_samples", record_samples)
     witness = _Counting(eisenstein_module._smallest_witness)
     monkeypatch.setattr(eisenstein_module, "_smallest_witness", witness)
+    plain = _Counting(eisenstein_module._is_plain)
+    monkeypatch.setattr(eisenstein_module, "_is_plain", plain)
+    monkeypatch.setattr(census_module, "_is_plain", plain)
     verdicts = _Counting(census_module._shifted_verdict)
     monkeypatch.setattr(census_module, "_shifted_verdict", verdicts)
     decisions = _Counting(shifted_eisenstein)
     monkeypatch.setattr(census_module, "shifted_eisenstein", decisions)
     report = experiment()
     monkeypatch.undo()
-    # One plain-witness test per decision (escalations included) and one per
-    # f(x+1) check, which only Eisenstein polynomials get.
-    assert witness.calls == verdicts.calls + decisions.calls + report.eisenstein
+    # One plain test per verdict and one per f(x+1) check, which only
+    # Eisenstein polynomials get; one plain-witness walk per decision
+    # (escalations included), as no gcd here is past the plain test's reach.
+    assert plain.calls == verdicts.calls + report.eisenstein
+    assert witness.calls == decisions.calls
     if sampled:
-        # Monte Carlo builds an IntPoly only for an Eisenstein sample, whose
-        # f(x+1) it checks.
-        assert built == [f for f in sampled if is_eisenstein(f)]
+        # Monte Carlo builds no IntPoly.
+        assert built == []
         built = sampled
     return report, built, (verdicts.calls, decisions.calls)
 
@@ -288,7 +292,7 @@ def test_degree_2_count_matches_the_verdict_rule():
     report = exact_census(2, height)
     lows = range(-height, height + 1)
     box = (body + (lead,) for body in product(lows, repeat=2) for lead in lows if lead)
-    expected = census_module._count(box, census_module._verdicts(DEFAULT_BUDGET))
+    expected = census_module._count(box, census_module._shifted_verdict, DEFAULT_BUDGET)
     assert (report.eisenstein, report.shifted, report.f_count, report.unresolved) == expected
 
 

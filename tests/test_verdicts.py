@@ -26,6 +26,7 @@ from eisenshift import (
     taylor_shift,
 )
 from eisenshift.eisenstein import (
+    _divides_once,
     _local_gcd,
     _local_verdict,
     _shift_at,
@@ -33,7 +34,7 @@ from eisenshift.eisenstein import (
     _strip_primes_of,
 )
 from factor_first import evaluate
-from local_rule import trial_local_verdict
+from local_rule import trial_divides_once, trial_local_verdict
 
 HEIGHTS = (3, 30, 10**6)
 BUDGETS = (DEFAULT_BUDGET, FactorBudget(2, 0))
@@ -170,6 +171,35 @@ def test_local_verdict_gives_up_past_the_prime_table_cap():
     assert _local_gcd(f.coeffs) == (g, None)
     assert g < (2**24 + 1) ** 5 and 2**24 > primes_module._SIEVE_CACHE_CAP
     assert _local_verdict(f.coeffs, FactorBudget(2**24, 0)) is None
+
+
+# Primes below and past the default trial bound 10^5; p^4 and p^2*q^2 of
+# them, times 4, stay below (10^5 + 1)^5.
+ONCE_PRIMES = (2, 3, 5, 7, 13, 101, 99991, 100003, 499979)
+
+
+@st.composite
+def once_cases(draw):
+    """(g, budget): p, p^2, p^3, p^4, p^2*q^2 or p*q for primes from
+    ONCE_PRIMES, times 1, 2 or 4, under the default budget; or g within 40 of
+    (B+1)^5 under the trial bound B <= 12."""
+    if draw(st.booleans()):
+        bound = draw(st.integers(0, 12))
+        g = draw(st.integers(max(1, (bound + 1) ** 5 - 40), (bound + 1) ** 5 + 40))
+        return g, FactorBudget(bound, 0)
+    p, q = draw(st.lists(st.sampled_from(ONCE_PRIMES), min_size=2, max_size=2, unique=True))
+    g = draw(st.sampled_from((p, p**2, p**3, p**4, p * p * q * q, p * q)))
+    return g * draw(st.sampled_from((1, 2, 4))), DEFAULT_BUDGET
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(once_cases())
+# Both sides of (10^5 + 1)^5 = 11^5 * 9091^5 under the default budget.
+@example(((10**5 + 1) ** 5 - 1, DEFAULT_BUDGET))
+@example(((10**5 + 1) ** 5, DEFAULT_BUDGET))
+def test_divides_once_matches_trial_division(case):
+    g, budget = case
+    assert _divides_once(g, budget) is trial_divides_once(g, budget), case
 
 
 @st.composite

@@ -1,13 +1,18 @@
-"""The plain-witness step against the factor-first oracle.
+"""The plain-witness step against the factor-first oracle, and Monte Carlo's
+plain test against the walk.
 
 `eisenstein_primes`, `is_eisenstein` and the first step of every shifted
 decision walk the coefficient gcd with the same prime walk the shifted step
 uses; the oracle factors the gcd completely first and tests every prime.
+Monte Carlo's `_is_plain` asks only whether a witness exists, by the local
+rule's divides-once test.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisenshift import (
     DEFAULT_BUDGET,
@@ -22,6 +27,7 @@ from eisenshift import (
     shifted_eisenstein,
 )
 
+from eisenshift.eisenstein import _is_plain, _smallest_witness
 from factor_first import factor_first_engine, factor_first_witnesses
 
 # Prime pairs below, straddling and above the default trial bound of 10^5.
@@ -86,3 +92,59 @@ def test_unsplit_gcd_still_refuses():
     assert is_eisenstein(IntPoly((3 * g, 3 * g, 1)))
     with pytest.raises(BudgetError):
         is_eisenstein(IntPoly((100003 * g, 100003 * g, 1)))
+
+
+# Primes below, at and past the default trial bound 10^5, and two past it
+# that trial division leaves whole: 10^12 + 39, and 2^89 - 1 > (10^5 + 1)^5,
+# past the reach of the plain test's divides-once test.
+SHARED_PRIMES = (2, 3, 5, 99991, 100003)
+LARGE_PRIMES = (10**12 + 39, 2**89 - 1)
+
+
+@st.composite
+def shared_powers(draw):
+    """Coefficients of degree 2 to 4 whose a_0, gcd and a_n share prime powers.
+
+    Each coefficient is a nonzero cofactor, small or up to 10^30, times a
+    power of each chosen prime, with at most one prime from LARGE_PRIMES so
+    that no rho split is out of the default budget's reach.  a_0 is 0 and
+    a_n is +-1 now and then.
+    """
+    n = draw(st.integers(2, 4))
+    primes = draw(st.lists(st.sampled_from(SHARED_PRIMES), max_size=3, unique=True))
+    primes += draw(st.lists(st.sampled_from(LARGE_PRIMES), max_size=1))
+    size = st.one_of(st.integers(1, 50), st.integers(10**29, 10**30))
+    coeffs = []
+    for _ in range(n + 1):
+        c = draw(size) * draw(st.sampled_from((1, -1)))
+        for p in primes:
+            c *= p ** draw(st.integers(0, 3))
+        coeffs.append(c)
+    if draw(st.integers(0, 7)) == 0:
+        coeffs[0] = 0
+    if draw(st.integers(0, 3)) == 0:
+        coeffs[-1] = draw(st.sampled_from((1, -1)))
+    return tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shared_powers())
+def test_plain_test_matches_the_witness_walk(coeffs):
+    assert _is_plain(coeffs) is (_smallest_witness(coeffs) is not None), coeffs
+
+
+def test_plain_test_refuses_only_past_its_reach():
+    # g = 100000000000000003 * 100000000000000013 >= (10^5 + 1)^5, which the
+    # default rho budget cannot split.  With a_n = 1 the divides-once test
+    # would need all of g, so the walk decides and refuses.
+    g = 100000000000000003 * 100000000000000013
+    with pytest.raises(BudgetError):
+        _is_plain((g, g, 1))
+    # With a_n = g the primes of a_n leave g_1 = 1: no witness.  With
+    # a_0 = 3g, g_1 = 3 and a_0/g_1 = g leave g_2 = 3, a witness; with
+    # a_0 = 9g, a_0/g_1 = 3g takes it away.  The plain test answers all
+    # three, rightly, where the walk, which strips nothing, refuses.
+    assert not _is_plain((g, g, g))
+    assert _is_plain((3 * g, 3 * g, g)) and not _is_plain((9 * g, 3 * g, g))
+    with pytest.raises(BudgetError):
+        _smallest_witness((g, g, g))
