@@ -84,7 +84,9 @@ class ShiftedDecision:
     "no-root-shift-works" when candidates were tried and none worked.  For
     n >= 3 other repeated-root inputs get one of the last two.  `cofactor`
     carries the unsplit composite part of the factorization behind a
-    heuristic NO.
+    heuristic NO.  Decisions without a cofactor are shared immutable values,
+    and two equal ones may or may not be one object: compare them with `==`,
+    not `is`.
     """
 
     verdict: Verdict
@@ -357,7 +359,7 @@ def shifted_eisenstein(
         raise DomainError("shifted_eisenstein needs degree >= 2")
     witness = _smallest_witness(f.coeffs)
     if witness is not None:
-        return ShiftedDecision(Verdict.YES, ShiftCertificate(0, witness))
+        return _yes(0, witness)
     return _certificate_search(f.coeffs, n, budget)
 
 
@@ -367,6 +369,12 @@ _CERTIFIED_NO = {
     reason: ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
     for reason in ("discriminant-zero", "no-qualifying-prime", "no-root-shift-works")
 }
+
+
+@functools.lru_cache(maxsize=256)
+def _yes(shift: int, prime: int) -> ShiftedDecision:
+    """The YES decision with certificate (shift, prime), shared like `_CERTIFIED_NO`."""
+    return ShiftedDecision(Verdict.YES, ShiftCertificate(shift, prime))
 
 
 def _certificate_search(
@@ -394,7 +402,7 @@ def _certificate_search(
         reason = "no-root-shift-works"
         s = _shift_at(coeffs, p)
         if s is not None:
-            return ShiftedDecision(Verdict.YES, ShiftCertificate(s, p))
+            return _yes(s, p)
     if not split or split[0].certified:
         return _CERTIFIED_NO[reason]
     if n > 2 and discriminant(IntPoly(coeffs)) == 0:
@@ -506,14 +514,15 @@ def decide_certified(
     A heuristic NO is decided again with the budget scaled by 4, 16, 64, ...,
     at most CERTIFY_RETRIES times (the module constant, read at each call);
     BudgetError if the last decision is still heuristic, or at once if the
-    budget cannot grow (both bounds 0).  `decide` is the
-    decision that is repeated, by default `shifted_eisenstein`; a caller may
-    pass its own binding of that name so that wrappers installed in its
-    namespace (bench/spans.py) see every attempt.
+    budget cannot grow (both bounds 0).  By default the first decision is
+    `shifted_eisenstein` and each escalation repeats only its certificate
+    search, as the plain-witness step runs under DEFAULT_BUDGET and cannot
+    change.  A caller may pass `decide`, its own binding of
+    `shifted_eisenstein`, to have the whole decision repeated, so that
+    wrappers installed in its namespace (bench/spans.py) see every attempt.
     """
     _check_poly("decide_certified", f)
-    decide = decide or shifted_eisenstein
-    decision = decide(f, budget)
+    decision = (decide or shifted_eisenstein)(f, budget)
     step = 0
     while decision.verdict is Verdict.NO_HEURISTIC:
         if budget.scaled(4) == budget:
@@ -526,7 +535,11 @@ def decide_certified(
                 % (f, CERTIFY_RETRIES)
             )
         step += 1
-        decision = decide(f, budget.scaled(4**step))
+        scaled = budget.scaled(4**step)
+        if decide:
+            decision = decide(f, scaled)
+        else:
+            decision = _certificate_search(f.coeffs, f.degree, scaled)
     return decision
 
 

@@ -3,10 +3,11 @@
 For a squarefree d, `census_h_subset` counts the height-<=H polynomials
 whose non-leading coefficients are divisible by d, with a_0/d and a_n
 coprime to d; `h_subset_main_term` is the prediction it converges to.
-By inclusion-exclusion over squarefree d they give the exact Eisenstein
-count in closed form (ROADMAP item 6).  Only tests call them, so their
-inputs are trusted: no argument checks, and a factorization the default
-budget cannot finish fails an assert.
+`eisenstein_count` sums `census_h_subset` by inclusion-exclusion over
+squarefree d into the exact Eisenstein count of the box (ROADMAP items 6
+and 20).  Only tests call them, so their inputs are trusted: no argument
+checks, and a factorization the default budget cannot finish fails an
+assert.
 """
 
 import math
@@ -61,3 +62,20 @@ def h_subset_main_term(n: int, d: int, height: int) -> float:
     """Main term 2^(n+1) H^(n+1) phi(d)^2 / d^(n+2) for census_h_subset."""
     phi = euler_phi(d)
     return 2 ** (n + 1) * height ** (n + 1) * phi * phi / d ** (n + 2)
+
+
+def eisenstein_count(n: int, height: int) -> int:
+    """Exact number of Eisenstein polynomials in the degree-n, height-H box.
+
+    Being Eisenstein at p is `census_h_subset`'s condition at d = p, the
+    conditions at the primes of a squarefree d are coordinatewise and hold
+    together exactly when `census_h_subset(n, d, H)` counts the polynomial,
+    and p | a_0 != 0 forces p <= H.  So inclusion-exclusion over squarefree
+    1 < d <= H gives the count.
+    """
+    total = 0
+    for d in range(2, height + 1):
+        mu = mobius(d)
+        if mu:
+            total -= mu * census_h_subset(n, d, height)
+    return total

@@ -25,7 +25,7 @@ from eisenshift import (
 import eisenshift.census as census_module
 from eisenshift.census import CSV_COLUMNS, ExperimentReport
 
-from d_local import census_h_subset, h_subset_main_term
+from d_local import census_h_subset, eisenstein_count, h_subset_main_term
 from shift_scan import naive_shift_scan
 
 
@@ -196,6 +196,14 @@ def test_census_h_subset_fixed_point():
 def test_census_h_subset_matches_brute_force():
     for n, d, height in [(2, 1, 3), (2, 2, 5), (2, 3, 7), (3, 2, 4), (2, 6, 6), (3, 5, 5)]:
         assert census_h_subset(n, d, height) == _brute_h_subset(n, d, height)
+
+
+@pytest.mark.parametrize(
+    "n, height, count",
+    [(2, 6, 364), (3, 3, 144), (4, 2, 108), (2, 10, 1396), (3, 5, 588), (2, 30, 37360), (3, 12, 22156)],
+)
+def test_inclusion_exclusion_gives_the_census_eisenstein_count(n, height, count):
+    assert eisenstein_count(n, height) == exact_census(n, height).eisenstein == count
 
 
 def test_h_subset_main_term_accuracy():

@@ -1,6 +1,8 @@
 """Eisenstein tests, the shift decision engine, and certificate checking."""
 
+import dataclasses
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +16,7 @@ from eisenshift import (
     Verdict,
     decide_certified,
     eisenstein_primes,
+    first_primes,
     is_eisenstein,
     is_eisenstein_with,
     parse_poly,
@@ -352,6 +355,29 @@ def test_decide_certified_escalates_and_gives_up(monkeypatch):
     assert seen == [2, 8]
 
 
+def test_escalation_repeats_only_the_certificate_search(monkeypatch):
+    # The plain-witness step runs under DEFAULT_BUDGET, so by default an
+    # escalation skips it; a caller's own `decide` is repeated whole.  Under
+    # FactorBudget(2, 1) the (2, 6) box escalates 284 times.
+    walks = []
+    walk = eisenshift.eisenstein._smallest_witness
+
+    def counting(coeffs):
+        walks.append(coeffs)
+        return walk(coeffs)
+
+    monkeypatch.setattr(eisenshift.eisenstein, "_smallest_witness", counting)
+    lows = range(-6, 7)
+    box = [IntPoly(body + (lead,)) for body in product(lows, repeat=2) for lead in lows if lead]
+    budget = FactorBudget(2, 1)
+    default = [decide_certified(f, budget) for f in box]
+    assert len(walks) == len(box) == 2028
+    walks.clear()
+    whole = [decide_certified(f, budget, decide=shifted_eisenstein) for f in box]
+    assert len(walks) == 2312
+    assert default == whole
+
+
 def test_decide_certified_does_not_escalate_a_budget_that_cannot_grow():
     # FactorBudget(0, 0).scaled(4) is itself: the first heuristic NO is final.
     f = IntPoly((1, 5, 1))
@@ -364,3 +390,30 @@ def test_decide_certified_does_not_escalate_a_budget_that_cannot_grow():
     with pytest.raises(BudgetError, match="cannot grow"):
         decide_certified(f, FactorBudget(0, 0), decide=counting)
     assert calls == [FactorBudget(0, 0)]
+
+
+def test_decisions_with_one_certificate_are_one_shared_value():
+    # Shift 0: x^2 + 2x + 2 and 3x^2 + 4x + 6 are both Eisenstein at 2.
+    plain = shifted_eisenstein(IntPoly((2, 2, 1)))
+    assert plain is shifted_eisenstein(IntPoly((6, 4, 3)))
+    assert plain.certificate == ShiftCertificate(0, 2)
+    # The certificate search: x^2 + 5x + 1 and x^2 - x + 1 both become
+    # Eisenstein at 3 under x -> x + 2.
+    searched = shifted_eisenstein(IntPoly((1, 5, 1)))
+    assert searched is shifted_eisenstein(IntPoly((1, -1, 1)))
+    assert searched.certificate == ShiftCertificate(2, 3)
+    for decision in (plain, searched):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.verdict = Verdict.NO_CERTIFIED
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.certificate.shift = 1
+
+
+def test_shared_yes_decisions_are_bounded():
+    yes = eisenshift.eisenstein._yes
+    assert yes.cache_info().maxsize == 256
+    # x^2 + p*x + p is Eisenstein at p: 300 distinct certificates.
+    for p in first_primes(300):
+        decision = shifted_eisenstein(IntPoly((p, p, 1)))
+        assert decision.certificate == ShiftCertificate(0, p)
+    assert yes.cache_info().currsize <= 256
