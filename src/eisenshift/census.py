@@ -142,9 +142,10 @@ class ExperimentReport:
     `samples` is the box size for a census and the sample count for a
     simulation; `unresolved` counts heuristic (uncertified) negatives, always
     0 for a census, and `seed` is None for a census.  The rest follows from
-    the counts: `ratio` is shifted/eisenstein, and `ci_low`, `ci_high` the
-    conservative quotient of the two 95% Wilson intervals of a Monte Carlo
-    run.  All three are None when eisenstein is 0, and the interval for a census.
+    the counts: `ratio` is shifted/eisenstein, and `ci_low`, `ci_high` its
+    95% interval from the Wilson interval of the eisenstein share of the
+    shifted samples of a Monte Carlo run.  All three are None when eisenstein
+    is 0, and the interval for a census.
     """
 
     kind: str
@@ -170,12 +171,11 @@ class ExperimentReport:
         return self._ratio_bound(upper=True)
 
     def _ratio_bound(self, upper: bool) -> float | None:
-        """A Wilson bound of the shifted proportion over the opposite one of eisenstein's."""
+        """1 over the opposite Wilson bound of the eisenstein share of the shifted
+        samples: E ~ Binomial(S, pi) given S of them, so it is valid given S and always."""
         if self.seed is None or not self.eisenstein:
             return None
-        shifted = wilson_interval(self.shifted, self.samples)[upper]
-        eisenstein = wilson_interval(self.eisenstein, self.samples)[not upper]
-        return shifted / eisenstein if eisenstein > 0 else None
+        return 1 / wilson_interval(self.eisenstein, self.shifted)[not upper]
 
     def as_record(self) -> dict:
         """The report keyed by CSV_COLUMNS, in that order (`height` is "H")."""

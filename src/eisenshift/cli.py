@@ -23,7 +23,7 @@ import os
 import sys
 
 from .census import DEFAULT_SEED, exact_census, monte_carlo, reports_to_csv
-from .density import DEFAULT_DPS, density_report, sinh_bound_check
+from .density import density_report, sinh_bound_check
 from .eisenstein import (
     Verdict,
     decide_certified,
@@ -123,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10_000,
         help="number of primes in the truncated Euler products (default 10000)",
-    )
-    density.add_argument(
-        "--dps", type=int, default=DEFAULT_DPS, help="significant digits of the constants"
     )
     _add_shared_args(density, _cmd_density, factors=False)
     for sub in (census, mc):
@@ -254,9 +251,9 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 def _cmd_density(args: argparse.Namespace) -> int:
     primes = first_primes(args.primes)
-    report = density_report(args.degree, primes, dps=args.dps)
+    report = density_report(args.degree, primes)
     record = report.as_record()
-    partial, union = sinh_bound_check(primes, dps=args.dps)
+    partial, union = sinh_bound_check(primes)
     record["sum_inv_p2"] = float(partial)
     record["union_bound"] = float(union)
     lines = [

@@ -144,6 +144,19 @@ def test_monte_carlo_subsampling_covers_census_proportions():
     assert covered >= 9
 
 
+def test_monte_carlo_ratio_interval_has_its_coverage():
+    # The ratio interval is conditional on the shifted count: 1/pi for pi the
+    # Wilson interval of eisenstein among shifted samples.  Across seeds it
+    # must cover the census ratio about 95% of the time, not far more (the
+    # quotient of the two marginal intervals covered it in 300 of 300 runs)
+    # nor far less.
+    truth = exact_census(3, 3)
+    exact = truth.shifted / truth.eisenstein
+    runs = [monte_carlo(3, 3, 1000, seed=seed) for seed in range(300)]
+    coverage = sum(r.ci_low <= exact <= r.ci_high for r in runs) / len(runs)
+    assert 0.90 <= coverage <= 0.99
+
+
 def test_f_subset_witness_primes_are_disjoint():
     # For every polynomial counted by f_count (Eisenstein, and still
     # Eisenstein after the shift x -> x+1), the witness primes before and
@@ -342,12 +355,13 @@ def test_csv_round_trip():
     assert census_row[10] == ""  # censuses have no seed
 
 # JSON records and CSV rows recorded when the ratio and its interval were
-# stored fields; deriving them from the counts must not change a byte.
+# stored fields; deriving them from the counts must not change a byte.  The
+# interval was restated when it became conditional on the shifted count.
 PINNED_RECORDS = (
-    '{"H": 1000000, "ci_high": 7.2844964676341935, "ci_low": 2.1444605350762345, '
+    '{"H": 1000000, "ci_high": 5.818992498843082, "ci_low": 2.8087916281410443, '
     '"eisenstein": 21, "f_count": 0, "kind": "montecarlo", "n": 3, "ratio": 3.9523809523809526, '
     '"samples": 513, "seed": 7, "shifted": 83, "unresolved": 0}',
-    '{"H": 1000000, "ci_high": 2.37073584435623, "ci_low": 1.0097010304884115, '
+    '{"H": 1000000, "ci_high": 1.857221111668419, "ci_low": 1.3492620495989358, '
     '"eisenstein": 53, "f_count": 7, "kind": "montecarlo", "n": 2, "ratio": 1.5471698113207548, '
     '"samples": 300, "seed": 5, "shifted": 82, "unresolved": 218}',
     '{"H": 2, "ci_high": null, "ci_low": null, "eisenstein": 12, "f_count": 2, '
@@ -356,8 +370,8 @@ PINNED_RECORDS = (
 )
 PINNED_CSV = (
     "kind,n,H,samples,eisenstein,shifted,f_count,ratio,ci_low,ci_high,seed,unresolved\n"
-    "montecarlo,3,1000000,513,21,83,0,3.9523809523809526,2.1444605350762345,7.2844964676341935,7,0\n"
-    "montecarlo,2,1000000,300,53,82,7,1.5471698113207548,1.0097010304884115,2.37073584435623,5,218\n"
+    "montecarlo,3,1000000,513,21,83,0,3.9523809523809526,2.8087916281410443,5.818992498843082,7,0\n"
+    "montecarlo,2,1000000,300,53,82,7,1.5471698113207548,1.3492620495989358,1.857221111668419,5,218\n"
     "census,2,2,100,12,54,2,4.5,,,,0\n"
 )
 
@@ -373,17 +387,18 @@ def test_report_records_and_csv_are_pinned():
     assert reports_to_csv(reports) == PINNED_CSV
 
 
-# Reports recorded when `_local_gcd` built every h_j by Horner's rule.  At
+# Reports recorded when `_local_gcd` built every h_j by Horner's rule, their
+# interval restated when it became conditional on the shifted count.  At
 # height 30, G > 1 is common, so these runs take its every exit: gcd(c, d) = 1,
 # the strip of u's primes before the rows, the rows (n >= 5), and h_0 = a_3*d.
 PINNED_LOCAL_GCD_RECORDS = {
-    3: '{"H": 30, "ci_high": 3.3274456222753224, "ci_low": 1.9653325900268395, '
+    3: '{"H": 30, "ci_high": 2.9385315492824478, "ci_low": 2.25096416775036, '
     '"eisenstein": 131, "f_count": 6, "kind": "montecarlo", "n": 3, "ratio": 2.5572519083969465, '
     '"samples": 2048, "seed": 1, "shifted": 335, "unresolved": 0}',
-    5: '{"H": 30, "ci_high": 3.960373969848689, "ci_low": 1.1594452366500418, '
+    5: '{"H": 30, "ci_high": 2.887861323444536, "ci_low": 1.6918529622697493, '
     '"eisenstein": 28, "f_count": 0, "kind": "montecarlo", "n": 5, "ratio": 2.142857142857143, '
     '"samples": 2048, "seed": 1, "shifted": 60, "unresolved": 0}',
-    6: '{"H": 30, "ci_high": 4.263202576235554, "ci_low": 0.6893351788126958, '
+    6: '{"H": 30, "ci_high": 2.5750406998785076, "ci_low": 1.323930728692921, '
     '"eisenstein": 14, "f_count": 0, "kind": "montecarlo", "n": 6, "ratio": 1.7142857142857142, '
     '"samples": 2048, "seed": 1, "shifted": 24, "unresolved": 0}',
 }

@@ -10,7 +10,14 @@ import pytest
 
 import eisenshift.census as census_module
 import eisenshift.primes as primes_module
-from eisenshift import DEFAULT_BUDGET, DEFAULT_SEED, cli
+from eisenshift import (
+    DEFAULT_BUDGET,
+    DEFAULT_SEED,
+    cli,
+    density_report,
+    first_primes,
+    sinh_bound_check,
+)
 from eisenshift.cli import main
 
 
@@ -101,6 +108,12 @@ def test_census_takes_no_budget(capsys, option):
         ),
         (["shift", "2,1,1", "extra"], "eisenshift shift", "extra"),
         (["density", "--degree", "2", "--bogus"], "eisenshift density", "--bogus"),
+        # The constants are computed at the library default precision only.
+        (
+            ["density", "--degree", "3", "--primes", "100", "--dps", "5"],
+            "eisenshift density",
+            "--dps 5",
+        ),
         (["--bogus", "shift", "2,1,1"], "eisenshift", "--bogus"),
     ],
 )
@@ -160,6 +173,17 @@ def test_density_text_and_json(capsys):
     assert 0.45 < record["sum_inv_p2"] < 0.46
     assert record["union_bound"] < 1
     assert float(record["rho"]) > 0
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+@pytest.mark.parametrize("k", [10, 1000])
+def test_density_json_is_the_library_report_at_its_default_precision(capsys, n, k):
+    assert main(["density", "--degree", str(n), "--primes", str(k), "--format", "json"]) == 0
+    primes = first_primes(k)
+    partial, union = sinh_bound_check(primes)
+    expected = density_report(n, primes).as_record()
+    expected.update(sum_inv_p2=float(partial), union_bound=float(union))
+    assert json.loads(capsys.readouterr().out) == expected
 
 
 def test_density_refuses_a_sieve_past_its_cap(capsys, monkeypatch):
