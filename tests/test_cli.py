@@ -108,13 +108,13 @@ def test_census_takes_no_budget(capsys, option):
         ),
         (["shift", "2,1,1", "extra"], "eisenshift shift", "extra"),
         (["density", "--degree", "2", "--bogus"], "eisenshift density", "--bogus"),
+        (["--bogus", "shift", "2,1,1"], "eisenshift", "--bogus"),
         # The constants are computed at the library default precision only.
         (
             ["density", "--degree", "3", "--primes", "100", "--dps", "5"],
             "eisenshift density",
             "--dps 5",
         ),
-        (["--bogus", "shift", "2,1,1"], "eisenshift", "--bogus"),
     ],
 )
 def test_an_unknown_argument_is_refused_with_its_parsers_usage(capsys, args, prog, unknown):
