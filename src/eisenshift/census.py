@@ -75,8 +75,8 @@ some prime divides once g_2: g without the primes of a_n, then without
 those of a_0 over what is left; the same test on f(x+1) gives the f column.
 
 Monte Carlo runs are deterministic for a given seed and independent of the
-worker count: samples are generated in chunks of CHUNK_SIZE, each chunk from
-its own substream seeded by (seed, chunk index), and merged in chunk order.
+worker count: samples come in chunks of CHUNK_SIZE, each from its own
+substream seeded by (seed, chunk index), and a process counts a run of them.
 """
 
 from __future__ import annotations
@@ -425,12 +425,12 @@ def _uniform(rng: random.Random, height: int, count: int):
         batch = count // 16 + 1
 
 
-def _mc_chunk(args) -> tuple[int, int, int, int]:
-    """Counts (eisenstein, shifted, f, unresolved) for one sample chunk; the
-    samples stay coefficient tuples."""
-    n, height, seed, chunk_index, count, budget = args
-    rng = random.Random(_mix64(seed, chunk_index))
-    return _count(_samples(n, height, rng, count), _shifted_verdict, budget)
+def _mc_run(args) -> tuple[int, int, int, int]:
+    """Counts (eisenstein, shifted, f, unresolved) in one pass over chunks first to last - 1."""
+    n, height, samples, seed, first, last, budget = args
+    sizes = ((i, min(CHUNK_SIZE, samples - i * CHUNK_SIZE)) for i in range(first, last))
+    chunks = (_samples(n, height, random.Random(_mix64(seed, i)), k) for i, k in sizes)
+    return _count(chain.from_iterable(chunks), _shifted_verdict, budget)
 
 
 def monte_carlo(
@@ -444,9 +444,11 @@ def monte_carlo(
     """Monte Carlo classification of uniform samples from the box.
 
     Coefficients are drawn uniformly from [-H, H] low to high, the leading
-    one redrawn until nonzero.  The report is identical for any `workers`
-    value because chunk results only depend on (seed, chunk index).  The
-    pool has at most one process per chunk and per CPU.
+    one redrawn until nonzero.  Each of min(workers, chunks, CPUs) processes
+    counts one contiguous run of chunks, the runs one chunk apart in length
+    at most, and one run takes no pool; memory does not grow with `samples`.
+    A chunk depends on (seed, chunk index) only, so the report is identical
+    for any `workers` value.
     """
     _check_box("monte_carlo", n, height, samples=samples, seed=seed, workers=workers)
     if type(budget) is not FactorBudget:
@@ -455,20 +457,18 @@ def monte_carlo(
         raise DomainError("monte_carlo needs samples >= 1")
     if workers < 1:
         raise DomainError("monte_carlo needs workers >= 1")
-    tasks = [
-        (n, height, seed, start // CHUNK_SIZE, min(CHUNK_SIZE, samples - start), budget)
-        for start in range(0, samples, CHUNK_SIZE)
-    ]
-    if workers == 1:
-        results = [_mc_chunk(task) for task in tasks]
+    chunks = -(-samples // CHUNK_SIZE)
+    size = min(workers, chunks, os.cpu_count() or 1)
+    bounds = [chunks * k // size for k in range(size + 1)]
+    runs = [(n, height, samples, seed, a, b, budget) for a, b in zip(bounds, bounds[1:])]
+    if size == 1:
+        counts = _mc_run(runs[0])
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
         # A fork-started pool starts all its processes at once.
-        size = min(workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_mc_chunk, tasks, chunksize=8))
-    counts = map(sum, zip(*results))
+            counts = tuple(map(sum, zip(*pool.map(_mc_run, runs))))
     return ExperimentReport("montecarlo", n, height, samples, *counts, seed)
 
 

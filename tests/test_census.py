@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import fields
 from itertools import product
 
@@ -253,9 +254,11 @@ def test_monte_carlo_worker_counts_agree():
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+    """Stands in for ProcessPoolExecutor: records its size and the tasks it
+    is given, maps in this process."""
 
     sizes = []
+    tasks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -267,7 +270,17 @@ class _InProcessPool:
         return False
 
     def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+        tasks = list(iterable)
+        self.tasks.append(tasks)
+        return map(fn, tasks)
+
+
+def _fake_pool(monkeypatch, cpus):
+    """Installs _InProcessPool with empty records and pins the CPU count."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(census_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(_InProcessPool, "tasks", [])
 
 
 @pytest.mark.parametrize(
@@ -276,17 +289,58 @@ class _InProcessPool:
         (2, 10**5, 2),  # 16 chunks, capped by the CPU count
         (64, 10**5, 16),  # capped by the chunk count
         (8, 3, 3),
-        (None, 10**5, 1),  # an unknown CPU count counts as one
+        (None, 10**5, 1),  # an unknown CPU count counts as one: no pool
     ],
 )
 def test_monte_carlo_pool_is_bounded(monkeypatch, cpus, workers, size):
     # No process is started: the pool is a fake and the CPU count is pinned.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(census_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    _fake_pool(monkeypatch, cpus)
     report = monte_carlo(2, 10, 4096, seed=4, workers=workers)
-    assert _InProcessPool.sizes == [size]
+    assert _InProcessPool.sizes == ([size] if size > 1 else [])
     assert report == monte_carlo(2, 10, 4096, seed=4)
+
+
+@pytest.mark.parametrize(
+    "samples, workers, cpus",
+    [
+        (2048, 2, 2),  # 8 chunks: one batch of the old chunksize=8
+        (1000, 3, 4),  # 4 chunks over 3 processes
+        (257, 2, 2),  # 2 chunks, the second of one sample
+        (4096, 4, 64),
+    ],
+)
+def test_monte_carlo_maps_one_balanced_contiguous_run_per_process(
+    monkeypatch, samples, workers, cpus
+):
+    _fake_pool(monkeypatch, cpus)
+    report = monte_carlo(2, 10, samples, seed=6, workers=workers)
+    chunks = -(-samples // census_module.CHUNK_SIZE)
+    size = min(workers, chunks, cpus)
+    assert _InProcessPool.sizes == [size]
+    [tasks] = _InProcessPool.tasks
+    assert len(tasks) == size
+    runs = [task[4:6] for task in tasks]  # (first, last) chunk, last excluded
+    assert [first for first, _ in runs] == [0] + [last for _, last in runs[:-1]]
+    assert runs[-1][1] == chunks
+    lengths = [last - first for first, last in runs]
+    assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
+    assert report == monte_carlo(2, 10, samples, seed=6)
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples(monkeypatch):
+    # With no samples drawn, what is left is the run's own bookkeeping.
+    monkeypatch.setattr(census_module, "_samples", lambda *args: iter(()))
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            monte_carlo(2, 10, chunks * census_module.CHUNK_SIZE)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert peak(10**4) - peak(10**3) < 64 * 1024
 
 
 def test_monte_carlo_counts_are_consistent():

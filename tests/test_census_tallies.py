@@ -422,9 +422,11 @@ class _InlineExecutor:
 
 def test_monte_carlo_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(census_module.os, "cpu_count", lambda: 8)
     _InlineExecutor.sizes.clear()
     serial = monte_carlo(2, 50, 300, seed=9, workers=1)
     assert _InlineExecutor.sizes == []
     assert monte_carlo(2, 50, 300, seed=9, workers=10_000) == serial  # two chunks
+    # One chunk is one run, counted without a pool.
     assert monte_carlo(2, 50, 100, seed=9, workers=3) == monte_carlo(2, 50, 100, seed=9)
-    assert _InlineExecutor.sizes == [2, 1]
+    assert _InlineExecutor.sizes == [2]
