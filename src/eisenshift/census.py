@@ -444,11 +444,10 @@ def monte_carlo(
     """Monte Carlo classification of uniform samples from the box.
 
     Coefficients are drawn uniformly from [-H, H] low to high, the leading
-    one redrawn until nonzero.  Each of min(workers, chunks, CPUs) processes
-    counts one contiguous run of chunks, the runs one chunk apart in length
-    at most, and one run takes no pool; memory does not grow with `samples`.
-    A chunk depends on (seed, chunk index) only, so the report is identical
-    for any `workers` value.
+    one redrawn until nonzero.  min(workers, chunks, CPUs) processes take
+    contiguous runs of chunks, four a process, as they free up; one process
+    takes no pool, and memory does not grow with `samples`.  A chunk depends
+    on (seed, chunk index) only, so the report is the same for any `workers`.
     """
     _check_box("monte_carlo", n, height, samples=samples, seed=seed, workers=workers)
     if type(budget) is not FactorBudget:
@@ -459,16 +458,17 @@ def monte_carlo(
         raise DomainError("monte_carlo needs workers >= 1")
     chunks = -(-samples // CHUNK_SIZE)
     size = min(workers, chunks, os.cpu_count() or 1)
-    bounds = [chunks * k // size for k in range(size + 1)]
-    runs = [(n, height, samples, seed, a, b, budget) for a, b in zip(bounds, bounds[1:])]
+    runs = 1 if size == 1 else min(chunks, 4 * size)
+    bounds = [chunks * k // runs for k in range(runs + 1)]
+    tasks = [(n, height, samples, seed, a, b, budget) for a, b in zip(bounds, bounds[1:])]
     if size == 1:
-        counts = _mc_run(runs[0])
+        counts = _mc_run(tasks[0])
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-        # A fork-started pool starts all its processes at once.
+        # A fork-started pool starts all its processes at once; a slowed one takes fewer runs.
         with ProcessPoolExecutor(max_workers=size) as pool:
-            counts = tuple(map(sum, zip(*pool.map(_mc_run, runs))))
+            counts = tuple(map(sum, zip(*pool.map(_mc_run, tasks))))
     return ExperimentReport("montecarlo", n, height, samples, *counts, seed)
 
 

@@ -284,47 +284,37 @@ def _fake_pool(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize(
-    "cpus, workers, size",
+    "cpus, workers, size, samples",
     [
-        (2, 10**5, 2),  # 16 chunks, capped by the CPU count
-        (64, 10**5, 16),  # capped by the chunk count
-        (8, 3, 3),
-        (None, 10**5, 1),  # an unknown CPU count counts as one: no pool
+        # 16 chunks each; the explicit ids name (cpus, workers, size) only.
+        pytest.param(2, 10**5, 2, 4096, id="2-100000-2"),  # capped by the CPU count
+        pytest.param(64, 10**5, 16, 4096, id="64-100000-16"),  # capped by the chunk count
+        pytest.param(8, 3, 3, 4096, id="8-3-3"),  # 12 runs of 1 or 2 chunks
+        pytest.param(None, 10**5, 1, 4096, id="None-100000-1"),  # unknown CPUs: one, no pool
+        (2, 2, 2, 2048),  # 8 chunks, one run each
+        (4, 3, 3, 1000),  # 4 chunks over 3 processes
+        (2, 2, 2, 257),  # 2 chunks, the second of one sample
+        (64, 4, 4, 4096),
+        (2, 2, 2, 10**4),  # 40 chunks in 8 runs of 5
     ],
 )
-def test_monte_carlo_pool_is_bounded(monkeypatch, cpus, workers, size):
+def test_monte_carlo_pool_is_bounded(monkeypatch, cpus, workers, size, samples):
     # No process is started: the pool is a fake and the CPU count is pinned.
     _fake_pool(monkeypatch, cpus)
-    report = monte_carlo(2, 10, 4096, seed=4, workers=workers)
+    report = monte_carlo(2, 10, samples, seed=4, workers=workers)
     assert _InProcessPool.sizes == ([size] if size > 1 else [])
-    assert report == monte_carlo(2, 10, 4096, seed=4)
-
-
-@pytest.mark.parametrize(
-    "samples, workers, cpus",
-    [
-        (2048, 2, 2),  # 8 chunks: one batch of the old chunksize=8
-        (1000, 3, 4),  # 4 chunks over 3 processes
-        (257, 2, 2),  # 2 chunks, the second of one sample
-        (4096, 4, 64),
-    ],
-)
-def test_monte_carlo_maps_one_balanced_contiguous_run_per_process(
-    monkeypatch, samples, workers, cpus
-):
-    _fake_pool(monkeypatch, cpus)
-    report = monte_carlo(2, 10, samples, seed=6, workers=workers)
-    chunks = -(-samples // census_module.CHUNK_SIZE)
-    size = min(workers, chunks, cpus)
-    assert _InProcessPool.sizes == [size]
-    [tasks] = _InProcessPool.tasks
-    assert len(tasks) == size
-    runs = [task[4:6] for task in tasks]  # (first, last) chunk, last excluded
-    assert [first for first, _ in runs] == [0] + [last for _, last in runs[:-1]]
-    assert runs[-1][1] == chunks
-    lengths = [last - first for first, last in runs]
-    assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
-    assert report == monte_carlo(2, 10, samples, seed=6)
+    if size > 1:
+        # Four contiguous runs a process (fewer when chunks are fewer) cover
+        # every chunk once, one chunk apart in length at most.
+        chunks = -(-samples // census_module.CHUNK_SIZE)
+        [tasks] = _InProcessPool.tasks
+        runs = [task[4:6] for task in tasks]  # (first, last) chunk, last excluded
+        assert len(runs) == min(chunks, 4 * size)
+        assert [first for first, _ in runs] == [0] + [last for _, last in runs[:-1]]
+        assert runs[-1][1] == chunks
+        lengths = [last - first for first, last in runs]
+        assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
+    assert report == monte_carlo(2, 10, samples, seed=4)
 
 
 def test_monte_carlo_memory_does_not_grow_with_samples(monkeypatch):
