@@ -32,6 +32,7 @@ from .primes import (
     _prime_product,
     _trial_division,
     factorize,
+    first_primes,
     iroot,
     is_prime,
 )
@@ -296,17 +297,17 @@ def _shift_at(coeffs: tuple[int, ...], p: int) -> int | None:
 
 
 def _candidate_primes(
-    target: int, small: list[int], budget: FactorBudget, split: list[Factorization]
+    target: int, small: list[int], budget: FactorBudget, split: list[Factorization], start=0
 ):
     """The primes of `small` (ascending, consumed) merged by size with those of target > 1.
 
-    Trial division hands out target's primes smallest first.  Only when it
-    ends and leaves a rest does `factorize`, told that the walk is done,
-    split that rest by rho; that Factorization is appended to `split`, and
-    its primes all exceed the trial bound.
+    Trial division from the `start`-th prime hands out target's primes
+    smallest first.  Only when it ends and leaves a rest does `factorize`,
+    told that the walk is done, split that rest by rho; that Factorization
+    is appended to `split`, and its primes all exceed the trial bound.
     """
     rest = target
-    for p, e in _trial_division(target, budget.trial_bound):
+    for p, e in _trial_division(target, budget.trial_bound, start):
         rest //= p**e
         while small and small[0] < p:
             yield small.pop(0)
@@ -332,13 +333,13 @@ def shifted_eisenstein(
     primes are those of |D| with D = a_1^2 - 4*a_0*a_2.  Each candidate prime
     has one candidate shift, tested by `_shift_at`.
 
-    Candidates are tried in ascending order as they are found: trial
-    division hands out the prime factors smallest first, the primes of n are
-    merged in by size, and the decision returns at the first prime that
-    works.  Only when trial division to the trial bound B ends without a
-    certificate does `factorize` split the rest; its primes all exceed B, so
-    a piece below (B+1)^2 is prime untested and one below (B+1)^3 is split
-    by a square root, a primality test and rho.
+    Candidates are tried in ascending order as they are found (for n = 2 by
+    one gcd, the local rule and a prime-rest stop; see `_quadratic_search`):
+    trial division hands out the prime factors smallest first, the primes of
+    n are merged in by size, and the decision returns at the first prime
+    that works.  Past the trial bound B, `factorize` splits the rest, whose
+    primes exceed B: a piece below (B+1)^2 is prime untested, and one below
+    (B+1)^3 takes a square root, a primality test and rho.
 
     YES answers always carry a verified certificate with 0 <= shift < prime,
     in canonical order: a shift-0 witness first, then the smallest prime,
@@ -381,16 +382,12 @@ def _certificate_search(
     coeffs: tuple[int, ...], n: int, budget: FactorBudget
 ) -> ShiftedDecision:
     """`shifted_eisenstein` for the coefficients of f of degree n after its
-    plain-witness step found no witness."""
-    an = coeffs[n]
+    plain-witness step found no witness; n = 2 goes to `_quadratic_search`."""
     if n == 2:
-        # Every prime that can work divides D, 2 included.
-        a0, a1, _ = coeffs
-        target = abs(a1 * a1 - 4 * a0 * an)
-        small = []
-    else:
-        target = _local_gcd(coeffs)[0]
-        small = [p for p in _prime_divisors(n) if an % p]
+        return _quadratic_search(coeffs, budget)
+    an = coeffs[n]
+    target = _local_gcd(coeffs)[0]
+    small = [p for p in _prime_divisors(n) if an % p]
     if target == 0:
         return _CERTIFIED_NO["discriminant-zero"]
     split: list[Factorization] = []
@@ -405,9 +402,49 @@ def _certificate_search(
             return _yes(s, p)
     if not split or split[0].certified:
         return _CERTIFIED_NO[reason]
-    if n > 2 and discriminant(IntPoly(coeffs)) == 0:
+    if discriminant(IntPoly(coeffs)) == 0:
         # A repeated root makes f reducible, so no shift can work.
         return _CERTIFIED_NO["discriminant-zero"]
+    return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
+
+
+_BLOCK0 = tuple(first_primes(64))  # the prime table's first block, 2 to 311
+
+
+def _quadratic_search(coeffs: tuple[int, ...], budget: FactorBudget) -> ShiftedDecision:
+    """`_certificate_search` for n = 2.  One gcd finds the primes of D up to
+    b = min(B, 311), tried in ascending order: 2 by `_shift_at`, and an odd p
+    works iff it divides D once and not a_2, as 4*a_2*f(s) = (2*a_2*s + a_1)^2 - D.
+    The rest of |D|, below (b+1)^2 or passing `is_prime`, is prime and the last
+    candidate; only a composite rest is walked, from the second block on."""
+    a0, a1, a2 = coeffs
+    target = abs(a1 * a1 - 4 * a0 * a2)
+    if target == 0:
+        return _CERTIFIED_NO["discriminant-zero"]
+    bound = min(budget.trial_bound, 311)
+    screened = math.gcd(target, _prime_product(bound))
+    if screened > 1:
+        if not screened & 1 and (s := _shift_at(coeffs, 2)) is not None:
+            return _yes(s, 2)
+        once = screened // math.gcd(screened, a2 * (target // screened))
+        for p in _BLOCK0 if once > 1 else ():
+            if once % p == 0:
+                s = -a1 * pow(2 * a2, -1, p) % p
+                if _eisenstein_at(_taylor_shift(coeffs, s), p):
+                    return _yes(s, p)
+        target = _strip_primes_of(target, screened)
+    reason = "no-root-shift-works" if screened > 1 else "no-qualifying-prime"
+    if target == 1:
+        return _CERTIFIED_NO[reason]
+    split: list[Factorization] = []
+    prime = target < (bound + 1) ** 2 or is_prime(target)
+    candidates = [target] if prime else _candidate_primes(target, [], budget, split, len(_BLOCK0))
+    for p in candidates:
+        reason = "no-root-shift-works"
+        if (s := _shift_at(coeffs, p)) is not None:
+            return _yes(s, p)
+    if not split or split[0].certified:
+        return _CERTIFIED_NO[reason]
     return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
 
 

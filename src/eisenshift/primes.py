@@ -148,16 +148,15 @@ def is_prime(n: int) -> bool:
         raise DomainError("is_prime needs an int, got %r" % (n,))
     if n < 1000:
         return n in _SMALL_PRIMES
-    if math.gcd(n, _SMALL_PRODUCT) != 1:
-        return False
+    return math.gcd(n, _SMALL_PRODUCT) == 1 and _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """`is_prime`'s Miller-Rabin rounds alone, for an odd n > 1000 (see there)."""
     d = n - 1
     r = (d & -d).bit_length() - 1  # n - 1 = d * 2^r with d odd
     d >>= r
-    bases = _MR_PROBABLE_BASES
-    for bound, proven in _MR_PROVEN_BASES:
-        if n < bound:
-            bases = proven
-            break
+    bases = next((b for bound, b in _MR_PROVEN_BASES if n < bound), _MR_PROBABLE_BASES)
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -376,6 +375,7 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
     asking for one first splits the same way, and on a large power the
     roots cost far less than is_prime's first Miller-Rabin round.
     """
+    prime = _miller_rabin if bound >= 997 else is_prime  # is_prime's gcd finds none past 997
     square = (bound + 1) ** 2
     cofactor = 1
     pending = [(m, 1)]
@@ -392,7 +392,7 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
             base, k = power
             pending.append((base, mult * k))
             continue
-        if is_prime(value):
+        if prime(value):
             found[value] = found.get(value, 0) + mult
             continue
         divisor = _brent_rho(value, rho_left)
@@ -404,14 +404,15 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
     return cofactor
 
 
-def _trial_division(m: int, bound: int):
+def _trial_division(m: int, bound: int, start: int = 0):
     """Trial-divide m >= 1 by the primes up to `bound`, smallest first.
 
     Yields (p, e) with p^e exactly dividing m, in ascending order.  Once p^2
     exceeds what is left, that rest is prime and is yielded too.  Dividing
     the yielded p^e out of m leaves the unsplit rest: 1, or a number whose
     prime factors all exceed `bound`.  A caller that stops early never pays
-    for the larger primes.
+    for the larger primes.  The walk skips the first `start` primes, which
+    the caller has divided out of an m above the square of the last of them.
 
     The primes come from the prime table cached across calls, read once per
     walk.  A walk grows it only when m exceeds its cover squared, to isqrt(m)
@@ -436,16 +437,9 @@ def _trial_division(m: int, bound: int):
         table = _primes_up_to(min(bound, max(math.isqrt(m), 2 * table[0])))
     cover, primes, blocks, superblocks = table
     stop = len(primes) if bound >= cover else bisect_right(primes, bound)
-    i = 0
+    i = start
     while i < stop:
-        p = primes[i]
-        if p * p > m:
-            break
-        if m % p == 0:
-            m, e = _divide_out(m, p)
-            yield p, e
-        i += 1
-        if i % _BLOCK == 0:
+        if i % _BLOCK == 0 and i:
             while i < stop and primes[i] ** 2 <= m:
                 if (
                     i % _SUPERBLOCK == _BLOCK
@@ -460,6 +454,15 @@ def _trial_division(m: int, bound: int):
                     i += _BLOCK
                 else:
                     break
+            if i >= stop:
+                continue
+        p = primes[i]
+        if p * p > m:
+            break
+        if m % p == 0:
+            m, e = _divide_out(m, p)
+            yield p, e
+        i += 1
     else:
         # Past the table every odd number is a trial divisor: a composite
         # one never divides what is left, as its prime factors are gone.

@@ -174,6 +174,86 @@ def test_rough_discriminant_rests_match_factor_first_oracle():
     assert verdicts == set(Verdict)
 
 
+# One quadratic per branch of the degree-2 certificate search, with its
+# decision under the default budget.  All but the certified NO are samples
+# of `monte_carlo(2, H, 4096, seed=1)` at H = 10^6 or 10^12, which holds no
+# certified NO; -1 - 5x + 5x^2 is CI's (|D| = 45 = 3^2 * 5, and 5 | a_2).
+# The last field says how far the search goes past the gcd with the primes
+# up to 311: a trial-division walk from the second block, or that walk and
+# a `factorize` split.
+QUADRATIC_BRANCHES = {
+    "certificate at 2": ((-914587, -171970, 150675), ShiftCertificate(1, 2), None),
+    "first-block prime": ((278923, 403386, -931240), ShiftCertificate(28, 37), None),
+    "prime reached by the block walk": (
+        (235544, 622530, -645914),
+        ShiftCertificate(21793, 34513),
+        "walk",
+    ),
+    "prime rest above B": (
+        (71862, 211404, -949170),
+        ShiftCertificate(88284183, 183755017),
+        None,
+    ),
+    "prime rest above B, H = 10^12": (
+        (-415063125863, -636475333344, -20936533518),
+        ShiftCertificate(45964511871056332262, 205744954315827616399),
+        None,
+    ),
+    "rho-split prime above B": (
+        (301690, 137797, 555135),
+        ShiftCertificate(115900, 118411),
+        "split",
+    ),
+    "certified NO": ((-1, -5, 5), None, None),
+}
+
+
+@pytest.mark.parametrize(
+    "coeffs, certificate, stage", QUADRATIC_BRANCHES.values(), ids=list(QUADRATIC_BRANCHES)
+)
+def test_each_quadratic_branch_gives_its_decision(monkeypatch, coeffs, certificate, stage):
+    f = IntPoly(coeffs)
+    calls = []
+    for name in ("_trial_division", "factorize"):
+
+        def recorded(*args, name=name, original=getattr(eisenstein_module, name), **kwargs):
+            calls.append((name, args[2:3]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eisenstein_module, name, recorded)
+    if certificate is None:
+        expected = ShiftedDecision(Verdict.NO_CERTIFIED, reason="no-root-shift-works")
+    else:
+        expected = ShiftedDecision(Verdict.YES, certificate)
+    assert shifted_eisenstein(f) == expected
+    walked = ("_trial_division", (64,)) in calls
+    split = any(name == "factorize" for name, _ in calls)
+    assert (walked, split) == (stage is not None, stage == "split"), calls
+    for budget in (DEFAULT_BUDGET,) + tuple(FactorBudget(b) for b in (2, 100, 311, 400)):
+        assert shifted_eisenstein(f, budget) == factor_first_engine(f, budget), (f, budget)
+
+
+def test_a_quadratic_left_heuristic_keeps_its_cofactor():
+    # The first-block sample above: with trial division to 2 and one rho
+    # step, the odd part of |D| stays whole.
+    f = IntPoly(QUADRATIC_BRANCHES["first-block prime"][0])
+    budget = FactorBudget(2, 1)
+    expected = ShiftedDecision(
+        Verdict.NO_HEURISTIC, reason="no-root-shift-works", cofactor=300424320769
+    )
+    assert shifted_eisenstein(f, budget) == expected == factor_first_engine(f, budget)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((10**6, 10**12)).flatmap(lambda h: st.tuples(*[st.integers(-h, h)] * 3)))
+def test_quadratic_decisions_match_factor_first_oracle(coeffs):
+    if not coeffs[2]:
+        coeffs = coeffs[:2] + (1,)
+    f = IntPoly(coeffs)
+    for budget in (DEFAULT_BUDGET, FactorBudget(2, 1), FactorBudget(311, 0), FactorBudget(400, 1)):
+        assert shifted_eisenstein(f, budget) == factor_first_engine(f, budget), (f, budget)
+
+
 LOCAL_DEGREES = (3, 4, 5, 6, 8)
 
 

@@ -331,6 +331,11 @@ def test_a_sparse_ascending_scan_rebuilds_the_table_a_few_times(monkeypatch, fre
     monkeypatch.setattr(primes_module, "_sieve_table", counted)
     for j in range(1, 4001):
         shifted_eisenstein(IntPoly((-(10**5 * j + 1), 1, 1)))
+    # D = 5 * (8*10^4*j + 1) is certified at 5, which the gcd with the first
+    # block of primes finds, so no decision walks and none grows the table.
+    assert built == []
+    for j in range(1, 4001):
+        next(primes_module._trial_division(4 * 10**5 * j + 5, 10**5))
     assert len(built) <= math.ceil(math.log2(10**5 / 10**3)) + 1, built
     assert max(built) <= 2 * math.isqrt(4 * 10**5 * 4000 + 5), built
 
@@ -412,6 +417,25 @@ def test_trial_division_past_the_cap_yields_what_a_plain_walk_yields(monkeypatch
     assert primes_module._sieve[0] == 20_000
 
 
+def test_trial_division_from_the_second_block_yields_what_a_plain_walk_yields(fresh_sieve):
+    # With the first block's primes 2, ..., 311 divided out of an m above
+    # 311^2, the walk may start at the second block, block skips first.
+    first = math.prod(_WALK_PRIMES[:64])
+    cases = []
+    for m in _walk_cases(random.Random(76), _WALK_PRIMES, 400):
+        common = math.gcd(m, first)
+        while common > 1:
+            m //= common
+            common = math.gcd(m, common)
+        if m == 1 or m > 311**2:
+            cases.append(m)
+    assert len(cases) > 200
+    for bound in (2, 311, 313, 8161, 8731, 104_729, 300_000):
+        for m in cases:
+            walk = list(primes_module._trial_division(m, bound, 64))
+            assert walk == list(_plain_walk(m, bound, bound)), (m, bound)
+
+
 # Trial bounds B with B + 1 prime (1009) and the default 10^5, and the
 # smallest primes above them.
 _ROUGH_BOUNDS = ((1008, (1009, 1013, 1019)), (100_000, (100_003, 100_019, 100_043)))
@@ -438,6 +462,14 @@ def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, abov
 
     monkeypatch.setattr(primes_module, "is_prime", is_prime_from_the_square_on)
     monkeypatch.setattr(primes_module, "iroot", iroot_only_where_it_can_be_exact)
+    # Past 997 a piece takes Miller-Rabin without is_prime's gcd screen.
+    miller_rabin = primes_module._miller_rabin
+
+    def miller_rabin_from_the_square_on(n):
+        assert n >= square, "Miller-Rabin ran on %d, below (B+1)^2" % n
+        return miller_rabin(n)
+
+    monkeypatch.setattr(primes_module, "_miller_rabin", miller_rabin_from_the_square_on)
     p, q, r = above
     budget = FactorBudget(bound, 10**6)
     next_prime = next(n for n in itertools.count(p * p) if is_prime(n))
@@ -462,17 +494,19 @@ def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, abov
 @pytest.mark.parametrize("bound", (996, 997))
 def test_rough_pieces_take_one_primality_test(monkeypatch, bound):
     # With or without primes below 1000 left to divide a piece, p*q is asked
-    # once whether it is prime, and rho has no steps to split it.
+    # once whether it is prime, and rho has no steps to split it.  Only
+    # while 997 may divide a piece does is_prime's gcd screen run first.
     ran = []
-    is_prime = primes_module.is_prime
+    for name, label in (("is_prime", "is_prime"), ("_miller_rabin", "mr")):
 
-    def recorded(n):
-        ran.append(n)
-        return is_prime(n)
+        def recorded(n, test=getattr(primes_module, name), label=label):
+            ran.append((label, n))
+            return test(n)
 
-    monkeypatch.setattr(primes_module, "is_prime", recorded)
+        monkeypatch.setattr(primes_module, name, recorded)
     assert factorize(1009 * 1013, FactorBudget(bound, 0)) == Factorization((), 1009 * 1013)
-    assert ran == [1009 * 1013]
+    tests = ["is_prime", "mr"] if bound < 997 else ["mr"]
+    assert ran == [(label, 1009 * 1013) for label in tests]
 
 
 def test_factorize_complete_small():
