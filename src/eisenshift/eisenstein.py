@@ -96,29 +96,41 @@ class ShiftedDecision:
     cofactor: int | None = None
 
 
-def _witness_primes(coeffs: tuple[int, ...], budget: FactorBudget):
-    """The primes f is Eisenstein with respect to, ascending, found lazily.
+_BLOCK0 = tuple(first_primes(64))  # the prime table's first block, 2 to 311
+_BLOCK0_PRODUCT = math.prod(_BLOCK0)  # _prime_product(311), with no call
 
-    f is given by its coefficients.  They are the primes p of
-    g = gcd(a_0, ..., a_(n-1)) with p^2 not dividing a_0 and p not dividing
-    a_n, in the order `_candidate_primes` finds them.
-    BudgetError once the walk reaches a rho split of g that is not
-    certified, before any prime of that split is tested.
+
+def _witness_screen(coeffs: tuple[int, ...], product: int) -> tuple[int, int, int] | None:
+    """(g, once, rest) for f, given by its coefficients, or None when a_0 = 0 or g = 1.
+
+    g = gcd(a_0, ..., a_(n-1)).  S = gcd(g, `product`), with `product` the
+    product of the primes up to some b <= 311, holds g's primes up to b, each
+    once.  A p | S is a witness exactly when p does not divide a_n and p^2
+    does not divide a_0, that is p does not divide a_0/S: so the witnesses up
+    to b are the primes of once = S/gcd(S, a_n*(a_0/S)).  rest is g with S's
+    primes removed, so it has no prime up to b.  a_0 = 0 (p^2 | 0) and g = 1
+    have no witness, and return before any gcd with `product`.
     """
-    if len(coeffs) < 2:
-        raise DomainError("Eisenstein tests need degree >= 1")
     a0 = coeffs[0]
     if a0 == 0:
-        return ()  # p^2 | 0 always, so condition (ii) can never hold
+        return None
     g = math.gcd(*coeffs[:-1])
     if g == 1:
-        return ()
-    return _walk_witnesses(g, a0, coeffs[-1], budget)
+        return None
+    screened = math.gcd(g, product)
+    once = screened // math.gcd(screened, coeffs[-1] * (a0 // screened))
+    return g, once, _strip_primes_of(g, screened)
 
 
-def _walk_witnesses(g: int, a0: int, an: int, budget: FactorBudget):
+def _walk_witnesses(g: int, rest: int, a0: int, an: int, budget: FactorBudget):
+    """The witnesses among the primes of `rest`, the part of g past the
+    screen, ascending: trial division from the second block on, then
+    `factorize`.  BudgetError, naming g, at a rho split of rest that is not
+    certified, before any prime of that split is tested."""
+    if rest == 1:
+        return
     split: list[Factorization] = []
-    for p in _candidate_primes(g, [], budget, split):
+    for p in _candidate_primes(rest, [], budget, split, len(_BLOCK0)):
         if split and not split[0].certified:
             break
         if a0 % (p * p) and an % p:
@@ -127,28 +139,55 @@ def _walk_witnesses(g: int, a0: int, an: int, budget: FactorBudget):
         raise BudgetError("could not fully factor coefficient gcd %d" % g)
 
 
+def _witness_primes(coeffs: tuple[int, ...], budget: FactorBudget):
+    """The primes f is Eisenstein with respect to, ascending, found lazily.
+
+    f is given by its coefficients.  They are the primes p of
+    g = gcd(a_0, ..., a_(n-1)) with p^2 not dividing a_0 and p not dividing
+    a_n.  Those up to b = min(B, 311) come from `_witness_screen`, and the
+    rest of g is walked past them (`_walk_witnesses`), so they arrive in the
+    order trial division of g under `budget` finds them.  f has degree >= 1.
+    """
+    screen = _witness_screen(coeffs, _prime_product(min(budget.trial_bound, 311)))
+    if screen is None:
+        return
+    g, once, rest = screen
+    yield from (p for p in _BLOCK0 if once % p == 0)
+    yield from _walk_witnesses(g, rest, coeffs[0], coeffs[-1], budget)
+
+
 def eisenstein_primes(f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET) -> list[int]:
     """All primes with respect to which f is Eisenstein, ascending."""
     _check_poly("eisenstein_primes", f)
     if type(budget) is not FactorBudget:
         raise _budget_error("eisenstein_primes", budget)
+    if f.degree < 1:
+        raise DomainError("Eisenstein tests need degree >= 1")
     return list(_witness_primes(f.coeffs, budget))
 
 
 def _smallest_witness(coeffs: tuple[int, ...]) -> int | None:
     """Smallest Eisenstein witness prime of f, given by its coefficients, or None.
 
-    The walk stops at the first witness and always runs under
+    f has degree >= 1.  `_witness_screen` with the primes up to 311 gives
+    the witnesses there with one gcd, tried smallest first; only when none
+    is there is the rest of g walked, past 311.  Both run under
     DEFAULT_BUDGET, so the answer does not depend on a caller's budget.
     """
-    for p in _witness_primes(coeffs, DEFAULT_BUDGET):
-        return p
-    return None
+    screen = _witness_screen(coeffs, _BLOCK0_PRODUCT)
+    if screen is None:
+        return None
+    g, once, rest = screen
+    if once > 1:
+        return next(p for p in _BLOCK0 if once % p == 0)
+    return next(_walk_witnesses(g, rest, coeffs[0], coeffs[-1], DEFAULT_BUDGET), None)
 
 
 def is_eisenstein(f: IntPoly) -> bool:
     """True iff f is Eisenstein with respect to some prime."""
     _check_poly("is_eisenstein", f)
+    if f.degree < 1:
+        raise DomainError("Eisenstein tests need degree >= 1")
     return _smallest_witness(f.coeffs) is not None
 
 
@@ -326,12 +365,17 @@ def shifted_eisenstein(
 
     f(x+s) is Eisenstein with respect to p exactly when f = a_n*(x-s)^n
     (mod p), p does not divide a_n, and p^2 does not divide f(s).  A plain
-    witness (shift 0) is looked for first.  Otherwise, for n >= 3, the
+    witness (shift 0) is looked for first: one gcd of
+    g = gcd(a_0, ..., a_(n-1)) with the product of the primes up to 311
+    gives the witnesses there, and only the rest of g is walked, past 311
+    (`_smallest_witness`).  Otherwise, for n >= 3, the
     candidate primes are the prime factors of G = gcd(h_0, ..., h_(n-2)) (see
     `_local_gcd`) and the primes dividing n but not a_n (each at most n).
     G = 0 means f = a_n*(x-r)^n, a certified NO.  For n = 2 the candidate
     primes are those of |D| with D = a_1^2 - 4*a_0*a_2.  Each candidate prime
-    has one candidate shift, tested by `_shift_at`.
+    has one candidate shift, tested by `_shift_at`; for n = 2 the primes up
+    to 311 are tested in closed form, on the coefficients
+    (f(s), 2*a_2*s + a_1, a_2) of f(x+s).
 
     Candidates are tried in ascending order as they are found (for n = 2 by
     one gcd, the local rule and a prime-rest stop; see `_quadratic_search`):
@@ -345,9 +389,9 @@ def shifted_eisenstein(
     in canonical order: a shift-0 witness first, then the smallest prime,
     whose shift is its one candidate (f(x+1) may be Eisenstein at a prime
     below f's own witness); shifts repeat with period p, as f'(s) = 0
-    (mod p).  The shift-0 step walks the coefficient gcd under DEFAULT_BUDGET
-    whatever `budget` is, so a YES with shift 0 means exactly that f is
-    Eisenstein.
+    (mod p).  The shift-0 step screens and walks the coefficient gcd under
+    DEFAULT_BUDGET whatever `budget` is, so a YES with shift 0 means exactly
+    that f is Eisenstein.
     A NO is certified when the factorization is complete, or, for n >= 3,
     when the discriminant of f is 0; otherwise the verdict is heuristic and
     carries the unsplit cofactor.
@@ -408,29 +452,31 @@ def _certificate_search(
     return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
 
 
-_BLOCK0 = tuple(first_primes(64))  # the prime table's first block, 2 to 311
-
-
 def _quadratic_search(coeffs: tuple[int, ...], budget: FactorBudget) -> ShiftedDecision:
     """`_certificate_search` for n = 2.  One gcd finds the primes of D up to
-    b = min(B, 311), tried in ascending order: 2 by `_shift_at`, and an odd p
-    works iff it divides D once and not a_2, as 4*a_2*f(s) = (2*a_2*s + a_1)^2 - D.
-    The rest of |D|, below (b+1)^2 or passing `is_prime`, is prime and the last
-    candidate; only a composite rest is walked, from the second block on."""
+    b = min(B, 311), tried in ascending order on the written-out coefficients
+    (f(s), 2*a_2*s + a_1, a_2) of f(x+s), with f(s) = (a_2*s + a_1)*s + a_0:
+    2 at s = a_0 mod 2 when a_2 is odd, and an odd p works iff it divides D
+    once and not a_2, as 4*a_2*f(s) = (2*a_2*s + a_1)^2 - D, at
+    s = -a_1/(2*a_2) mod p.  The rest of |D|, below (b+1)^2 or passing
+    `is_prime`, is prime and the last candidate; only a composite rest is
+    walked, from the second block on.  Past the first block `_shift_at` tests."""
     a0, a1, a2 = coeffs
     target = abs(a1 * a1 - 4 * a0 * a2)
     if target == 0:
         return _CERTIFIED_NO["discriminant-zero"]
     bound = min(budget.trial_bound, 311)
-    screened = math.gcd(target, _prime_product(bound))
+    screened = math.gcd(target, _BLOCK0_PRODUCT if bound == 311 else _prime_product(bound))
     if screened > 1:
-        if not screened & 1 and (s := _shift_at(coeffs, 2)) is not None:
-            return _yes(s, 2)
+        if not screened & 1 and a2 & 1:
+            s = a0 & 1
+            if _eisenstein_at(((a2 * s + a1) * s + a0, 2 * a2 * s + a1, a2), 2):
+                return _yes(s, 2)
         once = screened // math.gcd(screened, a2 * (target // screened))
         for p in _BLOCK0 if once > 1 else ():
             if once % p == 0:
                 s = -a1 * pow(2 * a2, -1, p) % p
-                if _eisenstein_at(_taylor_shift(coeffs, s), p):
+                if _eisenstein_at(((a2 * s + a1) * s + a0, 2 * a2 * s + a1, a2), p):
                     return _yes(s, p)
         target = _strip_primes_of(target, screened)
     reason = "no-root-shift-works" if screened > 1 else "no-qualifying-prime"

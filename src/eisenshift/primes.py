@@ -151,8 +151,13 @@ def is_prime(n: int) -> bool:
     return math.gcd(n, _SMALL_PRODUCT) == 1 and _miller_rabin(n)
 
 
+@functools.lru_cache(maxsize=1)
 def _miller_rabin(n: int) -> bool:
-    """`is_prime`'s Miller-Rabin rounds alone, for an odd n > 1000 (see there)."""
+    """`is_prime`'s Miller-Rabin rounds alone, for an odd n > 1000 (see there).
+
+    The last answer is kept: a rest of |D| that `is_prime` found composite
+    comes back to `_split_rough` unchanged when trial division finds none
+    of its primes, and is not tested twice."""
     d = n - 1
     r = (d & -d).bit_length() - 1  # n - 1 = d * 2^r with d odd
     d >>= r

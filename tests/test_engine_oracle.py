@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eisenshift.eisenstein as eisenstein_module
+import eisenshift.primes
 from eisenshift import (
     DEFAULT_BUDGET,
     FactorBudget,
@@ -242,6 +243,52 @@ def test_a_quadratic_left_heuristic_keeps_its_cofactor():
         Verdict.NO_HEURISTIC, reason="no-root-shift-works", cofactor=300424320769
     )
     assert shifted_eisenstein(f, budget) == expected == factor_first_engine(f, budget)
+
+
+def test_a_composite_rest_takes_one_primality_test():
+    # |D| = 118411 * 5497181: `is_prime` finds the rest composite, trial
+    # division to 10^5 finds none of its primes, and the split gets the same
+    # rest back.  Miller-Rabin keeps its last answer, so its rounds run once.
+    miller_rabin = eisenshift.primes._miller_rabin
+    miller_rabin.cache_clear()
+    coeffs, certificate, _ = QUADRATIC_BRANCHES["rho-split prime above B"]
+    assert shifted_eisenstein(IntPoly(coeffs)) == ShiftedDecision(Verdict.YES, certificate)
+    info = miller_rabin.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# Decisions the first block gives on the written-out coefficients
+# (f(s), 2*a_2*s + a_1, a_2) of f(x+s), with no Taylor shift.
+CLOSED_FORM_QUADRATICS = {
+    # D = -4: s = a_0 mod 2 = 1, f(1) = 2.
+    "1 + x^2": ((1, 0, 1), ShiftCertificate(1, 2)),
+    # D = -12: f(1) = 4 is 0 mod 4, and 3 | a_2.
+    "1 + 3x^2": ((1, 0, 3), None),
+    # D = -96: f(1) = 12 is 0 mod 4, so 2 is refused; 3 divides D once.
+    "5 + 2x + 5x^2": ((5, 2, 5), ShiftCertificate(1, 3)),
+    # D = -7: s = -1/2 = 3 mod 7.
+    "2 + x + x^2": ((2, 1, 1), ShiftCertificate(3, 7)),
+}
+
+
+@pytest.mark.parametrize(
+    "coeffs, certificate", CLOSED_FORM_QUADRATICS.values(), ids=list(CLOSED_FORM_QUADRATICS)
+)
+def test_first_block_quadratics_are_decided_in_closed_form(monkeypatch, coeffs, certificate):
+    f = IntPoly(coeffs)
+    if certificate is None:
+        expected = ShiftedDecision(Verdict.NO_CERTIFIED, reason="no-root-shift-works")
+    else:
+        expected = ShiftedDecision(Verdict.YES, certificate)
+    for budget in (DEFAULT_BUDGET, FactorBudget(2, 1), FactorBudget(311, 0)):
+        assert shifted_eisenstein(f, budget) == factor_first_engine(f, budget), (f, budget)
+
+    def generic(*args):
+        raise AssertionError("a first-block quadratic went through the generic shift test")
+
+    for name in ("_shift_at", "_taylor_shift"):
+        monkeypatch.setattr(eisenstein_module, name, generic)
+    assert shifted_eisenstein(f) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -148,3 +148,69 @@ def test_plain_test_refuses_only_past_its_reach():
     assert _is_plain((3 * g, 3 * g, g)) and not _is_plain((9 * g, 3 * g, g))
     with pytest.raises(BudgetError):
         _smallest_witness((g, g, g))
+
+
+# The plain-witness screen: one gcd with the product of the primes up to 311
+# gives the witnesses there, and only the rest of g is walked, past 311.
+# Each case: coefficients, then the smallest witness.
+SCREEN_CASES = {
+    # g = 2 * 313, but 4 | a_0: 2 fails, and 313 comes from the walk.
+    "walk past the first block": ((1252, 626, 1), 313),
+    "a prime past the first block alone": ((626, 313, 5), 313),
+    # 3 | g, but 3 | a_n: 3 fails, and 5 from the screen wins.
+    "a first-block prime dividing a_n": ((15, 30, 45, 3), 5),
+    "a first-block prime dividing a_n, 313 past it": ((3 * 313, 3 * 313, 3), 313),
+    "a_0 = 0": ((0, 6, 1), None),
+    "g = 1": ((3, 2, 1), None),
+    "degree 1": ((2 * 311 * 313, 1), 2),
+}
+
+
+@pytest.mark.parametrize("coeffs, witness", SCREEN_CASES.values(), ids=list(SCREEN_CASES))
+def test_the_witness_screen_gives_its_literal_witness(coeffs, witness):
+    f = IntPoly(coeffs)
+    assert _smallest_witness(coeffs) == witness
+    assert is_eisenstein(f) == (witness is not None)
+    primes = eisenstein_primes(f)
+    assert primes == factor_first_witnesses(f)
+    assert primes[:1] == ([witness] if witness else [])
+
+
+# Primes of the first block, 311 at its end, and 313 and 10007 past it.
+SCREEN_PRIMES = (2, 3, 5, 7, 307, 311, 313, 10007)
+
+
+@st.composite
+def screened_gcds(draw):
+    """Coefficients of degree 1 to 6 whose g carries primes on both sides of 311.
+
+    Every coefficient below the top is a multiple of g; a_0 and a_n take
+    powers of g's primes now and then, so that the screen rules some out.
+    """
+    n = draw(st.integers(1, 6))
+    primes = draw(st.lists(st.sampled_from(SCREEN_PRIMES), max_size=4, unique=True))
+    g = 1
+    for p in primes:
+        g *= p ** draw(st.integers(1, 2))
+    sign = st.sampled_from((1, -1))
+    coeffs = [g * draw(st.integers(1, 40)) * draw(sign) for _ in range(n)]
+    lead = draw(st.integers(1, 40)) * draw(sign)
+    for p in primes:
+        coeffs[0] *= p ** draw(st.integers(0, 2))
+        lead *= p ** draw(st.integers(0, 1))
+    if draw(st.integers(0, 9)) == 0:
+        coeffs[0] = 0
+    return tuple(coeffs) + (lead,)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(screened_gcds())
+def test_the_witness_screen_matches_factor_first_oracle(coeffs):
+    f = IntPoly(coeffs)
+    expected = factor_first_witnesses(f)
+    assert _smallest_witness(coeffs) == (expected[0] if expected else None), coeffs
+    assert is_eisenstein(f) == bool(expected), coeffs
+    for budget in BUDGETS + (FactorBudget(311, 0), FactorBudget(313, 0)):
+        assert _outcome(eisenstein_primes, f, budget) == _outcome(
+            factor_first_witnesses, f, budget
+        ), (coeffs, budget)
