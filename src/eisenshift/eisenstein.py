@@ -139,31 +139,27 @@ def _walk_witnesses(g: int, rest: int, a0: int, an: int, budget: FactorBudget):
         raise BudgetError("could not fully factor coefficient gcd %d" % g)
 
 
-def _witness_primes(coeffs: tuple[int, ...], budget: FactorBudget):
-    """The primes f is Eisenstein with respect to, ascending, found lazily.
-
-    f is given by its coefficients.  They are the primes p of
-    g = gcd(a_0, ..., a_(n-1)) with p^2 not dividing a_0 and p not dividing
-    a_n.  Those up to b = min(B, 311) come from `_witness_screen`, and the
-    rest of g is walked past them (`_walk_witnesses`), so they arrive in the
-    order trial division of g under `budget` finds them.  f has degree >= 1.
-    """
-    screen = _witness_screen(coeffs, _prime_product(min(budget.trial_bound, 311)))
-    if screen is None:
-        return
-    g, once, rest = screen
-    yield from (p for p in _BLOCK0 if once % p == 0)
-    yield from _walk_witnesses(g, rest, coeffs[0], coeffs[-1], budget)
-
-
 def eisenstein_primes(f: IntPoly, budget: FactorBudget = DEFAULT_BUDGET) -> list[int]:
-    """All primes with respect to which f is Eisenstein, ascending."""
+    """All primes with respect to which f is Eisenstein, ascending.
+
+    They are the primes p of g = gcd(a_0, ..., a_(n-1)) with p^2 not
+    dividing a_0 and p not dividing a_n.  Those up to b = min(B, 311) come
+    from `_witness_screen`, and the rest of g is walked past them
+    (`_walk_witnesses`), so they arrive in the order trial division of g
+    under `budget` finds them.
+    """
     _check_poly("eisenstein_primes", f)
     if type(budget) is not FactorBudget:
         raise _budget_error("eisenstein_primes", budget)
     if f.degree < 1:
         raise DomainError("Eisenstein tests need degree >= 1")
-    return list(_witness_primes(f.coeffs, budget))
+    coeffs = f.coeffs
+    screen = _witness_screen(coeffs, _prime_product(min(budget.trial_bound, 311)))
+    if screen is None:
+        return []
+    g, once, rest = screen
+    witnesses = [p for p in _BLOCK0 if once % p == 0]
+    return witnesses + list(_walk_witnesses(g, rest, coeffs[0], coeffs[-1], budget))
 
 
 def _smallest_witness(coeffs: tuple[int, ...]) -> int | None:
@@ -375,15 +371,16 @@ def shifted_eisenstein(
     primes are those of |D| with D = a_1^2 - 4*a_0*a_2.  Each candidate prime
     has one candidate shift, tested by `_shift_at`; for n = 2 the primes up
     to 311 are tested in closed form, on the coefficients
-    (f(s), 2*a_2*s + a_1, a_2) of f(x+s).
+    (f(s), 2*a_2*s + a_1, a_2) of f(x+s).  Past the choice of candidates,
+    one search (`_certificate_search`) serves every degree.
 
     Candidates are tried in ascending order as they are found (for n = 2 by
-    one gcd, the local rule and a prime-rest stop; see `_quadratic_search`):
-    trial division hands out the prime factors smallest first, the primes of
-    n are merged in by size, and the decision returns at the first prime
-    that works.  Past the trial bound B, `factorize` splits the rest, whose
-    primes exceed B: a piece below (B+1)^2 is prime untested, and one below
-    (B+1)^3 takes a square root, a primality test and rho.
+    one gcd, the local rule and a prime-rest stop): trial division hands out
+    the prime factors smallest first, the primes of n are merged in by size,
+    and the decision returns at the first prime that works.  Past the trial
+    bound B, `factorize` splits the rest, whose primes exceed B: a piece
+    below (B+1)^2 is prime untested, and one below (B+1)^3 takes a square
+    root, a primality test and rho.
 
     YES answers always carry a verified certificate with 0 <= shift < prime,
     in canonical order: a shift-0 witness first, then the smallest prime,
@@ -426,19 +423,53 @@ def _certificate_search(
     coeffs: tuple[int, ...], n: int, budget: FactorBudget
 ) -> ShiftedDecision:
     """`shifted_eisenstein` for the coefficients of f of degree n after its
-    plain-witness step found no witness; n = 2 goes to `_quadratic_search`."""
-    if n == 2:
-        return _quadratic_search(coeffs, budget)
-    an = coeffs[n]
-    target = _local_gcd(coeffs)[0]
-    small = [p for p in _prime_divisors(n) if an % p]
-    if target == 0:
-        return _CERTIFIED_NO["discriminant-zero"]
+    plain-witness step found no witness.
+
+    For n >= 3 the candidates are the primes of `_local_gcd`'s G, merged
+    with those of n not dividing a_n.  For n = 2 one gcd finds the primes of
+    |D| up to b = min(B, 311), tested on the written-out coefficients
+    (f(s), 2*a_2*s + a_1, a_2) of f(x+s): 2 at s = a_0 mod 2 when a_2 is
+    odd, and an odd p, which works iff it divides D once and not a_2 (as
+    4*a_2*f(s) = (2*a_2*s + a_1)^2 - D), at s = -a_1/(2*a_2) mod p.  The
+    rest of |D|, below (b+1)^2 or passing `is_prime`, is prime; only a
+    composite rest is walked, from the second block on.  Then one
+    `_shift_at` loop and one NO tail serve both degrees.
+    """
     split: list[Factorization] = []
     reason = "no-qualifying-prime"
-    candidates = small
-    if target > 1:
-        candidates = _candidate_primes(target, small, budget, split)
+    if n > 2:
+        target = _local_gcd(coeffs)[0]
+        if target == 0:
+            return _CERTIFIED_NO["discriminant-zero"]
+        candidates = [p for p in _prime_divisors(n) if coeffs[n] % p]
+        if target > 1:
+            candidates = _candidate_primes(target, candidates, budget, split)
+    else:
+        a0, a1, a2 = coeffs
+        target = abs(a1 * a1 - 4 * a0 * a2)
+        if target == 0:
+            return _CERTIFIED_NO["discriminant-zero"]
+        bound = min(budget.trial_bound, 311)
+        screened = math.gcd(target, _BLOCK0_PRODUCT if bound == 311 else _prime_product(bound))
+        if screened > 1:
+            reason = "no-root-shift-works"
+            if not screened & 1 and a2 & 1:
+                s = a0 & 1
+                if _eisenstein_at(((a2 * s + a1) * s + a0, 2 * a2 * s + a1, a2), 2):
+                    return _yes(s, 2)
+            once = screened // math.gcd(screened, a2 * (target // screened))
+            for p in _BLOCK0 if once > 1 else ():
+                if once % p == 0:
+                    s = -a1 * pow(2 * a2, -1, p) % p
+                    if _eisenstein_at(((a2 * s + a1) * s + a0, 2 * a2 * s + a1, a2), p):
+                        return _yes(s, p)
+            target = _strip_primes_of(target, screened)
+        if target == 1:
+            candidates = ()
+        elif target < (bound + 1) ** 2 or is_prime(target):
+            candidates = (target,)
+        else:
+            candidates = _candidate_primes(target, [], budget, split, len(_BLOCK0))
     for p in candidates:
         reason = "no-root-shift-works"
         s = _shift_at(coeffs, p)
@@ -446,51 +477,9 @@ def _certificate_search(
             return _yes(s, p)
     if not split or split[0].certified:
         return _CERTIFIED_NO[reason]
-    if discriminant(IntPoly(coeffs)) == 0:
+    if n > 2 and discriminant(IntPoly(coeffs)) == 0:
         # A repeated root makes f reducible, so no shift can work.
         return _CERTIFIED_NO["discriminant-zero"]
-    return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
-
-
-def _quadratic_search(coeffs: tuple[int, ...], budget: FactorBudget) -> ShiftedDecision:
-    """`_certificate_search` for n = 2.  One gcd finds the primes of D up to
-    b = min(B, 311), tried in ascending order on the written-out coefficients
-    (f(s), 2*a_2*s + a_1, a_2) of f(x+s), with f(s) = (a_2*s + a_1)*s + a_0:
-    2 at s = a_0 mod 2 when a_2 is odd, and an odd p works iff it divides D
-    once and not a_2, as 4*a_2*f(s) = (2*a_2*s + a_1)^2 - D, at
-    s = -a_1/(2*a_2) mod p.  The rest of |D|, below (b+1)^2 or passing
-    `is_prime`, is prime and the last candidate; only a composite rest is
-    walked, from the second block on.  Past the first block `_shift_at` tests."""
-    a0, a1, a2 = coeffs
-    target = abs(a1 * a1 - 4 * a0 * a2)
-    if target == 0:
-        return _CERTIFIED_NO["discriminant-zero"]
-    bound = min(budget.trial_bound, 311)
-    screened = math.gcd(target, _BLOCK0_PRODUCT if bound == 311 else _prime_product(bound))
-    if screened > 1:
-        if not screened & 1 and a2 & 1:
-            s = a0 & 1
-            if _eisenstein_at(((a2 * s + a1) * s + a0, 2 * a2 * s + a1, a2), 2):
-                return _yes(s, 2)
-        once = screened // math.gcd(screened, a2 * (target // screened))
-        for p in _BLOCK0 if once > 1 else ():
-            if once % p == 0:
-                s = -a1 * pow(2 * a2, -1, p) % p
-                if _eisenstein_at(((a2 * s + a1) * s + a0, 2 * a2 * s + a1, a2), p):
-                    return _yes(s, p)
-        target = _strip_primes_of(target, screened)
-    reason = "no-root-shift-works" if screened > 1 else "no-qualifying-prime"
-    if target == 1:
-        return _CERTIFIED_NO[reason]
-    split: list[Factorization] = []
-    prime = target < (bound + 1) ** 2 or is_prime(target)
-    candidates = [target] if prime else _candidate_primes(target, [], budget, split, len(_BLOCK0))
-    for p in candidates:
-        reason = "no-root-shift-works"
-        if (s := _shift_at(coeffs, p)) is not None:
-            return _yes(s, p)
-    if not split or split[0].certified:
-        return _CERTIFIED_NO[reason]
     return ShiftedDecision(Verdict.NO_HEURISTIC, reason=reason, cofactor=split[0].cofactor)
 
 

@@ -380,7 +380,6 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
     asking for one first splits the same way, and on a large power the
     roots cost far less than is_prime's first Miller-Rabin round.
     """
-    prime = _miller_rabin if bound >= 997 else is_prime  # is_prime's gcd finds none past 997
     square = (bound + 1) ** 2
     cofactor = 1
     pending = [(m, 1)]
@@ -397,7 +396,7 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
             base, k = power
             pending.append((base, mult * k))
             continue
-        if prime(value):
+        if is_prime(value):
             found[value] = found.get(value, 0) + mult
             continue
         divisor = _brent_rho(value, rho_left)

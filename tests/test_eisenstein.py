@@ -77,6 +77,10 @@ def test_eisenstein_primes():
     assert eisenstein_primes(IntPoly((12, 6, 5))) == [3]  # 4 | 12 kills p=2
     with pytest.raises(DomainError):
         eisenstein_primes(IntPoly((7,)))
+    # A constant has no Eisenstein test, the zero polynomial included.
+    for constant in (IntPoly((7,)), IntPoly((0,))):
+        with pytest.raises(DomainError):
+            is_eisenstein(constant)
 
 
 def test_is_eisenstein_matches_eisenstein_primes():

@@ -107,6 +107,26 @@ TINY_BUDGETS = (
 )
 
 
+def test_quadratic_no_tail_computes_no_discriminant(monkeypatch):
+    # The NO tail is shared by every degree, and its discriminant fallback
+    # is for n >= 3 only: a quadratic that gets there has D != 0, so even a
+    # heuristic NO under a tiny budget computes no discriminant.
+    monkeypatch.setattr(eisenstein_module, "discriminant", _refuse)
+    rng = random.Random(71)
+    heuristic = 0
+    for budget in TINY_BUDGETS:
+        for _ in range(200):
+            height = rng.choice(HEIGHTS)
+            lead = rng.choice([-1, 1]) * rng.randint(1, height)
+            f = IntPoly((rng.randint(-height, height), rng.randint(-height, height), lead))
+            heuristic += shifted_eisenstein(f, budget).verdict is Verdict.NO_HEURISTIC
+    assert heuristic > 0
+    # The refusal is reached: G = 375 = 3 * 5^3 is left unsplit, and the
+    # fallback finds the repeated root of this quartic.
+    with pytest.raises(AssertionError, match="discriminant machinery"):
+        shifted_eisenstein(IntPoly((10051, -1403, 594, -47, 1)), FactorBudget(2, 0))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(polynomials(degrees=DEGREES + (10,)))
 # D = 3^2 * 7^2: trial division alone splits it, so the NO stays certified

@@ -462,7 +462,7 @@ def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, abov
 
     monkeypatch.setattr(primes_module, "is_prime", is_prime_from_the_square_on)
     monkeypatch.setattr(primes_module, "iroot", iroot_only_where_it_can_be_exact)
-    # Past 997 a piece takes Miller-Rabin without is_prime's gcd screen.
+    # Nor do the Miller-Rabin rounds behind is_prime's gcd screen.
     miller_rabin = primes_module._miller_rabin
 
     def miller_rabin_from_the_square_on(n):
@@ -494,8 +494,8 @@ def test_rough_rests_skip_the_tests_that_cannot_succeed(monkeypatch, bound, abov
 @pytest.mark.parametrize("bound", (996, 997))
 def test_rough_pieces_take_one_primality_test(monkeypatch, bound):
     # With or without primes below 1000 left to divide a piece, p*q is asked
-    # once whether it is prime, and rho has no steps to split it.  Only
-    # while 997 may divide a piece does is_prime's gcd screen run first.
+    # once whether it is prime, through is_prime, whose gcd screen passes it
+    # on to one run of Miller-Rabin; rho has no steps to split it.
     ran = []
     for name, label in (("is_prime", "is_prime"), ("_miller_rabin", "mr")):
 
@@ -505,8 +505,7 @@ def test_rough_pieces_take_one_primality_test(monkeypatch, bound):
 
         monkeypatch.setattr(primes_module, name, recorded)
     assert factorize(1009 * 1013, FactorBudget(bound, 0)) == Factorization((), 1009 * 1013)
-    tests = ["is_prime", "mr"] if bound < 997 else ["mr"]
-    assert ran == [(label, 1009 * 1013) for label in tests]
+    assert ran == [("is_prime", 1009 * 1013), ("mr", 1009 * 1013)]
 
 
 def test_factorize_complete_small():
