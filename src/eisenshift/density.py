@@ -40,7 +40,6 @@ from .primes import first_primes
 
 __all__ = [
     "DensityReport",
-    "predicted_eisenstein_count",
     "sinh_bound_check",
     "density_report",
 ]
@@ -169,17 +168,6 @@ def density_report(n: int, primes: list[int], dps: int = DEFAULT_DPS) -> Density
             tau=ldexp(mpf(pairs), -2 * frac_bits),
             gamma=ldexp(mpf(complement), -(frac_bits + n * n + n)),
         )
-
-
-def predicted_eisenstein_count(n: int, height: int, primes: list[int], dps: int = DEFAULT_DPS):
-    """Main-term prediction rho_n * 2^(n+1) * height^(n+1) for #E_n(height)."""
-    from mpmath import mpf, workdps
-
-    if type(height) is not int or height < 1:
-        raise DomainError("height must be an int >= 1, got %r" % (height,))
-    rho = density_report(n, primes, dps).rho
-    with workdps(dps):
-        return +(rho * mpf(2) ** (n + 1) * mpf(height) ** (n + 1))
 
 
 def sinh_bound_check(primes: list[int], dps: int = DEFAULT_DPS):

@@ -290,10 +290,9 @@ def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
 @functools.lru_cache(maxsize=64)
 def _prime_divisors(m: int) -> tuple[int, ...]:
     """Distinct prime factors of a small m >= 1, ascending.  Trial division
-    stops at isqrt(m), so the prime table never grows past it."""
-    found = dict(_trial_division(m, math.isqrt(m)))
-    rest = m // math.prod(p**e for p, e in found.items())
-    return (*found, rest) if rest > 1 else tuple(found)
+    to isqrt(m) leaves no rest, as m < (isqrt(m)+1)^2, and the prime table
+    never grows past it."""
+    return tuple(p for p, _ in _trial_division(m, math.isqrt(m)))
 
 
 def _shift_at(coeffs: tuple[int, ...], p: int) -> int | None:
@@ -564,18 +563,13 @@ def _divides_once(g: int, budget: FactorBudget) -> bool | None:
     prime table's cap.
     """
     bound = min(1 << -(-g.bit_length() // 5), budget.trial_bound)
-    if g >= _fifth_power(budget.trial_bound + 1) or (product := _prime_product(bound)) is None:
+    if g >= (budget.trial_bound + 1) ** 5 or (product := _prime_product(bound)) is None:
         return None
     small = math.gcd(g, product)
     if math.gcd(g // small, small) != small:
         return True
     g = _strip_primes_of(g, small)
     return not (math.isqrt(g) ** 2 == g or g % 819 in _CUBES_MOD_819 and iroot(g, 3)[1])
-
-
-@functools.lru_cache(maxsize=64)
-def _fifth_power(m: int) -> int:
-    return m**5  # for m = B + 1, the g from which `_divides_once` gives up
 
 
 def decide_certified(

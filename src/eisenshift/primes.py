@@ -347,11 +347,11 @@ def factorize(
     """Factor |n| under the given budget.
 
     Trial division up to B = budget.trial_bound finds the prime factors in
-    ascending order.  Every prime factor of the rest it leaves unsplit
-    exceeds B, and `_split_rough` splits that rest with Brent-Pollard rho,
-    sharing budget.rho_iterations among all its splits.  Pieces the budget
-    cannot split end up multiplied into the cofactor and the result is
-    marked uncertified.  `trial_divided=True` says the caller has already
+    ascending order.  The rest it leaves unsplit is 1, or at least (B+1)^2
+    with every prime factor above B, and `_split_rough` splits that rest
+    with Brent-Pollard rho, sharing budget.rho_iterations among all its
+    splits.  Pieces the budget cannot split end up multiplied into the
+    cofactor and the result is marked uncertified.  `trial_divided=True` says the caller has already
     divided every prime up to B out of n, which is not checked: the walk is
     skipped and |n| goes straight to the split.
     """
@@ -411,12 +411,14 @@ def _split_rough(m: int, rho_iterations: int, bound: int, found: dict[int, int])
 def _trial_division(m: int, bound: int, start: int = 0):
     """Trial-divide m >= 1 by the primes up to `bound`, smallest first.
 
-    Yields (p, e) with p^e exactly dividing m, in ascending order.  Once p^2
-    exceeds what is left, that rest is prime and is yielded too.  Dividing
-    the yielded p^e out of m leaves the unsplit rest: 1, or a number whose
-    prime factors all exceed `bound`.  A caller that stops early never pays
-    for the larger primes.  The walk skips the first `start` primes, which
-    the caller has divided out of an m above the square of the last of them.
+    Yields (p, e) with p^e exactly dividing m, in ascending order.  The walk
+    stops once p^2 exceeds what is left or the divisors run out; a rest
+    1 < rest < (bound+1)^2 then has no prime up to `bound`, so it is prime
+    and is yielded too.  Dividing the yielded p^e out of m leaves the
+    unsplit rest: 1, or a number >= (bound+1)^2 whose prime factors all
+    exceed `bound`.  A caller that stops early never pays for the larger
+    primes.  The walk skips the first `start` primes, which the caller has
+    divided out of an m above the square of the last of them.
 
     The primes come from the prime table cached across calls, read once per
     walk.  A walk grows it only when m exceeds its cover squared, to isqrt(m)
@@ -426,15 +428,9 @@ def _trial_division(m: int, bound: int, start: int = 0):
     what it covers every odd number is tried.  Past the first block of 64
     cached primes, one gcd skips a block whose cached product is coprime to
     the rest, and at a superblock start (block 1, 17, 33, ...) one gcd skips
-    all 16 blocks of one.
-    No skipped prime divides the rest, but one whose square exceeds the rest
-    is where a walk one prime at a time stops and yields it; this walk stops
-    at the prime after the stretch instead.  So a stretch is skipped only
-    when that prime is at most `bound`, or, for a block, when the last prime
-    up to `bound` squared does not exceed the rest either, and the walk
-    yields what trying the primes one at a time yields.  A skip also needs
-    the stretch's first prime squared (a superblock's: its last block's) not
-    to exceed the rest, so a walk about to stop pays for no large gcd.
+    all 16 blocks of one.  A skip needs the stretch's first prime squared (a
+    superblock's: its last block's) not to exceed the rest, so a walk about
+    to stop pays for no large gcd.
     """
     table = _sieve
     if table[0] < bound <= _SIEVE_CACHE_CAP and m > table[0] ** 2:
@@ -447,14 +443,12 @@ def _trial_division(m: int, bound: int, start: int = 0):
             while i < stop and primes[i] ** 2 <= m:
                 if (
                     i % _SUPERBLOCK == _BLOCK
-                    and i + _SUPERBLOCK < stop
+                    and i + _SUPERBLOCK - _BLOCK < stop
                     and primes[i + _SUPERBLOCK - _BLOCK] ** 2 <= m
                     and math.gcd(superblocks[i // _SUPERBLOCK], m) == 1
                 ):
                     i += _SUPERBLOCK
-                elif (i + _BLOCK < stop or primes[stop - 1] ** 2 <= m) and math.gcd(
-                    blocks[i // _BLOCK], m
-                ) == 1:
+                elif math.gcd(blocks[i // _BLOCK], m) == 1:
                     i += _BLOCK
                 else:
                     break
@@ -476,9 +470,7 @@ def _trial_division(m: int, bound: int, start: int = 0):
             if m % p == 0:
                 m, e = _divide_out(m, p)
                 yield p, e
-        else:
-            return
-    if m > 1:
+    if 1 < m < (bound + 1) ** 2:
         yield m, 1
 
 

@@ -44,8 +44,9 @@ def trial_divides_once(g, budget):
     bound = newton_iroot(g, 5)[0]
     if bound > budget.trial_bound:
         return None
-    # A prime rest yielded once p^2 exceeds what is left divides g exactly
-    # once too, although it exceeds the bound.
+    # A rest the walk yields, below (T+1)^2 with no prime up to T, is a prime
+    # dividing g exactly once, although it exceeds the bound; a rest it
+    # leaves is at least (T+1)^2.
     for p, e in _trial_division(g, bound):
         if e == 1:
             return True

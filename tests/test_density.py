@@ -15,7 +15,6 @@ from eisenshift import (
     density_report,
     first_primes,
     monte_carlo,
-    predicted_eisenstein_count,
     sinh_bound_check,
     wilson_interval,
 )
@@ -199,12 +198,6 @@ def test_sinh_bound_check_rejects_bad_dps():
             sinh_bound_check(PRIMES, dps=dps)
 
 
-def test_predicted_count_scale():
-    # Main term rho_2 * 2^3 * H^3 at H=2 should be near the exact count 12.
-    pred = predicted_eisenstein_count(2, 2, PRIMES)
-    assert 9 < pred < 17
-
-
 def test_precision_isolation_and_validation():
     before = mp.dps
     density_report(10, PRIMES, dps=80)
@@ -230,8 +223,6 @@ def test_every_density_entry_point_rejects_a_bad_prime_list(primes):
         density_report(3, primes)
     with pytest.raises(DomainError):
         sinh_bound_check(primes)
-    with pytest.raises(DomainError):
-        predicted_eisenstein_count(3, 10, primes)
 
 
 def test_a_wrong_long_prime_list_is_refused_before_any_sieve(fresh_sieve):
@@ -246,8 +237,6 @@ def test_a_wrong_long_prime_list_is_refused_before_any_sieve(fresh_sieve):
 def test_density_entry_points_reject_a_bad_degree_or_precision(n, dps):
     with pytest.raises(DomainError):
         density_report(n, PRIMES[:10], dps)
-    with pytest.raises(DomainError):
-        predicted_eisenstein_count(n, 10, PRIMES[:10], dps)
     if dps != 50:
         with pytest.raises(DomainError):
             sinh_bound_check(PRIMES[:10], dps)
@@ -263,11 +252,10 @@ def test_negative_prime_lists_fail_fast():
         "import sys; sys.path.insert(0, %r)\n"
         "from eisenshift import *\n"
         "for primes in ([-2], [-3]):\n"
-        "    for call in (lambda: density_report(3, primes), lambda: sinh_bound_check(primes),\n"
-        "                 lambda: predicted_eisenstein_count(3, 10, primes)):\n"
+        "    for call in (lambda: density_report(3, primes), lambda: sinh_bound_check(primes)):\n"
         "        try:\n            call()\n        except DomainError:\n            print('refused')\n"
     ) % src
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
     )
-    assert done.stdout == "refused\n" * 6, done.stderr
+    assert done.stdout == "refused\n" * 4, done.stderr

@@ -26,7 +26,6 @@ from eisenshift import (
     max_shift_bound,
     monte_carlo,
     parse_poly,
-    predicted_eisenstein_count,
     principal_subresultant,
     roots_mod_p,
     shifted_eisenstein,
@@ -51,7 +50,6 @@ from eisenshift import (
         lambda: density_report(3, [2.0, 3.0]),  # was AttributeError
         lambda: density_report(3, [2, 3, 5.0]),
         lambda: density_report(3, ["2", "3"]),
-        lambda: predicted_eisenstein_count(2, 1.5, [2, 3]),
         lambda: wilson_interval(1.5, 3),
         lambda: wilson_interval(1, 3.0),
         lambda: monte_carlo(2, 10, 5, budget=None),  # was AttributeError

@@ -347,29 +347,32 @@ def _plain_walk(m, bound, cover):
     """Trial division one divisor at a time, as `_trial_division` describes it.
 
     The divisors are the primes up to min(bound, cover), then every odd
-    number past `cover` up to `bound`.  Once d^2 exceeds what is left, that
-    rest is yielded unless it is 1; a walk that runs out of divisors yields
-    no rest.
+    number past `cover` up to `bound`.  The walk stops once d^2 exceeds what
+    is left or the divisors run out, and yields the rest when it lies
+    strictly between 1 and (bound+1)^2.
     """
     primes = _WALK_PRIMES[: bisect_right(_WALK_PRIMES, min(bound, cover))]
     for d in itertools.chain(primes, range(cover + 1 + cover % 2, bound + 1, 2)):
         if d * d > m:
-            if m > 1:
-                yield m, 1
-            return
+            break
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             yield d, e
+    if 1 < m < (bound + 1) ** 2:
+        yield m, 1
 
 
-def _walk_cases(rng, primes, count):
+def _walk_cases(rng, primes, count, bounds):
     """m built from the primes at block starts (so at superblock starts and
     at the start of a superblock's last block too) and one prime either
     side, and m whose square root lies just past such a prime, so that the
-    block and superblock skips meet sqrt(m) and the bound."""
+    block and superblock skips meet sqrt(m) and the bound.  Then, for each
+    bound B, a prime rest that the divisors up to B run out on: the largest
+    prime below (B+1)^2 and the smallest above B^2, times 1, 2, 6 or 30 if
+    their primes are at most B."""
     starts = range(0, len(primes), 64)
     edges = [primes[j] for k in starts for j in (k - 1, k, k + 1) if 0 <= j < len(primes)]
     cases = []
@@ -388,6 +391,15 @@ def _walk_cases(rng, primes, count):
             p = rng.choice(edges)
             m = p * rng.choice(edges[edges.index(p) :]) * rng.choice((1, 2, 6, 30))
         cases.append(m)
+    for bound in bounds:
+        below, above = (bound + 1) ** 2 - 1, bound**2 + 1
+        while below > 1 and not is_prime(below):
+            below -= 1
+        while not is_prime(above):
+            above += 1
+        for c, largest in ((1, 0), (2, 2), (6, 3), (30, 5)):
+            if largest <= bound:
+                cases += [q * c for q in {below, above} if 1 < q < (bound + 1) ** 2]
     return cases
 
 
@@ -397,8 +409,9 @@ def test_trial_division_yields_what_a_plain_walk_yields(fresh_sieve):
     # 8731, the 1088th, stops at its end; 104729, the 10000th, stops inside
     # block 156; 300 000 walks 25 997 primes, so superblocks skip whole and
     # the last one is short.
-    cases = _walk_cases(random.Random(74), _WALK_PRIMES, 400)
-    for bound in (2, 8161, 8731, 104_729, 300_000):
+    bounds = (2, 8161, 8731, 104_729, 300_000)
+    cases = _walk_cases(random.Random(74), _WALK_PRIMES, 400, bounds)
+    for bound in bounds:
         for m in cases:
             walk = list(primes_module._trial_division(m, bound))
             assert walk == list(_plain_walk(m, bound, bound)), (m, bound)
@@ -409,8 +422,11 @@ def test_trial_division_past_the_cap_yields_what_a_plain_walk_yields(monkeypatch
     # a short third; past the cap the walk goes on with every odd number.
     monkeypatch.setattr(primes_module, "_SIEVE_CACHE_CAP", 20_000)
     primes_module._primes_up_to(20_000)
-    cases = _walk_cases(random.Random(75), _WALK_PRIMES[: bisect_right(_WALK_PRIMES, 60_000)], 300)
-    for bound in (20_000, 20_011, 50_000):
+    bounds = (20_000, 20_011, 50_000)
+    cases = _walk_cases(
+        random.Random(75), _WALK_PRIMES[: bisect_right(_WALK_PRIMES, 60_000)], 300, bounds
+    )
+    for bound in bounds:
         for m in cases:
             walk = list(primes_module._trial_division(m, bound))
             assert walk == list(_plain_walk(m, bound, 20_000)), (m, bound)
@@ -421,8 +437,9 @@ def test_trial_division_from_the_second_block_yields_what_a_plain_walk_yields(fr
     # With the first block's primes 2, ..., 311 divided out of an m above
     # 311^2, the walk may start at the second block, block skips first.
     first = math.prod(_WALK_PRIMES[:64])
+    bounds = (2, 311, 313, 8161, 8731, 104_729, 300_000)
     cases = []
-    for m in _walk_cases(random.Random(76), _WALK_PRIMES, 400):
+    for m in _walk_cases(random.Random(76), _WALK_PRIMES, 400, bounds):
         common = math.gcd(m, first)
         while common > 1:
             m //= common
@@ -430,10 +447,40 @@ def test_trial_division_from_the_second_block_yields_what_a_plain_walk_yields(fr
         if m == 1 or m > 311**2:
             cases.append(m)
     assert len(cases) > 200
-    for bound in (2, 311, 313, 8161, 8731, 104_729, 300_000):
+    for bound in bounds:
         for m in cases:
             walk = list(primes_module._trial_division(m, bound, 64))
             assert walk == list(_plain_walk(m, bound, bound)), (m, bound)
+
+
+def test_a_walk_yields_a_prime_rest_below_the_bound_plus_one_squared():
+    # 7^2 = 49 <= 53: the primes up to 10 run out, not one whose square
+    # exceeds 53, and 53 < 11^2 with no prime up to 10 is prime.
+    assert list(primes_module._trial_division(53, 10)) == [(53, 1)]
+    assert list(primes_module._trial_division(5, 2)) == [(5, 1)]
+    assert list(primes_module._trial_division(7, 2)) == [(7, 1)]
+
+
+def test_a_walk_leaves_one_or_a_rest_past_the_bound_plus_one_squared(fresh_sieve):
+    # Whatever the block and superblock skips pass, the yielded primes
+    # ascend with exact exponents, and the rest left is 1 or at least
+    # (B+1)^2 with no prime up to B.  A walk from the second block needs an
+    # m above 311^2 with no prime up to 311.
+    bounds = (0, 1, 2, 10, 311, 313, 8161, 8731, 10**5)
+    cases = [*range(1, 500), *_walk_cases(random.Random(77), _WALK_PRIMES, 400, bounds)]
+    first = math.prod(_WALK_PRIMES[:64])
+    for bound in bounds:
+        below = math.prod(_WALK_PRIMES[: bisect_right(_WALK_PRIMES, bound)])
+        for m in cases:
+            for start in (0, 64) if m > 311**2 and math.gcd(m, first) == 1 else (0,):
+                rest, last = m, 1
+                for p, e in primes_module._trial_division(m, bound, start):
+                    assert last < p and is_prime(p), (m, bound, start, p)
+                    assert rest % p**e == 0 and rest // p**e % p, (m, bound, start, p)
+                    rest, last = rest // p**e, p
+                assert rest == 1 or (
+                    rest >= (bound + 1) ** 2 and math.gcd(rest, below) == 1
+                ), (m, bound, start)
 
 
 # Trial bounds B with B + 1 prime (1009) and the default 10^5, and the

@@ -15,9 +15,9 @@ def test_package_all_is_the_module_lists():
         assert expected.isdisjoint(module.__all__), module.__name__
         expected.update(module.__all__)
     assert set(names) == expected
-    # 42 names from the modules and __version__: a name no caller needs
+    # 41 names from the modules and __version__: a name no caller needs
     # leaves the package rather than growing it.
-    assert len(names) == 43
+    assert len(names) == 42
 
 
 def test_each_name_is_the_defining_module_object():
