@@ -351,9 +351,9 @@ def factorize(
     with every prime factor above B, and `_split_rough` splits that rest
     with Brent-Pollard rho, sharing budget.rho_iterations among all its
     splits.  Pieces the budget cannot split end up multiplied into the
-    cofactor and the result is marked uncertified.  `trial_divided=True` says the caller has already
-    divided every prime up to B out of n, which is not checked: the walk is
-    skipped and |n| goes straight to the split.
+    cofactor and the result is marked uncertified.  `trial_divided=True`
+    says the caller has already divided every prime up to B out of n, which
+    is not checked: the walk is skipped and |n| goes straight to the split.
     """
     if type(n) is not int or n == 0:
         raise DomainError("factorize needs a nonzero int, got %r" % (n,))

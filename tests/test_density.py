@@ -252,7 +252,8 @@ def test_negative_prime_lists_fail_fast():
         "import sys; sys.path.insert(0, %r)\n"
         "from eisenshift import *\n"
         "for primes in ([-2], [-3]):\n"
-        "    for call in (lambda: density_report(3, primes), lambda: sinh_bound_check(primes)):\n"
+        "    for call in (lambda: density_report(3, primes),\n"
+        "                 lambda: sinh_bound_check(primes)):\n"
         "        try:\n            call()\n        except DomainError:\n            print('refused')\n"
     ) % src
     done = subprocess.run(
