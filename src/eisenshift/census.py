@@ -87,7 +87,7 @@ import math
 import os
 import random
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, product
 
 from .eisenstein import (
@@ -135,8 +135,12 @@ CHUNK_SIZE = 256
 _ENUMERATION_CAP = 100_000_000  # exact_census refuses larger boxes
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(
+    namedtuple(
+        "ExperimentReport",
+        "kind n height samples eisenstein shifted f_count unresolved seed",
+    )
+):
     """Counts from one census or Monte Carlo run.
 
     `samples` is the box size for a census and the sample count for a
@@ -148,15 +152,7 @@ class ExperimentReport:
     is 0, and the interval for a census.
     """
 
-    kind: str
-    n: int
-    height: int
-    samples: int
-    eisenstein: int
-    shifted: int
-    f_count: int
-    unresolved: int
-    seed: int | None
+    __slots__ = ()
 
     @property
     def ratio(self) -> float | None:

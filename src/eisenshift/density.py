@@ -32,7 +32,7 @@ with this module, so `import eisenshift` and the CLI subcommands other than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .errors import DomainError
@@ -200,22 +200,16 @@ def sinh_bound_check(primes: list[int], dps: int = DEFAULT_DPS):
         return total, +(2 * sinh(total))
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(
+    namedtuple("DensityReport", "n prime_count largest_prime p_n p_n_tail rho tau gamma")
+):
     """Density constants for one degree over one truncated prime list.
 
     p_n, p_n_tail, rho, tau and gamma are `mpmath.mpf` values; mpmath is
     imported by `density_report`, which makes them, not with this module.
     """
 
-    n: int
-    prime_count: int
-    largest_prime: int
-    p_n: object
-    p_n_tail: object
-    rho: object
-    tau: object
-    gamma: object
+    __slots__ = ()
 
     def as_record(self) -> dict:
         from mpmath import mp

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import discriminant
 from .errors import BudgetError, DomainError
@@ -66,16 +66,15 @@ class Verdict(enum.Enum):
     NO_HEURISTIC = "no-heuristic"
 
 
-@dataclass(frozen=True)
-class ShiftCertificate:
+class ShiftCertificate(namedtuple("ShiftCertificate", "shift prime")):
     """Checkable witness: f(x+shift) is Eisenstein with respect to prime."""
 
-    shift: int
-    prime: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShiftedDecision:
+class ShiftedDecision(
+    namedtuple("ShiftedDecision", "verdict certificate reason cofactor", defaults=(None,) * 3)
+):
     """Outcome of a shifted-Eisenstein decision.
 
     `reason` explains a NO: "discriminant-zero" when f has a repeated root
@@ -90,10 +89,7 @@ class ShiftedDecision:
     not `is`.
     """
 
-    verdict: Verdict
-    certificate: ShiftCertificate | None = None
-    reason: str | None = None
-    cofactor: int | None = None
+    __slots__ = ()
 
 
 _BLOCK0 = tuple(first_primes(64))  # the prime table's first block, 2 to 311
@@ -405,7 +401,7 @@ def shifted_eisenstein(
 
 
 # The certified NO decisions, one per reason; they carry no certificate and
-# no cofactor, and ShiftedDecision is frozen, so every decision shares them.
+# no cofactor, and ShiftedDecision is immutable, so every decision shares them.
 _CERTIFIED_NO = {
     reason: ShiftedDecision(Verdict.NO_CERTIFIED, reason=reason)
     for reason in ("discriminant-zero", "no-qualifying-prime", "no-root-shift-works")
@@ -429,18 +425,20 @@ def _certificate_search(
     |D| up to b = min(B, 311), tested on the written-out coefficients
     (f(s), 2*a_2*s + a_1, a_2) of f(x+s): 2 at s = a_0 mod 2 when a_2 is
     odd, and an odd p, which works iff it divides D once and not a_2 (as
-    4*a_2*f(s) = (2*a_2*s + a_1)^2 - D), at s = -a_1/(2*a_2) mod p.  The
-    rest of |D|, below (b+1)^2 or passing `is_prime`, is prime; only a
-    composite rest is walked, from the second block on.  Then one
-    `_shift_at` loop and one NO tail serve both degrees.
+    4*a_2*f(s) = (2*a_2*s + a_1)^2 - D), at s = -a_1/(2*a_2) mod p.  A
+    rest of |D| of 1 is a certified NO at once.  A rest below (b+1)^2 or
+    passing `is_prime` is prime; only a composite rest is walked, from the
+    second block on.  Then one `_shift_at` loop and one NO tail serve both
+    degrees.
     """
-    split: list[Factorization] = []
+    split: list[Factorization]
     reason = "no-qualifying-prime"
     if n > 2:
         target = _local_gcd(coeffs)[0]
         if target == 0:
             return _CERTIFIED_NO["discriminant-zero"]
         candidates = [p for p in _prime_divisors(n) if coeffs[n] % p]
+        split = []
         if target > 1:
             candidates = _candidate_primes(target, candidates, budget, split)
     else:
@@ -464,8 +462,9 @@ def _certificate_search(
                         return _yes(s, p)
             target = _strip_primes_of(target, screened)
         if target == 1:
-            candidates = ()
-        elif target < (bound + 1) ** 2 or is_prime(target):
+            return _CERTIFIED_NO[reason]
+        split = []
+        if target < (bound + 1) ** 2 or is_prime(target):
             candidates = (target,)
         else:
             candidates = _candidate_primes(target, [], budget, split, len(_BLOCK0))

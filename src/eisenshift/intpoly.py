@@ -7,7 +7,7 @@ Coefficients are stored in ascending order: ``(a0, a1, ..., an)`` stands for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -21,20 +21,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Immutable dense polynomial over the integers."""
+class IntPoly(namedtuple("IntPoly", "coeffs degree")):
+    """Immutable dense polynomial over the integers.
 
-    coeffs: tuple[int, ...]
-    # Index of the last nonzero coefficient; -1 for the zero polynomial.
-    # Derived from coeffs, so equality, hashing and repr ignore it.
-    degree: int = field(init=False, repr=False, compare=False)
+    `degree` is the index of the last nonzero coefficient, -1 for the zero
+    polynomial.  It is derived from `coeffs`, so `IntPoly(coeffs)` takes
+    coeffs alone, and hashing, repr and pickling use coeffs alone.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
         try:
-            raw = tuple(self.coeffs)
+            raw = tuple(coeffs)
         except TypeError:
-            raise DomainError("coefficients must be ints, got %r" % (self.coeffs,)) from None
+            raise DomainError("coefficients must be ints, got %r" % (coeffs,)) from None
         if not raw:
             raise DomainError("a polynomial needs at least one coefficient")
         for c in raw:
@@ -44,8 +45,23 @@ class IntPoly:
         while end > 1 and raw[end - 1] == 0:
             end -= 1
         coeffs = raw[:end]
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "degree", -1 if coeffs == (0,) else end - 1)
+        return tuple.__new__(cls, (coeffs, -1 if coeffs == (0,) else end - 1))
+
+    def __repr__(self) -> str:
+        return "IntPoly(coeffs=%r)" % (self.coeffs,)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __getnewargs__(self):
+        return (self.coeffs,)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build from the coefficients by `__new__`, so `_make` and `_replace`
+        check them and derive `degree` again; a `degree` given is ignored."""
+        coeffs, _ = iterable
+        return cls(coeffs)
 
     @property
     def is_zero(self) -> bool:

@@ -12,7 +12,7 @@ import functools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetError, DomainError
 from .intpoly import IntPoly, _check_poly
@@ -204,8 +204,7 @@ def iroot(x: int, k: int) -> tuple[int, bool]:
         r = nxt
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class FactorBudget(namedtuple("FactorBudget", "trial_bound rho_iterations")):
     """Work bound for factorization: two int bounds.
 
     `trial_bound` is the largest trial divisor and `rho_iterations` the number
@@ -216,18 +215,24 @@ class FactorBudget:
     with a prime exponent up to there is extracted at no rho cost.
     """
 
-    trial_bound: int = 100_000
-    rho_iterations: int = 1_000_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, trial_bound: int = 100_000, rho_iterations: int = 1_000_000):
+        self = tuple.__new__(cls, (trial_bound, rho_iterations))
         if not (
-            type(self.trial_bound) is type(self.rho_iterations) is int
-            and self.trial_bound >= 0
-            and self.rho_iterations >= 0
+            type(trial_bound) is type(rho_iterations) is int
+            and trial_bound >= 0
+            and rho_iterations >= 0
         ):
             raise DomainError(
                 "budget needs int trial_bound >= 0 and rho_iterations >= 0, got %r" % (self,)
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build by `__new__`, so `_make` and `_replace` check the bounds too."""
+        return cls(*iterable)
 
     def scaled(self, factor: int) -> "FactorBudget":
         """Same budget with trial bound and rho iterations multiplied."""
@@ -247,8 +252,7 @@ def _budget_error(caller: str, budget) -> DomainError:
     return DomainError("%s needs a FactorBudget, got %r" % (caller, budget))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "factors cofactor")):
     """Outcome of a budgeted factorization of |n|.
 
     `factors` lists (prime, exponent) ascending; `cofactor` multiplies any
@@ -260,8 +264,7 @@ class Factorization:
     prime above that bound is a strong probable prime to 25 fixed bases.
     """
 
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:

@@ -4,8 +4,8 @@ For a squarefree d, `census_h_subset` counts the height-<=H polynomials
 whose non-leading coefficients are divisible by d, with a_0/d and a_n
 coprime to d; `h_subset_main_term` is the prediction it converges to.
 `eisenstein_count` sums `census_h_subset` by inclusion-exclusion over
-squarefree d into the exact Eisenstein count of the box (ROADMAP items 6
-and 20).  Only tests call them, so their inputs are trusted: no argument
+squarefree d into the exact Eisenstein count of the box (ROADMAP item
+20).  Only tests call them, so their inputs are trusted: no argument
 checks, and a factorization the default budget cannot finish fails an
 assert.
 """

@@ -10,6 +10,8 @@ from eisenshift.cli import main
 def test_negative_budget_is_rejected(trial_bound, rho_iterations):
     with pytest.raises(DomainError):
         FactorBudget(trial_bound, rho_iterations)
+    with pytest.raises(DomainError):
+        FactorBudget()._replace(trial_bound=trial_bound, rho_iterations=rho_iterations)
 
 
 @pytest.mark.parametrize(

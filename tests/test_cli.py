@@ -294,16 +294,19 @@ def test_module_runs_as_a_script():
 
 
 def test_importing_the_cli_leaves_the_process_pool_unimported():
-    # Only `monte_carlo` with workers > 1 needs it, and it costs start-up time.
+    # Only `monte_carlo` with workers > 1 needs the process pool, and no
+    # command needs dataclasses, inspect or typing; each costs start-up time.
+    # -S keeps site-packages' .pth hooks, which may import typing, out of it.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import sys, eisenshift.cli; print('concurrent.futures.process' in sys.modules)"
+    lean = ("concurrent.futures.process", "dataclasses", "inspect", "typing")
+    code = "import sys, eisenshift.cli; print(*sorted(set(%r) & set(sys.modules)))" % (lean,)
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=env, cwd=root, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "\n"
 
 
 def test_only_the_density_subcommand_loads_mpmath():

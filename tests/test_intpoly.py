@@ -1,6 +1,5 @@
 """Integer polynomial container and exact coefficient operations."""
 
-import dataclasses
 import math
 import pickle
 import random
@@ -54,8 +53,13 @@ def test_stored_degree_leaves_equality_hash_repr_and_pickling_alone():
         assert g == f and g.degree == 1 and hash(g) == hash(f)
     with pytest.raises(TypeError):
         IntPoly((1, 2), degree=1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         f.degree = 2
+    assert f.degree == 1 and f.coeffs == (1, 2)
+    g = f._replace(coeffs=(3, 0, 0))
+    assert g == IntPoly((3,)) and g.degree == 0
+    with pytest.raises(DomainError):
+        f._replace(coeffs=(1, 2.5))
 
 
 def test_rejects_bad_coefficients():

@@ -4,7 +4,6 @@ block runs, and its module tour names each module's public names."""
 
 import argparse
 import builtins
-import dataclasses
 import importlib
 import pkgutil
 import re
@@ -99,14 +98,13 @@ def _module_tour():
 
 
 def _names_of(module) -> set[str]:
-    """The module's attributes, and the attributes and fields of the classes it exports."""
+    """The module's attributes, and the attributes of the classes it exports,
+    their fields among them."""
     names = set(dir(module))
     for name in module.__all__:
         value = getattr(module, name)
         if isinstance(value, type):
             names.update(dir(value))
-            if dataclasses.is_dataclass(value):
-                names.update(field.name for field in dataclasses.fields(value))
     return names
 
 
